@@ -6,6 +6,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "datasets/datasets.h"
+#include "sam/view_baseline.h"
 #include "workload/generator.h"
 
 namespace sam::bench {
@@ -234,6 +235,14 @@ Result<SingleRelSetup> SetupDmv(const BenchConfig& config, size_t n_queries) {
   setup.table = "dmv";
   setup.hints = DmvHints();
   return setup;
+}
+
+Result<Database> GenerateSamVariant(const SamModel& sam, bool group_and_merge) {
+  if (group_and_merge) return sam.Generate();
+  Rng rng(sam.options().generation_seed);
+  const SamModel::FojSample foj =
+      sam.SampleFoj(sam.options().foj_samples, &rng);
+  return GenerateViewBaseline(sam, foj, &rng);
 }
 
 Result<MultiRelSetup> SetupImdb(const BenchConfig& config, size_t n_queries) {

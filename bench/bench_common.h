@@ -93,6 +93,11 @@ SamOptions DefaultSamOptions(const BenchConfig& config);
 /// defaults use more epochs and sample paths than the single-relation runs.
 SamOptions ImdbSamOptions(const BenchConfig& config);
 
+/// SAM's generated database, or — with `group_and_merge` off — the paper's
+/// "SAM w/o Group-and-Merge" baseline (`GenerateViewBaseline`) over
+/// `foj_samples` model draws seeded by `generation_seed`.
+Result<Database> GenerateSamVariant(const SamModel& sam, bool group_and_merge);
+
 /// Computes the view-size metadata PGM needs (unfiltered join sizes for every
 /// view in `workload`).
 Result<std::map<std::string, int64_t>> ViewSizesFor(const Executor& executor,

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     Rng rng(config.seed * 2027 + k);
     Stopwatch watch;
     const SamModel::FojSample foj = model.SampleFoj(k, &rng);
-    auto gen = model.GenerateFromFoj(foj, &rng);
+    auto gen = model.GenerateFromFoj(foj);
     const double secs = watch.ElapsedSeconds();
     SAM_CHECK(gen.ok()) << gen.status().ToString();
     auto qe = EvaluateFidelity(gen.ValueOrDie(), eval);

@@ -11,11 +11,10 @@ namespace {
 MetricSummary RunVariant(const BenchConfig& config, const MultiRelSetup& setup,
                          bool group_and_merge) {
   SamOptions options = ImdbSamOptions(config);
-  options.use_group_and_merge = group_and_merge;
   auto sam = SamModel::Train(*setup.db, setup.train, setup.hints,
                              setup.foj_size, options);
   SAM_CHECK(sam.ok()) << sam.status().ToString();
-  auto gen = sam.ValueOrDie()->Generate();
+  auto gen = GenerateSamVariant(*sam.ValueOrDie(), group_and_merge);
   SAM_CHECK(gen.ok()) << gen.status().ToString();
   const Workload eval = SampleQueries(setup.train, 1000, config.seed + 29);
   auto qe = EvaluateFidelity(gen.ValueOrDie(), eval);

@@ -11,12 +11,11 @@ namespace {
 MetricSummary RunSamVariant(const BenchConfig& config, const MultiRelSetup& setup,
                             bool group_and_merge) {
   SamOptions options = ImdbSamOptions(config);
-  options.use_group_and_merge = group_and_merge;
   options.training.epochs *= 4;  // Small workload: more passes.
   auto sam = SamModel::Train(*setup.db, setup.train, setup.hints,
                              setup.foj_size, options);
   SAM_CHECK(sam.ok()) << sam.status().ToString();
-  auto gen = sam.ValueOrDie()->Generate();
+  auto gen = GenerateSamVariant(*sam.ValueOrDie(), group_and_merge);
   SAM_CHECK(gen.ok()) << gen.status().ToString();
   auto qe = EvaluateFidelity(gen.ValueOrDie(), setup.train);
   SAM_CHECK(qe.ok()) << qe.status().ToString();

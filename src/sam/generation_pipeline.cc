@@ -121,8 +121,7 @@ struct GenerationPipeline::Impl {
   };
 
   /// One merge group of a partition step: virtuals sharing
-  /// (parent key | group-key codes), in first-appearance order — the
-  /// deterministic counterpart of the in-RAM unordered_map grouping.
+  /// (parent key | group-key codes), in first-appearance order.
   struct Group {
     std::vector<std::pair<uint32_t, double>> members;  ///< (sample, fraction).
     double mass = 0.0;
@@ -214,9 +213,8 @@ struct GenerationPipeline::Impl {
   /// Leaf phase B stays serial: its emission counts depend on the carry
   /// crossing partitions, which would change RNG draw counts if speculated.
 
-  /// One decoded CSV row split at the primary-key field; the commit splices
-  /// `Value(pk).ToString()` between the pieces, reproducing
-  /// `EmitRow` + `AppendCsvRow` byte-for-byte.
+  /// One decoded CSV row split at the primary-key field; `AppendPreparedRow`
+  /// splices the pk text between the pieces.
   struct PreparedRow {
     std::string prefix;  ///< Bytes before the pk value (incl. its comma).
     std::string suffix;  ///< Bytes after the pk value (incl. '\n').
@@ -380,7 +378,6 @@ struct GenerationPipeline::Impl {
     const SamOptions& o = options();
     f.MixU64(o.generation_batch);
     f.MixU64(o.foj_samples);
-    f.MixU64(o.use_group_and_merge ? 1 : 0);
     f.MixU64(o.enforce_null_consistency ? 1 : 0);
     f.MixDouble(o.leftover_key_threshold);
     f.MixU64(o.generation_seed);
@@ -395,6 +392,10 @@ struct GenerationPipeline::Impl {
       f.MixU64(m.rows());
       f.MixU64(m.cols());
       f.Mix(m.data(), m.rows() * m.cols() * sizeof(double));
+    }
+    if (const SamModel::FojSample* foj = opts.injected_foj) {
+      f.MixU64(foj->count);  // Injected tuples replace the model draws.
+      for (const auto& c : foj->codes) f.Mix(c.data(), c.size() * sizeof(int32_t));
     }
     return f.h;
   }
@@ -464,11 +465,6 @@ struct GenerationPipeline::Impl {
     budget = MemoryBudget(o.memory_cap_bytes);
 
     multi = schema().multi_relation();
-    if (multi && !o.use_group_and_merge) {
-      return Status::NotImplemented(
-          "the out-of-core pipeline requires Group-and-Merge; the view-based "
-          "ablation only runs on the in-RAM SamModel::Generate path");
-    }
     if (multi) {
       topo = schema().join_graph().TopologicalOrder();
       k = o.foj_samples;
@@ -480,6 +476,15 @@ struct GenerationPipeline::Impl {
       }
       topo = {sam->layouts()[0].name};
       k = static_cast<uint64_t>(schema().table_size(topo[0]));
+    }
+    if (const SamModel::FojSample* foj = opts.injected_foj) {
+      bool shaped = foj->codes.size() == schema().num_columns();
+      for (const auto& col : foj->codes) shaped &= col.size() >= foj->count;
+      if (!shaped) {
+        return Status::InvalidArgument(
+            "injected FOJ sample does not match the model's columns");
+      }
+      k = foj->count;
     }
     rel_index.clear();
     for (size_t i = 0; i < topo.size(); ++i) rel_index[topo[i]] = i;
@@ -643,7 +648,7 @@ struct GenerationPipeline::Impl {
                       : schema().ColumnsOf(ModelColumnKind::kContent, child);
     }
 
-    // Layout-column plan (mirrors the in-RAM emit_row).
+    // Layout-column plan.
     std::unordered_set<size_t> needed;
     for (const auto& cname : rc.layout->column_names) {
       ColPlan cp;
@@ -713,8 +718,7 @@ struct GenerationPipeline::Impl {
     }
 
     // Re-apply the scaling step against the incoming virtual mass (Alg 2's
-    // size guarantee under dropped sub-threshold parent groups) — same
-    // renormalisation as the in-RAM path.
+    // size guarantee under dropped sub-threshold parent groups).
     rc.w = w_base.at(rc.name);
     double incoming = 0.0;
     if (rc.name == schema().root()) {
@@ -737,9 +741,8 @@ struct GenerationPipeline::Impl {
 
   // -- Group keys -----------------------------------------------------------
 
-  /// Key format matches the in-RAM path exactly:
-  /// "<fk>|<code>,<code>,...,". Split so prepared commits can precompute
-  /// everything after the fk (the pk is only known at commit time).
+  /// Key format "<fk>|<code>,<code>,...,", split so prepared commits can
+  /// precompute everything after the fk (the pk is only known at commit).
   std::string GroupKeySuffix(uint32_t sample,
                              const std::vector<size_t>& cols) const {
     std::string key(1, '|');
@@ -805,31 +808,25 @@ struct GenerationPipeline::Impl {
     return AccountAppendedRow(rel);
   }
 
-  Status EmitRow(uint32_t sample, int64_t pk, int64_t fk, Rng* rng) {
-    std::vector<Value> row;
-    row.reserve(active.col_plan.size());
-    for (const auto& cp : active.col_plan) {
-      switch (cp.kind) {
-        case ColPlan::Kind::kPk:
-          row.emplace_back(pk);
-          break;
-        case ColPlan::Kind::kFk:
-          row.emplace_back(fk);
-          break;
-        case ColPlan::Kind::kContent: {
-          const ModelColumn& mc = schema().columns()[cp.model_col];
-          row.push_back(schema().DecodeContent(
-              mc, active.resident.at(cp.model_col)[sample], rng));
-          break;
-        }
-      }
-    }
-    return AppendRow(active.name, row);
+  /// Appends a rendered row of the active relation with `pk_text` spliced
+  /// in at the pk field (empty for relations without a primary key).
+  Status AppendPreparedRow(const PreparedRow& row, const std::string& pk_text) {
+    row_buf.csv.append(row.prefix);
+    row_buf.csv.append(pk_text);
+    row_buf.csv.append(row.suffix);
+    return AccountAppendedRow(active.name);
   }
 
-  /// Renders one row's CSV bytes split at the pk field, consuming exactly
-  /// the RNG draws `EmitRow` would. Thread-safe (reads only `active` and the
-  /// schema); must mirror `EmitRow` + `AppendCsvRow` byte-for-byte.
+  /// Decodes sample `sample` into one row of the active relation.
+  Status EmitRow(uint32_t sample, int64_t pk, int64_t fk, Rng* rng) {
+    PreparedRow row;
+    RenderPreparedRow(sample, fk, rng, &row);
+    return AppendPreparedRow(row, active.keyed ? std::to_string(pk) : "");
+  }
+
+  /// Decodes one row into `AppendCsvRow`'s format, split at the pk field —
+  /// the one row renderer of the serial and the prepared commit paths.
+  /// Thread-safe (reads only `active` and the schema).
   void RenderPreparedRow(uint32_t sample, int64_t fk, Rng* rng,
                          PreparedRow* out) const {
     std::string* piece = &out->prefix;
@@ -838,7 +835,7 @@ struct GenerationPipeline::Impl {
       if (c > 0) piece->push_back(',');
       switch (cp.kind) {
         case ColPlan::Kind::kPk:
-          piece = &out->suffix;  // `Value(pk).ToString()` spliced at commit.
+          piece = &out->suffix;  // The pk text is spliced in at append.
           break;
         case ColPlan::Kind::kFk:
           piece->append(Value(fk).ToString());
@@ -847,7 +844,7 @@ struct GenerationPipeline::Impl {
           const ModelColumn& mc = schema().columns()[cp.model_col];
           const Value v = schema().DecodeContent(
               mc, active.resident.at(cp.model_col)[sample], rng);
-          if (!v.is_null()) piece->append(v.ToString());
+          if (!v.is_null()) AppendCsvField(v, piece);
           break;
         }
       }
@@ -943,7 +940,7 @@ struct GenerationPipeline::Impl {
   /// have succeeded serially. On any miss the next step simply samples
   /// synchronously, producing the identical bytes.
   void MaybeStartSamplePrefetch(size_t batch_index) {
-    if (!ParallelCommitEnabled()) return;
+    if (!ParallelCommitEnabled() || opts.injected_foj != nullptr) return;
     const size_t next = batch_index + 1;
     if (static_cast<uint64_t>(next) >= sample_batches) return;
     if (state.next_step + 1 >= plan.size()) return;
@@ -989,7 +986,15 @@ struct GenerationPipeline::Impl {
       SAM_RETURN_NOT_OK(
           res.Acquire(FojChunk::BytesFor(rows, schema().num_columns()),
                       "sample batch codes"));
-      foj = sam->SampleFojBatch(state.base_seed, batch_index, rows);
+      if (opts.injected_foj != nullptr) {
+        foj.count = rows;
+        for (const auto& col : opts.injected_foj->codes) {
+          foj.codes.emplace_back(col.begin() + start,
+                                 col.begin() + start + rows);
+        }
+      } else {
+        foj = sam->SampleFojBatch(state.base_seed, batch_index, rows);
+      }
     }
     // Overlap the spill write / decode below with sampling of batch b+1.
     MaybeStartSamplePrefetch(batch_index);
@@ -1038,11 +1043,13 @@ struct GenerationPipeline::Impl {
 
   // -- Partition steps (Group-and-Merge) ------------------------------------
 
-  /// Phase A, gather: this partition's virtual samples, without budget
-  /// accounting (the caller reserves — the serial path incrementally, the
-  /// prefetch path for the whole window before dispatch). Thread-safe: reads
-  /// only `active`, `state` and spill files.
-  Result<std::vector<SpillVirtual>> GatherVirtuals(size_t part) const {
+  /// Phase A, gather: this partition's virtual samples. The serial path
+  /// passes `res` to reserve them incrementally (chunk by chunk); the
+  /// prefetch path passes null, having reserved the whole window before
+  /// dispatch, and is then thread-safe: it reads only `active`, `state` and
+  /// spill files.
+  Result<std::vector<SpillVirtual>> GatherVirtuals(
+      size_t part, ScopedReservation* res = nullptr) const {
     std::vector<SpillVirtual> virtuals;
     if (active.name == schema().root()) {
       // Root virtuals are implicit: every positively-weighted sample at
@@ -1056,12 +1063,21 @@ struct GenerationPipeline::Impl {
         }
         virtuals.push_back(SpillVirtual{static_cast<uint32_t>(s), 1.0, -1});
       }
+      if (res != nullptr) {
+        SAM_RETURN_NOT_OK(res->Acquire(VirtualChunk::BytesFor(virtuals.size()),
+                                       "root virtual samples"));
+      }
     } else {
       const auto& rs = state.relations[rel_index.at(active.name)];
       for (uint64_t seq = 0; seq < rs.virt_chunk_seq[part]; ++seq) {
         const std::string name = VirtChunkName(active.name, part, seq);
         SAM_ASSIGN_OR_RETURN(VirtualChunk chunk,
                              VirtualChunk::Load(Path(name)));
+        if (res != nullptr) {
+          SAM_RETURN_NOT_OK(res->Acquire(
+              VirtualChunk::BytesFor(chunk.records.size()),
+              "virtual samples for relation '" + active.name + "'"));
+        }
         virtuals.insert(virtuals.end(), chunk.records.begin(),
                         chunk.records.end());
       }
@@ -1372,13 +1388,10 @@ struct GenerationPipeline::Impl {
     size_t emit_i = 0;
     for (PreparedRow& row : prep->rows) {
       const int64_t pk = rs.pk_counter;
-      // For ints Value::ToString() is std::to_string, so one rendering
-      // serves both the CSV splice and the child group-key prefix.
-      const std::string pk_text = Value(pk).ToString();
-      row_buf.csv.append(row.prefix);
-      row_buf.csv.append(pk_text);
-      row_buf.csv.append(row.suffix);
-      SAM_RETURN_NOT_OK(AccountAppendedRow(active.name));
+      // One rendering serves both the CSV splice and the child group-key
+      // prefix.
+      const std::string pk_text = std::to_string(pk);
+      SAM_RETURN_NOT_OK(AppendPreparedRow(row, pk_text));
       for (uint32_t e = 0; e < row.emits; ++e, ++emit_i) {
         const PreparedEmit& em = prep->emits[emit_i];
         SAM_RETURN_NOT_OK(
@@ -1416,28 +1429,9 @@ struct GenerationPipeline::Impl {
     ScopedReservation virt_res(&budget);
     ScopedReservation group_res(&budget);
     if (!from_window) {
-      // Serial fallback: gather + group under incremental accounting, with
-      // the same failure behaviour as before prefetch existed.
-      std::vector<SpillVirtual> virtuals;
-      if (active.name == schema().root()) {
-        SAM_ASSIGN_OR_RETURN(virtuals, GatherVirtuals(part));
-        SAM_RETURN_NOT_OK(
-            virt_res.Acquire(VirtualChunk::BytesFor(virtuals.size()),
-                             "root virtual samples"));
-      } else {
-        const auto& rs = RelState(active.name);
-        for (uint64_t seq = 0; seq < rs.virt_chunk_seq[part]; ++seq) {
-          const std::string name = VirtChunkName(active.name, part, seq);
-          SAM_ASSIGN_OR_RETURN(VirtualChunk chunk,
-                               VirtualChunk::Load(Path(name)));
-          SAM_RETURN_NOT_OK(
-              virt_res.Acquire(VirtualChunk::BytesFor(chunk.records.size()),
-                               "virtual samples for relation '" + active.name +
-                                   "'"));
-          virtuals.insert(virtuals.end(), chunk.records.begin(),
-                          chunk.records.end());
-        }
-      }
+      // Serial fallback: gather + group under incremental accounting.
+      SAM_ASSIGN_OR_RETURN(std::vector<SpillVirtual> virtuals,
+                           GatherVirtuals(part, &virt_res));
       // ~96 bytes of group state per virtual (key strings + member slots),
       // reserved up front so a pathological partition fails cleanly instead
       // of OOMing.
@@ -1472,7 +1466,7 @@ struct GenerationPipeline::Impl {
 
   /// Assigns the next primary key to a merge set: emit one row from the
   /// first member, then hand each member's consumed share down to every
-  /// child as a virtual (mirrors the in-RAM assign_key).
+  /// child as a virtual.
   Status AssignKey(const std::vector<LeftoverMember>& members, int64_t fk,
                    Rng* rng, GenerationCheckpoint::RelationState* rs) {
     if (members.empty()) {
@@ -1500,7 +1494,8 @@ struct GenerationPipeline::Impl {
     // carry threaded globally across partitions through the checkpoint.
     for (const Group& g : groups) {
       const uint32_t sample = g.members.front().first;
-      // Snap near-integer masses (same float-drift guard as the in-RAM path).
+      // Snap near-integer masses: 1/fanout products drift, and a 2.99999...
+      // mass must emit 3 rows of *this* tuple, not leak into the next one.
       double mass = g.mass;
       const double rounded = std::round(mass);
       if (std::fabs(mass - rounded) < 1e-6) mass = rounded;
@@ -1587,7 +1582,7 @@ struct GenerationPipeline::Impl {
       // Shortfall: top up round-robin from the heaviest groups, using the
       // digests pass 1 spilled. Topped-up keys repeat already-emitted
       // content and their child virtuals would carry zero mass, so none are
-      // emitted (same semantics as the in-RAM consumed=0 top-up).
+      // emitted.
       const int64_t shortfall = target - rs.pk_counter;
       struct IndexedSummary {
         GroupSummary g;

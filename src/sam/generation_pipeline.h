@@ -52,6 +52,12 @@ struct GenerationPipelineOptions {
   size_t commit_threads = 0;
   /// Keep spill files and checkpoints after a successful publish (debugging).
   bool keep_work_dir = false;
+  /// Test seam: when set, the sample steps read their FOJ tuples from this
+  /// sample (which must outlive the run) instead of drawing them from the
+  /// model, so `SamModel::GenerateFromFoj` can inject exact tuples. Its
+  /// codes are part of the resume fingerprint, and speculative sampling is
+  /// skipped.
+  const SamModel::FojSample* injected_foj = nullptr;
 };
 
 /// \brief Outcome of a pipeline invocation.
@@ -69,8 +75,9 @@ struct GenerationRunSummary {
   std::string resumed_from;     ///< Checkpoint path, empty for a fresh run.
 };
 
-/// \brief Crash-safe, resumable, memory-bounded generation (the out-of-core
-/// counterpart of `SamModel::Generate`).
+/// \brief Crash-safe, resumable, memory-bounded generation: the one
+/// implementation of Alg 2/3 (IPW, scaling, Group-and-Merge), which
+/// multi-relation `SamModel::Generate` runs into a private directory.
 ///
 /// Generation is decomposed into a deterministic sequence of durable steps —
 /// sample batches, per-partition Group-and-Merge, leftover pass-2, CSV
@@ -84,14 +91,9 @@ struct GenerationRunSummary {
 /// fixed per configuration), and a cap below the documented per-relation
 /// floor fails with a clean `InvalidArgument` instead of an OOM kill. See
 /// docs/GENERATION.md.
-///
-/// The pipeline's output row *order* differs from `SamModel::Generate` (rows
-/// stream out partition-major), so the two paths are each deterministic but
-/// not byte-identical to each other.
 class GenerationPipeline {
  public:
-  /// `sam` must outlive the pipeline. Requires `use_group_and_merge` (the
-  /// view-based ablation stays on the in-RAM path).
+  /// `sam` must outlive the pipeline.
   GenerationPipeline(const SamModel* sam, GenerationPipelineOptions options);
   ~GenerationPipeline();
   GenerationPipeline(const GenerationPipeline&) = delete;

@@ -1,7 +1,11 @@
 #include "sam/sam_model.h"
 
+#include <stdlib.h>
+
 #include <algorithm>
-#include <cmath>
+#include <cerrno>
+#include <cstring>
+#include <filesystem>
 #include <unordered_map>
 
 #include "ar/estimator.h"
@@ -9,6 +13,8 @@
 #include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "sam/generation_pipeline.h"
+#include "storage/schema_io.h"
 
 namespace sam {
 
@@ -221,10 +227,51 @@ double SamModel::InverseProbabilityWeight(const FojSample& foj,
   return 1.0 / denom;
 }
 
+namespace {
+
+/// Runs `GenerationPipeline` (with `foj` injected when non-null) into a
+/// private temporary directory, removed on every return path, and loads the
+/// published database.
+Result<Database> GenerateThroughPipeline(const SamModel* sam,
+                                         const SamModel::FojSample* foj) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const fs::path tmp = fs::temp_directory_path(ec);
+  if (ec) {
+    return Status::IOError("no temporary directory for generation: " +
+                           ec.message());
+  }
+  std::string dir = (tmp / "samgen-XXXXXX").string();
+  if (::mkdtemp(dir.data()) == nullptr) {
+    return Status::IOError("cannot create a private generation directory '" +
+                           dir + "': " + std::strerror(errno));
+  }
+  struct RemoveOnExit {
+    std::string dir;
+    ~RemoveOnExit() {
+      std::error_code ignored;
+      fs::remove_all(dir, ignored);
+    }
+  } cleanup{dir};
+
+  GenerationPipelineOptions popts;
+  popts.out_dir = dir + "/out";
+  popts.work_dir = dir + "/work";
+  popts.injected_foj = foj;
+  SAM_RETURN_NOT_OK(GenerationPipeline(sam, popts).Run().status());
+  return LoadDatabase(popts.out_dir);
+}
+
+}  // namespace
+
 Result<Database> SamModel::Generate() const {
+  if (schema_.multi_relation()) return GenerateThroughPipeline(this, nullptr);
   Rng rng(options_.generation_seed);
-  if (!schema_.multi_relation()) return GenerateSingleRelation(&rng);
-  return GenerateMultiRelation(&rng);
+  return GenerateSingleRelation(&rng);
+}
+
+Result<Database> SamModel::GenerateFromFoj(const FojSample& foj) const {
+  return GenerateThroughPipeline(this, &foj);
 }
 
 Result<Database> SamModel::GenerateSingleRelation(Rng* rng) const {
@@ -284,450 +331,6 @@ std::vector<size_t> SamModel::IdentifierColumns(const std::string& table) const 
     }
   }
   return out;
-}
-
-namespace {
-
-/// A (sample, portion) pair flowing down the join tree during generation.
-/// `fraction` is the share of the FOJ sample this virtual carries (splitting
-/// happens when a sample's scaled weight exceeds 1 and it spawns several
-/// primary keys); `fk_value` is the already-assigned key of the parent.
-struct VirtualSample {
-  uint32_t sample = 0;
-  double fraction = 1.0;
-  int64_t fk_value = -1;
-};
-
-}  // namespace
-
-Result<Database> SamModel::GenerateMultiRelation(Rng* rng) const {
-  // ---- Step 1 (Alg 2): sample k FOJ tuples.
-  const FojSample foj = SampleFoj(options_.foj_samples, rng);
-  return GenerateFromFoj(foj, rng);
-}
-
-Result<Database> SamModel::GenerateFromFoj(const FojSample& foj, Rng* rng) const {
-  const JoinGraph& graph = schema_.join_graph();
-  const std::vector<std::string> order = graph.TopologicalOrder();
-  const size_t k = foj.count;
-
-  // ---- Step 2+3 (Alg 2): inverse probability weighting, then scaling.
-  std::unordered_map<std::string, std::vector<double>> scaled_weight;
-  {
-    obs::TraceSpan ipw_span("generate/ipw_scaling");
-    for (const auto& rel : order) {
-      std::vector<double> w(k);
-      double sum = 0.0;
-      for (size_t s = 0; s < k; ++s) {
-        w[s] = InverseProbabilityWeight(foj, rel, s);
-        sum += w[s];
-      }
-      if (sum <= 0.0) {
-        return Status::Internal("no usable samples for relation '" + rel + "'");
-      }
-      const double scale = static_cast<double>(schema_.table_size(rel)) / sum;
-      for (double& v : w) v *= scale;
-      scaled_weight.emplace(rel, std::move(w));
-    }
-  }
-
-  // Content model-column indices per relation (layout order).
-  auto layout_of = [&](const std::string& rel) -> const TableLayout* {
-    for (const auto& l : layouts_) {
-      if (l.name == rel) return &l;
-    }
-    return nullptr;
-  };
-
-  // Output rows per relation, in layout column order.
-  std::unordered_map<std::string, std::vector<std::vector<Value>>> rows;
-
-  // Emits one row of `rel` decoded from sample `s`, with the given key values.
-  auto emit_row = [&](const std::string& rel, size_t s, int64_t pk_value,
-                      int64_t fk_value) -> Status {
-    const TableLayout* layout = layout_of(rel);
-    if (layout == nullptr) {
-      return Status::Internal("no table layout recorded for relation '" + rel +
-                              "'");
-    }
-    if (layout->fks.size() > 1) {
-      // Generation threads a single parent key per row (VirtualSample carries
-      // one fk_value); filling every FK column with it would silently corrupt
-      // all but one of them. The join graph rejects such schemas upstream, but
-      // guard here too in case a layout arrives by another path.
-      return Status::NotImplemented(
-          "relation '" + rel + "' has " + std::to_string(layout->fks.size()) +
-          " foreign keys; generation supports tree-structured schemas with at "
-          "most one foreign key per relation");
-    }
-    std::vector<Value> row;
-    row.reserve(layout->column_names.size());
-    for (const auto& cname : layout->column_names) {
-      if (!layout->pk.empty() && cname == layout->pk) {
-        row.emplace_back(pk_value);
-        continue;
-      }
-      bool is_fk = false;
-      for (const auto& fk : layout->fks) {
-        if (fk.column == cname) {
-          is_fk = true;
-          break;
-        }
-      }
-      if (is_fk) {
-        row.emplace_back(fk_value);
-        continue;
-      }
-      const int col = schema_.FindColumn(ModelColumnKind::kContent, rel, cname);
-      if (col < 0) {
-        return Status::Internal("content column missing from model: " + rel +
-                                "." + cname);
-      }
-      const ModelColumn& mc = schema_.columns()[static_cast<size_t>(col)];
-      row.push_back(schema_.DecodeContent(mc, foj.codes[static_cast<size_t>(col)][s],
-                                          rng));
-    }
-    rows[rel].push_back(std::move(row));
-    return Status::OK();
-  };
-
-  // Virtual samples flowing into each relation.
-  std::unordered_map<std::string, std::vector<VirtualSample>> incoming;
-  {
-    auto& root_in = incoming[schema_.root()];
-    root_in.reserve(k);
-    for (size_t s = 0; s < k; ++s) {
-      root_in.push_back(VirtualSample{static_cast<uint32_t>(s), 1.0, -1});
-    }
-  }
-
-  if (!options_.use_group_and_merge) {
-    // ---- Ablation: keys from pairwise views (§4.3.2's naive approach).
-    const std::string& root = schema_.root();
-    const TableLayout* root_layout = layout_of(root);
-    if (root_layout == nullptr || root_layout->pk.empty()) {
-      return Status::InvalidArgument("root relation must have a primary key");
-    }
-    for (const auto& rel : order) {
-      if (rel != root && !graph.Children(rel).empty()) {
-        return Status::NotImplemented(
-            "the view-based ablation only supports depth-1 snowflakes");
-      }
-    }
-    // Generate the root from its weighted samples, grouping by content only.
-    const std::vector<size_t> root_content =
-        schema_.ColumnsOf(ModelColumnKind::kContent, root);
-    auto content_key = [&](size_t s, const std::vector<size_t>& cols) {
-      std::string key;
-      for (size_t c : cols) {
-        key += std::to_string(foj.codes[c][s]);
-        key += ',';
-      }
-      return key;
-    };
-    std::unordered_map<std::string, double> root_mass;
-    std::unordered_map<std::string, size_t> root_repr;
-    const auto& root_w = scaled_weight.at(root);
-    for (size_t s = 0; s < k; ++s) {
-      if (root_w[s] <= 0.0) continue;
-      const std::string key = content_key(s, root_content);
-      root_mass[key] += root_w[s];
-      root_repr.emplace(key, s);
-    }
-    std::unordered_map<std::string, std::vector<int64_t>> keys_by_content;
-    int64_t counter = 0;
-    for (const auto& [key, mass] : root_mass) {
-      const int64_t copies = static_cast<int64_t>(std::llround(mass));
-      for (int64_t i = 0; i < copies; ++i) {
-        SAM_RETURN_NOT_OK(emit_row(root, root_repr[key], counter, -1));
-        keys_by_content[key].push_back(counter);
-        ++counter;
-      }
-    }
-    // Children: match on root content, pick a random matching key — which is
-    // exactly what breaks cross-child correlation (Figure 4).
-    for (const auto& rel : order) {
-      if (rel == root) continue;
-      const auto& w = scaled_weight.at(rel);
-      double carry = 0.0;
-      for (size_t s = 0; s < k; ++s) {
-        if (w[s] <= 0.0) continue;
-        const auto it = keys_by_content.find(content_key(s, root_content));
-        if (it == keys_by_content.end() || it->second.empty()) continue;
-        carry += w[s];
-        while (carry >= 1.0) {
-          const auto& keys = it->second;
-          const int64_t fk = keys[static_cast<size_t>(rng->UniformInt(
-              0, static_cast<int64_t>(keys.size()) - 1))];
-          SAM_RETURN_NOT_OK(emit_row(rel, s, -1, fk));
-          carry -= 1.0;
-        }
-      }
-    }
-  } else {
-    // ---- Step 4 (Alg 3): Group-and-Merge, recursively down the join tree.
-    for (const auto& rel : order) {
-      obs::TraceSpan rel_span("generate/relation/" + rel);
-      const TableLayout* layout = layout_of(rel);
-      if (layout == nullptr) return Status::Internal("missing layout for " + rel);
-      std::vector<double> w_scaled = scaled_weight.at(rel);
-      auto in_it = incoming.find(rel);
-      if (in_it == incoming.end()) continue;
-      std::vector<VirtualSample>& virtuals = in_it->second;
-      const auto children = graph.Children(rel);
-      const bool keyed = !layout->pk.empty();
-      if (!keyed && !children.empty()) {
-        return Status::InvalidArgument("relation '" + rel +
-                                       "' has children but no primary key");
-      }
-
-      // Re-apply the scaling step to the *incoming* virtual mass: key
-      // assignment at the parent drops sub-threshold groups, which would
-      // otherwise silently shrink every descendant. Re-normalising to |rel|
-      // keeps generated sizes at their catalog values (Alg 2's guarantee)
-      // without changing the distribution's shape.
-      {
-        double mass = 0.0;
-        for (const auto& v : virtuals) mass += w_scaled[v.sample] * v.fraction;
-        if (mass <= 0.0) {
-          return Status::Internal("no incoming mass for relation '" + rel + "'");
-        }
-        const double renorm = static_cast<double>(schema_.table_size(rel)) / mass;
-        for (double& w : w_scaled) w *= renorm;
-      }
-
-      if (!keyed) {
-        // Leaf relation: aggregate the scaled weights per distinct
-        // (parent key, content) tuple — the paper's "aggregating the scaled
-        // weights" (Figure 3(f)) — then emit round(mass) copies with a global
-        // carry so the total matches the scaled weight sum.
-        const std::vector<size_t> content_cols =
-            schema_.ColumnsOf(ModelColumnKind::kContent, rel);
-        struct LeafGroup {
-          double mass = 0.0;
-          uint32_t sample = 0;
-          int64_t fk_value = -1;
-        };
-        std::unordered_map<std::string, LeafGroup> agg;
-        std::vector<std::string> agg_order;  // Deterministic emission order.
-        for (const auto& v : virtuals) {
-          const double w = w_scaled[v.sample] * v.fraction;
-          if (w <= 0.0) continue;
-          std::string key = std::to_string(v.fk_value);
-          key += '|';
-          for (size_t c : content_cols) {
-            key += std::to_string(foj.codes[c][v.sample]);
-            key += ',';
-          }
-          auto [it2, inserted] = agg.try_emplace(key);
-          if (inserted) {
-            it2->second.sample = v.sample;
-            it2->second.fk_value = v.fk_value;
-            agg_order.push_back(key);
-          }
-          it2->second.mass += w;
-        }
-        double carry = 0.0;
-        for (const auto& key : agg_order) {
-          const LeafGroup& g = agg.at(key);
-          // Snap near-integer masses: accumulated 1/fanout products carry
-          // floating-point drift, and a 2.99999... mass must emit 3 rows of
-          // *this* tuple rather than leak the remainder into the next one.
-          double mass = g.mass;
-          const double rounded = std::round(mass);
-          if (std::fabs(mass - rounded) < 1e-6) mass = rounded;
-          carry += mass;
-          while (carry >= 1.0) {
-            SAM_RETURN_NOT_OK(emit_row(rel, g.sample, -1, g.fk_value));
-            carry -= 1.0;
-          }
-        }
-        if (carry >= options_.leftover_key_threshold && !agg_order.empty()) {
-          const LeafGroup& g = agg.at(agg_order.back());
-          SAM_RETURN_NOT_OK(emit_row(rel, g.sample, -1, g.fk_value));
-        } else if (carry > 0.0 && obs::MetricsEnabled()) {
-          obs::MetricsRegistry::Global()
-              .GetGauge("sam.generate.leftover_mass_dropped")
-              ->Add(carry);
-        }
-        continue;
-      }
-
-      // Keyed relation: group virtuals by Identifier(T.pk) codes plus the
-      // already-assigned parent key (the multi-key recursive extension).
-      const std::vector<size_t> id_cols = IdentifierColumns(rel);
-      std::unordered_map<std::string, std::vector<size_t>> groups;
-      for (size_t vi = 0; vi < virtuals.size(); ++vi) {
-        const VirtualSample& v = virtuals[vi];
-        if (w_scaled[v.sample] * v.fraction <= 0.0) continue;
-        std::string key = std::to_string(v.fk_value);
-        key += '|';
-        for (size_t c : id_cols) {
-          key += std::to_string(foj.codes[c][v.sample]);
-          key += ',';
-        }
-        groups[key].push_back(vi);
-      }
-
-      // Heaviest-group ordering for the shortfall top-up, fixed *before* any
-      // key assignment: it is a pure function of the merge groups and the
-      // scaled weights, so a resumed out-of-core run (which replays key
-      // assignment from a checkpoint cursor) derives the identical top-up
-      // sequence. Computing it lazily inside the shortfall branch would tie
-      // the ordering to post-assignment state.
-      struct HeavyGroup {
-        double mass = 0.0;
-        const std::string* key = nullptr;
-        const std::vector<size_t>* members = nullptr;
-      };
-      std::vector<HeavyGroup> heavy;
-      heavy.reserve(groups.size());
-      for (const auto& [gkey, members] : groups) {
-        double mass = 0.0;
-        for (size_t vi : members) {
-          mass += w_scaled[virtuals[vi].sample] * virtuals[vi].fraction;
-        }
-        heavy.push_back(HeavyGroup{mass, &gkey, &members});
-      }
-      std::sort(heavy.begin(), heavy.end(),
-                [](const HeavyGroup& a, const HeavyGroup& b) {
-                  if (a.mass != b.mass) return a.mass > b.mass;
-                  return *a.key < *b.key;  // Deterministic tie-break.
-                });
-
-      int64_t counter = 0;
-      // Pending child virtuals keyed by the new primary keys.
-      std::unordered_map<std::string, std::vector<VirtualSample>> per_child_out;
-      for (const auto& child : children) per_child_out[child];
-
-      auto assign_key = [&](const std::vector<std::pair<size_t, double>>& members)
-          -> Status {
-        // `members`: (virtual index, consumed weight in R units).
-        const VirtualSample& first = virtuals[members.front().first];
-        SAM_RETURN_NOT_OK(emit_row(rel, first.sample, counter, first.fk_value));
-        for (const auto& [vi, consumed] : members) {
-          const VirtualSample& v = virtuals[vi];
-          const double sample_total = w_scaled[v.sample];
-          const double child_fraction = consumed / sample_total;
-          for (auto& [child, outs] : per_child_out) {
-            outs.push_back(VirtualSample{v.sample, child_fraction, counter});
-          }
-        }
-        ++counter;
-        return Status::OK();
-      };
-
-      // Pass 1: merge within each group, assigning a key whenever the
-      // accumulated scaled weight reaches 1 (Alg 3 lines 9-17). Sub-unit
-      // leftovers are collected instead of dropped.
-      std::vector<std::pair<double, std::vector<std::pair<size_t, double>>>>
-          leftovers;
-      for (auto& [gkey, members] : groups) {
-        (void)gkey;
-        std::vector<std::pair<size_t, double>> set_to_merge;
-        double weight_sum = 0.0;
-        for (size_t vi : members) {
-          double remaining = w_scaled[virtuals[vi].sample] * virtuals[vi].fraction;
-          // A single virtual may span several primary keys (scaled weight > 1
-          // after filling the current merge set).
-          while (remaining > 0.0) {
-            const double take = std::min(remaining, 1.0 - weight_sum);
-            set_to_merge.emplace_back(vi, take);
-            weight_sum += take;
-            remaining -= take;
-            if (weight_sum >= 1.0 - 1e-12) {
-              SAM_RETURN_NOT_OK(assign_key(set_to_merge));
-              set_to_merge.clear();
-              weight_sum = 0.0;
-            }
-          }
-        }
-        if (weight_sum > 1e-9 && !set_to_merge.empty()) {
-          leftovers.emplace_back(weight_sum, std::move(set_to_merge));
-        }
-      }
-      // Pass 2: the scaling step guarantees the weights sum to |T|, so the
-      // sub-unit leftovers jointly account for the missing primary keys.
-      // Assign keys to the heaviest leftover sets until |T| is reached.
-      std::sort(leftovers.begin(), leftovers.end(),
-                [](const auto& a, const auto& b) { return a.first > b.first; });
-      const int64_t target = schema_.table_size(rel);
-      double dropped_mass = 0.0;
-      for (auto& [weight, set_to_merge] : leftovers) {
-        if (counter >= target) {
-          dropped_mass += weight;
-          continue;
-        }
-        SAM_RETURN_NOT_OK(assign_key(set_to_merge));
-      }
-      if (counter < target) {
-        // The scaled weights sum to |T|, so in exact arithmetic the leftovers
-        // always cover the remaining keys; floating-point drift (or leftovers
-        // individually rounding to nothing) can still leave a shortfall.
-        // Silently under-generating breaks Alg 2's size guarantee and every
-        // downstream per-relation cardinality, so top up by re-assigning keys
-        // to the heaviest groups round-robin.
-        const int64_t shortfall = target - counter;
-        if (heavy.empty()) {
-          return Status::Internal(
-              "relation '" + rel + "' is " + std::to_string(shortfall) +
-              " row(s) short of |T| with no merge groups to draw from");
-        }
-        for (size_t i = 0; counter < target; i = (i + 1) % heavy.size()) {
-          const std::vector<size_t>& members = *heavy[i].members;
-          std::vector<std::pair<size_t, double>> set_to_merge;
-          set_to_merge.reserve(members.size());
-          // consumed = 0: the topped-up key repeats already-emitted content,
-          // and its zero-fraction child virtuals carry no mass, so child
-          // relations (renormalised to their own |T|) are unaffected.
-          for (size_t vi : members) set_to_merge.emplace_back(vi, 0.0);
-          SAM_RETURN_NOT_OK(assign_key(set_to_merge));
-        }
-        SAM_LOG(Warn) << "relation '" << rel << "': leftover merge sets ran "
-                      << "out " << shortfall << " row(s) short of |T|="
-                      << target << "; topped up from the heaviest groups";
-        obs::MetricsRegistry::Global()
-            .GetCounter("sam.generate.shortfall_rows")
-            ->Add(static_cast<uint64_t>(shortfall));
-      }
-      if (dropped_mass > 0.0 && obs::MetricsEnabled()) {
-        obs::MetricsRegistry::Global()
-            .GetGauge("sam.generate.leftover_mass_dropped")
-            ->Add(dropped_mass);
-      }
-      for (auto& [child, outs] : per_child_out) {
-        auto& dst = incoming[child];
-        dst.insert(dst.end(), outs.begin(), outs.end());
-      }
-    }
-  }
-
-  // ---- Assemble the database.
-  Database db;
-  for (const auto& layout : layouts_) {
-    Table table(layout.name);
-    const auto& table_rows = rows[layout.name];
-    if (obs::MetricsEnabled()) {
-      auto& reg = obs::MetricsRegistry::Global();
-      reg.GetGauge("sam.generate.rows." + layout.name)
-          ->Set(static_cast<double>(table_rows.size()));
-      reg.GetGauge("sam.generate.target_rows." + layout.name)
-          ->Set(static_cast<double>(schema_.table_size(layout.name)));
-    }
-    for (size_t ci = 0; ci < layout.column_names.size(); ++ci) {
-      std::vector<Value> values;
-      values.reserve(table_rows.size());
-      for (const auto& row : table_rows) values.push_back(row[ci]);
-      SAM_RETURN_NOT_OK(table.AddColumn(Column::FromValues(
-          layout.column_names[ci], layout.column_types[ci], values)));
-    }
-    if (!layout.pk.empty()) SAM_RETURN_NOT_OK(table.SetPrimaryKey(layout.pk));
-    for (const auto& fk : layout.fks) {
-      SAM_RETURN_NOT_OK(table.AddForeignKey(fk));
-    }
-    SAM_RETURN_NOT_OK(db.AddTable(std::move(table)));
-  }
-  return db;
 }
 
 }  // namespace sam

@@ -23,10 +23,6 @@ struct SamOptions {
   /// Number of full-outer-join samples k drawn for multi-relation generation
   /// (Alg 2). The paper samples ~1/20,000 of the FOJ.
   size_t foj_samples = 100000;
-  /// Toggle for the Group-and-Merge join-key assignment (Alg 3). When off,
-  /// keys are derived from pairwise (pk-relation, fk-relation) views — the
-  /// paper's "SAM w/o Group-and-Merge" ablation (§4.3.2 / §5.5).
-  bool use_group_and_merge = true;
   /// Force content/fanout columns of an absent relation (indicator 0) to
   /// NULL/1 while sampling. Matches FOJ semantics exactly, but overriding a
   /// sampled code conditions the remaining columns on inputs the model never
@@ -40,7 +36,7 @@ struct SamOptions {
   /// (Alg 2's size guarantee). This threshold only gates the final fractional
   /// tuple of *unkeyed* leaf relations.
   double leftover_key_threshold = 0.5;
-  /// Worker threads for FOJ sampling (Alg 1/2 are "embarrassingly parallel",
+  /// Worker threads for `SampleFoj` (Alg 1 is "embarrassingly parallel",
   /// §4.2). Every sample batch derives its RNG from `generation_seed` and
   /// its batch index — in the sequential path too — so generation is
   /// bit-identical for every thread count.
@@ -53,15 +49,14 @@ struct SamOptions {
   /// fanout columns before its indicator disable NULL-consistency forcing for
   /// those columns (the indicator is not yet sampled at forcing time).
   std::vector<size_t> column_order;
-  /// Budget for the out-of-core generation pipeline's data-proportional
-  /// structures (resident code columns, weight arrays, spill buffers, group
-  /// tables). The pipeline spills harder as the cap tightens and fails with a
-  /// clean error — never an OOM kill — when the irreducible per-relation
-  /// floor does not fit (docs/GENERATION.md). Ignored by the in-RAM
-  /// `SamModel::Generate` path.
+  /// Budget for the generation pipeline's data-proportional structures
+  /// (resident code columns, weight arrays, spill buffers, group tables),
+  /// which multi-relation `SamModel::Generate` runs too. The pipeline spills
+  /// harder as the cap tightens and fails with a clean error — never an OOM
+  /// kill — when the irreducible per-relation floor does not fit
+  /// (docs/GENERATION.md). Single-relation `Generate` (Alg 1) ignores it.
   int64_t memory_cap_bytes = 256ll << 20;
-  /// Durable pipeline steps between generation checkpoints (out-of-core
-  /// pipeline only).
+  /// Durable pipeline steps between generation checkpoints.
   int64_t generation_checkpoint_every = 8;
 };
 
@@ -102,8 +97,9 @@ class SamModel {
   /// generated database itself is the product).
   Result<double> EstimateCardinality(const Query& q, size_t paths = 200) const;
 
-  /// Generates a synthetic database: Alg 1 for single-relation schemas,
-  /// Alg 2 + Alg 3 for multi-relation schemas.
+  /// Generates a synthetic database: Alg 1 in RAM for single-relation
+  /// schemas, else Alg 2 + Alg 3 via `GenerationPipeline` in a private
+  /// temporary directory (bounded by `memory_cap_bytes`).
   Result<Database> Generate() const;
 
   const ModelSchema& schema() const { return schema_; }
@@ -124,11 +120,11 @@ class SamModel {
   const std::vector<TableLayout>& layouts() const { return layouts_; }
 
   /// Model-column indices of Identifier(T.pk) per Theorem 2 (the grouping
-  /// key of Group-and-Merge; shared with the out-of-core pipeline).
+  /// key of Group-and-Merge in the generation pipeline).
   std::vector<size_t> IdentifierColumns(const std::string& table) const;
 
   /// \brief One sampled FOJ tuple set as raw model codes (k x num_columns),
-  /// exposed for tests and the ablation harness.
+  /// exposed for tests and the ablation baseline.
   struct FojSample {
     std::vector<std::vector<int32_t>> codes;  ///< [column][sample].
     size_t count = 0;
@@ -139,7 +135,7 @@ class SamModel {
 
   /// RNG seed of sample batch `batch_index` for a run whose caller RNG
   /// produced `base_seed`. `SampleFoj` derives every batch seed through this
-  /// function, so external batch-at-a-time samplers (the out-of-core
+  /// function, so external batch-at-a-time samplers (the generation
   /// pipeline) draw bit-identical batches.
   static uint64_t FojBatchSeed(uint64_t base_seed, size_t batch_index) {
     return base_seed ^ (0x9e3779b97f4a7c15ULL * (batch_index + 1));
@@ -157,17 +153,16 @@ class SamModel {
   double InverseProbabilityWeight(const FojSample& foj, const std::string& table,
                                   size_t s) const;
 
-  /// Steps 2-4 of multi-relation generation (IPW, scaling, Group-and-Merge or
-  /// the view-based ablation) applied to the given FOJ samples. Exposed so
-  /// tests and ablation harnesses can inject exact FOJ tuples.
-  Result<Database> GenerateFromFoj(const FojSample& foj, Rng* rng) const;
+  /// `Generate` through the pipeline with the given FOJ samples in place of
+  /// model draws, so tests and benches can inject exact FOJ tuples. Decoding
+  /// still derives its RNGs from `generation_seed`.
+  Result<Database> GenerateFromFoj(const FojSample& foj) const;
 
  private:
   SamModel(ModelSchema schema, SamOptions options)
       : schema_(std::move(schema)), options_(options) {}
 
   Result<Database> GenerateSingleRelation(Rng* rng) const;
-  Result<Database> GenerateMultiRelation(Rng* rng) const;
 
   /// Progressive-samples one batch into `out->codes[*][start, start+batch)`.
   void SampleFojBatchInto(FojSample* out, size_t start, size_t batch,

@@ -1,5 +1,6 @@
 #include "storage/csv.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -18,10 +19,20 @@ void AppendCsvHeader(const std::vector<std::string>& column_names,
   out->push_back('\n');
 }
 
+void AppendCsvField(const Value& v, std::string* out) {
+  if (!v.is_double()) {
+    out->append(v.ToString());
+    return;
+  }
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v.AsDouble());
+  out->append(buf, res.ptr);
+}
+
 void AppendCsvRow(const std::vector<Value>& row, std::string* out) {
   for (size_t c = 0; c < row.size(); ++c) {
     if (c > 0) out->push_back(',');
-    if (!row[c].is_null()) out->append(row[c].ToString());
+    if (!row[c].is_null()) AppendCsvField(row[c], out);
   }
   out->push_back('\n');
 }

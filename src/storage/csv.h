@@ -12,12 +12,17 @@ namespace sam {
 Status WriteCsv(const Table& table, const std::string& path);
 
 /// Appends the CSV header line for `column_names` (comma-joined,
-/// '\n'-terminated). Shared by `WriteCsv` and the out-of-core generation
-/// pipeline so streamed output is byte-identical to the in-RAM writer.
+/// '\n'-terminated). Shared by `WriteCsv` and the generation pipeline so
+/// streamed output is byte-identical to a `WriteCsv` of the same table.
 void AppendCsvHeader(const std::vector<std::string>& column_names,
                      std::string* out);
 
-/// Appends one CSV data row: empty field for NULL, `Value::ToString`
+/// Appends one non-NULL CSV field. DOUBLEs use the shortest text that
+/// parses back to the identical bits (`std::to_chars`); other types use
+/// `Value::ToString`, whose 6-digit `%g` would truncate doubles.
+void AppendCsvField(const Value& v, std::string* out);
+
+/// Appends one CSV data row: empty field for NULL, `AppendCsvField`
 /// otherwise, '\n'-terminated. Counterpart of `AppendCsvHeader`.
 void AppendCsvRow(const std::vector<Value>& row, std::string* out);
 

@@ -141,8 +141,7 @@ TEST_F(ChainTest, RecursiveGroupAndMergeRecoversChainExactly) {
   EXPECT_DOUBLE_EQ(sam->InverseProbabilityWeight(foj, "C", 0), 1.0);
   EXPECT_DOUBLE_EQ(sam->InverseProbabilityWeight(foj, "C", 2), 0.0);
 
-  Rng rng(3);
-  const Database gen = sam->GenerateFromFoj(foj, &rng).MoveValue();
+  const Database gen = sam->GenerateFromFoj(foj).MoveValue();
   EXPECT_EQ(gen.FindTable("A")->num_rows(), 2u);
   EXPECT_EQ(gen.FindTable("B")->num_rows(), 3u);
   EXPECT_EQ(gen.FindTable("C")->num_rows(), 3u);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -21,6 +22,7 @@
 #include "sam/generation_pipeline.h"
 #include "sam/sam_model.h"
 #include "storage/artifact_io.h"
+#include "storage/csv.h"
 #include "storage/schema_io.h"
 #include "workload/generator.h"
 
@@ -82,8 +84,8 @@ Workload ChainWorkload() {
 
 /// Briefly trained chain model: an *untrained* model's random indicators
 /// give absent-child samples the heaviest IPW weights, which can starve a
-/// child relation of incoming virtual mass (the in-RAM path fails the same
-/// way) — a few DPS epochs teach the true indicator/fanout correlations.
+/// child relation of incoming virtual mass — a few DPS epochs teach the
+/// true indicator/fanout correlations.
 /// Small FOJ sample and batch so the plan has enough steps to sweep.
 std::unique_ptr<SamModel> MakeChainModel(const Database& db, SamOptions options) {
   options.foj_samples = options.foj_samples == 100000 ? 64 : options.foj_samples;
@@ -494,19 +496,120 @@ TEST(GenerationPipelineTest, TooTightCapFailsCleanlyNotOom) {
             std::string::npos)
       << r.status().ToString();
   EXPECT_FALSE(std::filesystem::exists(root + "/out"));
+
+  // Multi-relation Generate() runs the same pipeline in a private directory
+  // under TMPDIR: it fails the same way and leaves no directory behind.
+  const std::string tmp = root + "/tmp";
+  std::filesystem::create_directories(tmp);
+  const char* prev = std::getenv("TMPDIR");
+  const std::string prev_tmpdir = prev != nullptr ? prev : "";
+  ::setenv("TMPDIR", tmp.c_str(), 1);
+  auto gen = sam->Generate();
+  if (prev != nullptr) {
+    ::setenv("TMPDIR", prev_tmpdir.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  ASSERT_FALSE(gen.ok());
+  EXPECT_EQ(gen.status().code(), StatusCode::kInvalidArgument)
+      << gen.status().ToString();
+  EXPECT_TRUE(std::filesystem::is_empty(tmp));
 }
 
-TEST(GenerationPipelineTest, ViewAblationPathIsRejected) {
-  const Database db = MakeChainDatabase();
-  SamOptions options;
-  options.use_group_and_merge = false;
-  const auto sam = MakeChainModel(db, options);
-  const std::string root = TempDir("sam_pipe_views");
+/// Two relations with DOUBLE content: P(id pk, x) <- C(pid fk, y).
+Database MakeDoubleDatabase() {
+  Rng rng(41);
+  std::vector<Value> ids, xs, pids, ys;
+  for (int64_t i = 0; i < 40; ++i) {
+    ids.emplace_back(i);
+    xs.emplace_back(rng.Uniform(0.0, 1000.0));
+    for (int64_t c = rng.UniformInt(0, 3); c > 0; --c) {
+      pids.emplace_back(i);
+      ys.emplace_back(rng.Uniform(-5.0, 5.0));
+    }
+  }
+  Database db;
+  Table p("P");
+  SAM_CHECK_OK(p.AddColumn(Column::FromValues("id", ColumnType::kInt, ids)));
+  SAM_CHECK_OK(p.AddColumn(Column::FromValues("x", ColumnType::kDouble, xs)));
+  SAM_CHECK_OK(p.SetPrimaryKey("id"));
+  SAM_CHECK_OK(db.AddTable(std::move(p)));
+  Table c("C");
+  SAM_CHECK_OK(c.AddColumn(Column::FromValues("pid", ColumnType::kInt, pids)));
+  SAM_CHECK_OK(c.AddColumn(Column::FromValues("y", ColumnType::kDouble, ys)));
+  SAM_CHECK_OK(c.AddForeignKey(ForeignKey{"pid", "P", "id"}));
+  SAM_CHECK_OK(db.AddTable(std::move(c)));
+  SAM_CHECK_OK(db.ValidateIntegrity());
+  return db;
+}
 
-  auto r = RunPipeline(*sam, root + "/out", root + "/work", false);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotImplemented)
-      << r.status().ToString();
+TEST(GenerationPipelineTest, DoubleColumnsPublishFullPrecision) {
+  const Database db = MakeDoubleDatabase();
+  auto exec = Executor::Create(&db).MoveValue();
+  Workload train;
+  for (double lit : {100.0, 250.5, 600.25, 900.0}) {
+    Query q;
+    q.relations = {"P"};
+    q.predicates = {Predicate{"P", "x", PredOp::kLe, Value(lit), {}}};
+    q.cardinality = exec->Cardinality(q).ValueOrDie();
+    train.push_back(q);
+  }
+  for (double lit : {-2.5, 0.0, 3.75}) {
+    Query q;
+    q.relations = {"P", "C"};
+    q.predicates = {Predicate{"C", "y", PredOp::kLe, Value(lit), {}}};
+    q.cardinality = exec->Cardinality(q).ValueOrDie();
+    train.push_back(q);
+  }
+  SchemaHints hints;
+  hints.numeric_columns = {"P.x", "C.y"};
+  hints.numeric_bounds["P.x"] = {0.0, 1000.0};
+  hints.numeric_bounds["C.y"] = {-5.0, 5.0};
+  SamOptions options;
+  options.foj_samples = 8000;
+  options.memory_cap_bytes = 4ll << 20;  // Two partitions: prepared commits.
+  auto sam =
+      SamModel::Create(db, train, hints, exec->FullOuterJoinSize(), options);
+  ASSERT_TRUE(sam.ok()) << sam.status().ToString();
+  sam.ValueOrDie()->model()->SyncSamplerWeights();
+
+  // Serial commits render rows with AppendCsvRow, parallel commits with the
+  // prepared renderer: both must publish the same bytes.
+  const std::string root = TempDir("sam_pipe_double");
+  for (size_t ct : {size_t{1}, size_t{4}}) {
+    const std::string suffix = std::to_string(ct);
+    auto r = RunPipeline(*sam.ValueOrDie(), root + "/out" + suffix,
+                         root + "/work" + suffix, false, 0, nullptr, 0, ct);
+    ASSERT_TRUE(r.ok()) << "ct=" << ct << ": " << r.status().ToString();
+  }
+  const auto published = ReadTree(root + "/out1");
+  EXPECT_EQ(published, ReadTree(root + "/out4"));
+
+  // Every DOUBLE field is the shortest text of its value (it parses back to
+  // the same bits), and values carry more than %g's 6 significant digits.
+  size_t fields = 0;
+  size_t beyond_six_digits = 0;
+  for (const char* rel : {"P", "C"}) {
+    std::istringstream csv(published.at(std::string(rel) + ".csv"));
+    std::string line;
+    std::getline(csv, line);  // Header.
+    while (std::getline(csv, line)) {
+      const std::string field = line.substr(line.find(',') + 1);
+      if (field.empty()) continue;  // NULL.
+      const double v = std::strtod(field.c_str(), nullptr);
+      std::string rendered;
+      AppendCsvField(Value(v), &rendered);
+      EXPECT_EQ(rendered, field) << rel;
+      size_t digits = 0;
+      for (char ch : field.substr(0, field.find('e'))) {
+        if (ch >= '0' && ch <= '9') digits++;
+      }
+      if (digits > 7) beyond_six_digits++;
+      fields++;
+    }
+  }
+  EXPECT_GT(fields, 0u);
+  EXPECT_GT(beyond_six_digits, fields / 2);
 }
 
 TEST(GenerationPipelineTest, SingleRelationResumeSweepIsByteIdentical) {

@@ -79,8 +79,7 @@ TEST(GenerationSizeGuaranteeTest, KeyedRelationsAlwaysReachTableSize) {
     Rng code_rng(seed * 7 + 1);
     const SamModel::FojSample foj =
         RandomFoj(sam.ValueOrDie()->schema(), 64, &code_rng);
-    Rng rng(seed * 11 + 3);
-    auto gen = sam.ValueOrDie()->GenerateFromFoj(foj, &rng);
+    auto gen = sam.ValueOrDie()->GenerateFromFoj(foj);
     ASSERT_TRUE(gen.ok()) << "seed " << seed << ": " << gen.status().ToString();
     const Database& g = gen.ValueOrDie();
     // Alg 2's guarantee: keyed relations have exactly |T| tuples, no matter
@@ -105,8 +104,7 @@ TEST(GenerationSizeGuaranteeTest, TopUpIsDeterministic) {
   const SamModel::FojSample foj =
       RandomFoj(sam.ValueOrDie()->schema(), 48, &code_rng);
   auto run = [&]() {
-    Rng rng(23);
-    return sam.ValueOrDie()->GenerateFromFoj(foj, &rng).MoveValue();
+    return sam.ValueOrDie()->GenerateFromFoj(foj).MoveValue();
   };
   const Database g1 = run();
   const Database g2 = run();
@@ -152,7 +150,7 @@ TEST(SamOptionsValidationTest, CreateFailsFastOnZeroGenerationBatch) {
 }
 
 TEST(SchemaRejectionTest, TwoForeignKeysAreRejectedUpstream) {
-  // C references both P1 and P2: a diamond, not a forest. emit_row's
+  // C references both P1 and P2: a diamond, not a forest. The pipeline's
   // NotImplemented guard is defense-in-depth; the schema must already be
   // rejected when the join graph is assembled.
   Database db;

@@ -171,8 +171,7 @@ TEST_P(RandomTreeProperty, IpwWeightsSumToRelationSizesOnTrueFoj) {
 
   // Full pipeline on the exact FOJ: sizes and arbitrary cardinalities are
   // recovered exactly (the paper's Figure 3 claim, generalised).
-  Rng rng(GetParam() * 31 + 7);
-  const Database gen = sam->GenerateFromFoj(foj, &rng).MoveValue();
+  const Database gen = sam->GenerateFromFoj(foj).MoveValue();
   ASSERT_TRUE(gen.ValidateIntegrity().ok());
   for (const auto& t : db.tables()) {
     EXPECT_EQ(gen.FindTable(t.name())->num_rows(), t.num_rows()) << t.name();

@@ -6,6 +6,7 @@
 #include "engine/executor.h"
 #include "metrics/metrics.h"
 #include "sam/sam_model.h"
+#include "sam/view_baseline.h"
 #include "workload/generator.h"
 
 namespace sam {
@@ -119,8 +120,7 @@ TEST_F(Figure3SamTest, InverseProbabilityWeightsMatchPaper) {
 }
 
 TEST_F(Figure3SamTest, GroupAndMergeRecoversDatabaseExactly) {
-  Rng rng(7);
-  auto gen_res = sam_->GenerateFromFoj(foj_, &rng);
+  auto gen_res = sam_->GenerateFromFoj(foj_);
   ASSERT_TRUE(gen_res.ok()) << gen_res.status().ToString();
   const Database& gen = gen_res.ValueOrDie();
 
@@ -212,13 +212,12 @@ TEST_F(Figure3SamTest, AblationBreaksCrossChildCorrelation) {
   // produces structurally valid output (the statistical breakage is asserted
   // at scale in the Table 3/4 benches).
   SamOptions options;
-  options.use_group_and_merge = false;
   options.generation_seed = 11;
   auto sam = SamModel::Create(db_, Figure3LiteralWorkload(), SchemaHints{}, 8,
                               options)
                  .MoveValue();
   Rng rng(13);
-  auto gen = sam->GenerateFromFoj(foj_, &rng);
+  auto gen = GenerateViewBaseline(*sam, foj_, &rng);
   ASSERT_TRUE(gen.ok()) << gen.status().ToString();
   EXPECT_EQ(gen.ValueOrDie().FindTable("A")->num_rows(), 4u);
   EXPECT_TRUE(gen.ValueOrDie().ValidateIntegrity().ok());

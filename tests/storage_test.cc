@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "datasets/datasets.h"
 #include "storage/csv.h"
 #include "storage/database.h"
+#include "storage/schema_io.h"
 
 namespace sam {
 namespace {
@@ -179,6 +181,42 @@ TEST(CsvTest, RoundTripsTableWithNulls) {
   EXPECT_EQ(rt.column(1).ValueAt(1).AsString(), "y");
   EXPECT_TRUE(rt.column(1).ValueAt(2).is_null());
   std::remove(path.c_str());
+}
+
+TEST(CsvTest, DoublesRoundTripBitExactThroughSaveAndLoad) {
+  const std::vector<double> doubles = {1234567.891, 0.1,     1.0 / 3.0,
+                                       -2.5e17,     1e-300,  5e-324,
+                                       123456789012345.67, -0.0, 42.0};
+  std::vector<Value> ids, vals;
+  for (size_t i = 0; i < doubles.size(); ++i) {
+    ids.emplace_back(static_cast<int64_t>(i));
+    vals.emplace_back(doubles[i]);
+  }
+  Table t("t");
+  ASSERT_TRUE(t.AddColumn(Column::FromValues("id", ColumnType::kInt, ids)).ok());
+  ASSERT_TRUE(
+      t.AddColumn(Column::FromValues("v", ColumnType::kDouble, vals)).ok());
+  Database db;
+  ASSERT_TRUE(db.AddTable(std::move(t)).ok());
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "sam_csv_double_test").string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(SaveDatabase(db, dir).ok());
+  auto back = LoadDatabase(dir);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  const Table* rt = back.ValueOrDie().FindTable("t");
+  ASSERT_NE(rt, nullptr);
+  ASSERT_EQ(rt->num_rows(), doubles.size());
+  for (size_t r = 0; r < doubles.size(); ++r) {
+    const int64_t id = rt->column(0).ValueAt(r).AsInt();
+    const double got = rt->column(1).ValueAt(r).AsDouble();
+    const double want = doubles[static_cast<size_t>(id)];
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << "row " << id << ": wrote " << want << ", read " << got;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DatasetsTest, CensusLikeShape) {

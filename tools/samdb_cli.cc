@@ -207,7 +207,6 @@ Result<SamOptions> OptionsFromFlags(const Flags& flags) {
                                 static_cast<size_t>(hidden)};
   SAM_ASSIGN_OR_RETURN(v, flags.GetInt("foj-samples", 60000));
   options.foj_samples = static_cast<size_t>(v);
-  options.use_group_and_merge = !flags.GetBool("no-group-and-merge");
   SAM_ASSIGN_OR_RETURN(v, flags.GetInt("gen-seed", 999));
   options.generation_seed = static_cast<uint64_t>(v);
   return options;
@@ -455,24 +454,8 @@ int CmdGenerate(const Flags& flags) {
   if (!st.ok()) return FailStatus(st);
   sam.ValueOrDie()->model()->SyncSamplerWeights();
 
-  // The crash-safe out-of-core pipeline engages when any of its flags is
-  // present; otherwise generation stays on the in-RAM path. Both publish
-  // `out` all-or-nothing — it never holds a partially generated database.
-  const bool out_of_core = flags.Has("checkpoint-dir") ||
-                           flags.GetBool("resume") || flags.Has("memory-cap") ||
-                           flags.Has("stop-after-steps");
-  if (!out_of_core) {
-    auto gen = sam.ValueOrDie()->Generate();
-    if (!gen.ok()) return FailStatus(gen.status());
-    st = SaveDatabaseAtomic(gen.ValueOrDie(), out);
-    if (!st.ok()) return FailStatus(st);
-    for (const auto& t : gen.ValueOrDie().tables()) {
-      std::printf("%-20s %zu rows\n", t.name().c_str(), t.num_rows());
-    }
-    std::printf("wrote synthetic database to %s\n", out.c_str());
-    return 0;
-  }
-
+  // The crash-safe pipeline publishes `out` all-or-nothing — it never holds
+  // a partially generated database.
   GenerationPipelineOptions popts;
   popts.out_dir = out;
   popts.work_dir = flags.Get("checkpoint-dir", out + ".work");
@@ -833,13 +816,13 @@ int Usage() {
       "            bit-identical to an uninterrupted run (see\n"
       "            docs/CHECKPOINTING.md).\n"
       "  generate  --db=DIR --workload=FILE --hints=... --model=FILE --out=DIR\n"
-      "            [--foj-samples=K] [--gen-batch=N] [--no-group-and-merge]\n"
+      "            [--foj-samples=K] [--gen-batch=N]\n"
       "            [--checkpoint-dir=DIR] [--checkpoint-every=N]\n"
       "            [--checkpoint-keep=N] [--resume] [--memory-cap=MiB]\n"
       "            [--stop-after-steps=N] [--keep-work]\n"
       "            [--partition-threads=N] [--commit-threads=N]\n"
-      "            Any of the bracketed crash-safety flags selects the\n"
-      "            out-of-core pipeline: spill files + checkpoints live in\n"
+      "            Runs the crash-safe generation pipeline under --memory-cap\n"
+      "            (default 256): spill files + checkpoints live in\n"
       "            --checkpoint-dir (default OUT.work), SIGINT/SIGTERM\n"
       "            checkpoint and exit 0, and --resume continues to a\n"
       "            byte-identical database (see docs/GENERATION.md).\n"
