@@ -400,7 +400,9 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
 
       for (size_t col = 0; col < n_cols; ++col) {
         const ModelColumn& mc = schema.columns()[col];
-        Tensor hidden = model->Hidden(mw, input);
+        // Columns >= offset are unfilled, and their input gradient is never
+        // read: a sample's gradient is sliced out of its own columns only.
+        Tensor hidden = model->Hidden(mw, input, mc.offset);
         Tensor logits = model->ColumnLogits(mw, hidden, input, col);
         const ColumnMasks masks =
             BuildColumnMasks(queries, row_query, col, mc.domain_size);

@@ -152,10 +152,12 @@ MadeModel::MaskedWeights MadeModel::BuildMaskedWeights() const {
   return mw;
 }
 
-Tensor MadeModel::Hidden(const MaskedWeights& mw, const Tensor& input) const {
+Tensor MadeModel::Hidden(const MaskedWeights& mw, const Tensor& input,
+                         size_t live_cols) const {
   Tensor h = input;
   for (size_t l = 0; l < mw.w.size(); ++l) {
-    Tensor pre = ad::Matmul(h, mw.w[l]);
+    Tensor pre = l == 0 ? ad::MatmulPrefix(h, mw.w[0], live_cols)
+                        : ad::Matmul(h, mw.w[l]);
     // Residual connections between equal-width hidden layers (ResMADE). The
     // hidden-degree assignment is identical across layers, so the skip path
     // preserves the autoregressive masking. The fused op does
@@ -178,7 +180,8 @@ Tensor MadeModel::ColumnLogits(const MaskedWeights& mw, const Tensor& hidden,
       ad::Matmul(hidden, ad::SliceColumns(mw.w_out, b, e)),
       ad::SliceColumns(b_out_, b, e));
   if (options_.direct_connections) {
-    logits = ad::Add(logits, ad::Matmul(input, ad::SliceColumns(mw.w_direct, b, e)));
+    logits = ad::Add(logits, ad::MatmulPrefix(
+                                 input, ad::SliceColumns(mw.w_direct, b, e), b));
   }
   return logits;
 }

@@ -60,11 +60,18 @@ class MadeModel {
   };
   MaskedWeights BuildMaskedWeights() const;
 
-  /// Last hidden activations for `input` (B x total_domain).
-  ad::Tensor Hidden(const MaskedWeights& mw, const ad::Tensor& input) const;
+  /// Last hidden activations for `input` (B x total_domain). `input` must be
+  /// zero in columns [live_cols, total_domain), and its gradient is produced
+  /// for columns [0, live_cols) only (see `ad::MatmulPrefix`). A DPS column-i
+  /// pass passes offset(i): later columns are not sampled yet. Pass
+  /// total_domain for the ordinary dense backward.
+  ad::Tensor Hidden(const MaskedWeights& mw, const ad::Tensor& input,
+                    size_t live_cols) const;
 
   /// Logits of model column `col` (B x domain(col)) given the last hidden
-  /// layer and the (same) input used for direct connections.
+  /// layer and the (same) input used for direct connections. The direct
+  /// weights of `col` are masked to zero for inputs at or past offset(col),
+  /// so the input's gradient is produced for columns [0, offset(col)) only.
   ad::Tensor ColumnLogits(const MaskedWeights& mw, const ad::Tensor& hidden,
                           const ad::Tensor& input, size_t col) const;
 

@@ -139,24 +139,46 @@ Tensor Scale(const Tensor& a, double s) {
                 "scale");
 }
 
-Tensor Matmul(const Tensor& a, const Tensor& b) {
+Tensor MatmulPrefix(const Tensor& a, const Tensor& b, size_t live) {
+  SAM_CHECK_LE(live, a.cols());
   Matrix v = Matrix::Multiply(a.value(), b.value());
   return MakeOp(std::move(v), {a, b},
-                [](TensorNode& n) {
+                [live](TensorNode& n) {
                   TensorNode* an = n.parents[0].get();
                   TensorNode* bn = n.parents[1].get();
+                  const size_t rows = n.grad.rows();
+                  const size_t d = n.grad.cols();
                   if (an->requires_grad) {
-                    // dA = dC * B^T
-                    Matrix da = Matrix::MultiplyTranspose(n.grad, bn->value);
-                    AccumulateInto(an, da);
+                    an->EnsureGrad();
+                    // dA[:, :live] = dC * B[:live, :]^T. B's first `live`
+                    // rows are its first live * d entries.
+                    Matrix da(rows, live);
+                    kernels::Active().matmul_tb(n.grad.data(), rows, d,
+                                                bn->value.data(), live,
+                                                da.data());
+                    for (size_t r = 0; r < rows; ++r) {
+                      const double* src = da.row(r);
+                      double* dst = an->grad.row(r);
+                      for (size_t c = 0; c < live; ++c) dst[c] += src[c];
+                    }
                   }
                   if (bn->requires_grad) {
-                    // dB = A^T * dC
-                    Matrix db = Matrix::TransposeMultiply(an->value, n.grad);
-                    AccumulateInto(bn, db);
+                    bn->EnsureGrad();
+                    // dB = A^T * dC; A's zero columns past `live` cost the
+                    // kernel's zero-skip only, and leave dB's rows past
+                    // `live` at +0.0, which are not accumulated.
+                    const Matrix db =
+                        Matrix::TransposeMultiply(an->value, n.grad);
+                    double* dst = bn->grad.data();
+                    const double* src = db.data();
+                    for (size_t i = 0; i < live * d; ++i) dst[i] += src[i];
                   }
                 },
                 "matmul");
+}
+
+Tensor Matmul(const Tensor& a, const Tensor& b) {
+  return MatmulPrefix(a, b, a.cols());
 }
 
 Tensor Relu(const Tensor& a) {

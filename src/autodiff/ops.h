@@ -20,8 +20,22 @@ Tensor Mul(const Tensor& a, const Tensor& b);
 /// Multiplies every element by scalar `s`.
 Tensor Scale(const Tensor& a, double s);
 
-/// Matrix product a (B x K) * b (K x D).
+/// Matrix product a (B x K) * b (K x D): `MatmulPrefix(a, b, K)`.
 Tensor Matmul(const Tensor& a, const Tensor& b);
+
+/// \brief Matrix product a (B x K) * b (K x D) whose backward only produces
+/// the live prefix: dA for columns [0, live) and dB for rows [0, live).
+///
+/// The forward is the full product whatever `live` is. Use it when `a` is
+/// zero in columns [live, K) and no consumer reads grad(a) there — the
+/// progressive MADE input of a DPS column pass, whose later columns are
+/// still unfilled and whose gradient is only read through earlier columns'
+/// samples. Under that precondition the result is bit-identical to
+/// `Matmul`: each computed dA entry is the same dot product, the skipped dB
+/// rows are exactly +0.0, and a gradient buffer that starts at +0.0 never
+/// becomes -0.0 through additions, so not adding +0.0 changes no bit. The
+/// skipped dA entries are simply never accumulated.
+Tensor MatmulPrefix(const Tensor& a, const Tensor& b, size_t live);
 
 /// Rectified linear unit.
 Tensor Relu(const Tensor& a);

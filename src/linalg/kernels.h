@@ -57,7 +57,14 @@ struct KernelTable {
   /// C: ar x br (fully overwritten). Each C entry is a dot product over ac,
   /// accumulated as four stride-4 partial sums combined as
   /// ((s0+s1)+(s2+s3)) plus a sequential remainder — the fixed association
-  /// order both backends implement.
+  /// order both backends implement. The scalar reference is the
+  /// specification: one dot product per entry. The AVX2 kernel is
+  /// register-blocked — 2 A rows x 4 B rows per pass, eight vector
+  /// accumulators whose lane l sums the k = l (mod 4) products — so each A
+  /// load feeds four outputs and each B load two; a horizontal add plus a
+  /// 128-bit lane swap then finishes four entries in that same order. Rows
+  /// and columns past the last full block fall back to one dot product per
+  /// entry. The DPS backward's dA = dC * B^T products run here.
   void (*matmul_tb)(const double* a, size_t ar, size_t ac, const double* b,
                     size_t br, double* c);
 

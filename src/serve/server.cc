@@ -26,6 +26,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Longest request line a connection may send, newline excluded. Past it the
+/// client gets an error and is disconnected, so one connection cannot grow
+/// the daemon's memory without bound.
+constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
 double MsSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
@@ -232,6 +237,9 @@ void SamServer::ReapFinishedReaders() {
 
 void SamServer::ReaderLoop(std::shared_ptr<Conn> conn) {
   std::string buffer;
+  // buffer[0, scanned) is known to hold no newline, so a long line is
+  // scanned once, not once per chunk.
+  size_t scanned = 0;
   char chunk[4096];
   while (!stopping_.load() && conn->open.load()) {
     pollfd pfd{conn->fd, POLLIN, 0};
@@ -247,16 +255,41 @@ void SamServer::ReaderLoop(std::shared_ptr<Conn> conn) {
     }
     buffer.append(chunk, static_cast<size_t>(n));
     size_t start = 0;
-    for (size_t nl = buffer.find('\n', start); nl != std::string::npos;
+    bool too_long = false;
+    for (size_t nl = buffer.find('\n', scanned); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
+      if (nl - start > kMaxLineBytes) {
+        too_long = true;
+        break;
+      }
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (!line.empty()) HandleLine(conn, line);
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
+    if (too_long || buffer.size() > kMaxLineBytes) {
+      RejectOverlongLine(conn);
+      break;
+    }
   }
   conn->reader_done.store(true);  // Last action: the thread is now reapable.
+}
+
+void SamServer::RejectOverlongLine(const std::shared_ptr<Conn>& conn) {
+  requests_total_.fetch_add(1, std::memory_order_relaxed);
+  requests_counter_->Add(1);
+  Pending p{conn, Request{}, Clock::now()};
+  Respond(&p,
+          ErrorResponse(-1, Status::InvalidArgument(
+                                "request line exceeds " +
+                                std::to_string(kMaxLineBytes) + " bytes")),
+          /*is_error=*/true);
+  // FIN right after the error line; the descriptor itself is closed when
+  // the reaped connection is destroyed.
+  ::shutdown(conn->fd, SHUT_RDWR);
+  conn->open.store(false);
 }
 
 void SamServer::WriteLine(Conn* conn, const std::string& line) {

@@ -164,6 +164,9 @@ class SamServer {
   /// janitor; keeps a long-lived daemon from accumulating dead threads).
   void ReapFinishedReaders();
   void ReaderLoop(std::shared_ptr<Conn> conn);
+  /// Answers a request line longer than the server's line cap with an error
+  /// and shuts the connection down.
+  void RejectOverlongLine(const std::shared_ptr<Conn>& conn);
   void DispatchLoop();
   void WatchLoop();
 

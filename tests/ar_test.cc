@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "ar/dps_trainer.h"
 #include "ar/estimator.h"
@@ -9,6 +10,7 @@
 #include "autodiff/ops.h"
 #include "datasets/datasets.h"
 #include "engine/executor.h"
+#include "linalg/kernels.h"
 #include "metrics/metrics.h"
 #include "workload/generator.h"
 
@@ -227,8 +229,10 @@ TEST_F(MadeTest, AutoregressivePropertyHolds) {
   in_b(0, 6) = 1.0;
   ad::Tensor ta = ad::Tensor::Constant(in_a);
   ad::Tensor tb = ad::Tensor::Constant(in_b);
-  ad::Tensor la = model_->ColumnLogits(mw, model_->Hidden(mw, ta), ta, 0);
-  ad::Tensor lb = model_->ColumnLogits(mw, model_->Hidden(mw, tb), tb, 0);
+  ad::Tensor la = model_->ColumnLogits(
+      mw, model_->Hidden(mw, ta, ta.cols()), ta, 0);
+  ad::Tensor lb = model_->ColumnLogits(
+      mw, model_->Hidden(mw, tb, tb.cols()), tb, 0);
   for (size_t j = 0; j < la.cols(); ++j) {
     EXPECT_DOUBLE_EQ(la.value()(0, j), lb.value()(0, j));
   }
@@ -243,8 +247,10 @@ TEST_F(MadeTest, LaterColumnDependsOnEarlierInput) {
   in_b(0, 3) = 1.0;  // age interval 3
   ad::Tensor ta = ad::Tensor::Constant(in_a);
   ad::Tensor tb = ad::Tensor::Constant(in_b);
-  ad::Tensor la = model_->ColumnLogits(mw, model_->Hidden(mw, ta), ta, 1);
-  ad::Tensor lb = model_->ColumnLogits(mw, model_->Hidden(mw, tb), tb, 1);
+  ad::Tensor la = model_->ColumnLogits(
+      mw, model_->Hidden(mw, ta, ta.cols()), ta, 1);
+  ad::Tensor lb = model_->ColumnLogits(
+      mw, model_->Hidden(mw, tb, tb.cols()), tb, 1);
   double diff = 0;
   for (size_t j = 0; j < la.cols(); ++j) {
     diff += std::fabs(la.value()(0, j) - lb.value()(0, j));
@@ -259,7 +265,8 @@ TEST_F(MadeTest, SamplerPathMatchesDensePath) {
   Matrix in(1, schema_.total_domain());
   in(0, 2) = 1.0;
   ad::Tensor t = ad::Tensor::Constant(in);
-  ad::Tensor logits = model_->ColumnLogits(mw, model_->Hidden(mw, t), t, 1);
+  ad::Tensor logits =
+      model_->ColumnLogits(mw, model_->Hidden(mw, t, t.cols()), t, 1);
   ad::Tensor dense_probs = ad::Softmax(logits);
 
   MadeModel::SamplerState state = model_->InitState(1);
@@ -334,6 +341,103 @@ TEST(DpsTrainerTest, LearnsTinyDistribution) {
   }
   const MetricSummary summary = Summarize(qerrors);
   EXPECT_LT(summary.median, 2.0) << "median q-error too high after training";
+}
+
+/// FNV-1a (64 bit) over the raw bytes of every parameter matrix, in
+/// `params()` order: any change to a single trained bit changes the digest.
+uint64_t ParamsDigest(const MadeModel& model) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const ad::Tensor& p : model.params()) {
+    const Matrix& m = p.value();
+    const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+    for (size_t i = 0; i < m.size() * sizeof(double); ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Census-like single relation: direct connections and residual hidden
+/// layers on, so every matmul of the training step is exercised.
+uint64_t TrainCensusGolden() {
+  Database db = MakeCensusLike(600, 41);
+  auto exec = Executor::Create(&db).MoveValue();
+  SingleRelationWorkloadOptions wopts;
+  wopts.num_queries = 96;
+  wopts.seed = 13;
+  Workload train =
+      GenerateSingleRelationWorkload(db, "census", *exec, wopts).MoveValue();
+  SchemaHints hints;
+  hints.numeric_columns = {"census.age", "census.hours_per_week"};
+  hints.numeric_bounds["census.age"] = {17, 90};
+  hints.numeric_bounds["census.hours_per_week"] = {1, 99};
+  ModelSchema schema = ModelSchema::Build(db, train, hints, 600).MoveValue();
+  MadeModel::Options mopts;
+  mopts.hidden_sizes = {24, 24};
+  mopts.residual = true;
+  mopts.direct_connections = true;
+  mopts.seed = 17;
+  MadeModel model(&schema, mopts);
+  DpsOptions dopts;
+  dopts.epochs = 2;
+  dopts.batch_size = 32;
+  dopts.sample_paths = 2;
+  dopts.seed = 29;
+  SAM_CHECK_OK(TrainDps(&model, train, dopts).status());
+  return ParamsDigest(model);
+}
+
+/// Imdb-like snowflake: indicator and fanout columns, fanout scaling in the
+/// loss, direct connections on.
+uint64_t TrainImdbGolden() {
+  Database db = MakeImdbLike(200, 19);
+  auto exec = Executor::Create(&db).MoveValue();
+  MultiRelationWorkloadOptions wopts;
+  wopts.num_queries = 48;
+  Workload train = GenerateMultiRelationWorkload(db, *exec, wopts).MoveValue();
+  SchemaHints hints;
+  hints.fanout_cap = 25;
+  ModelSchema schema =
+      ModelSchema::Build(db, train, hints, exec->FullOuterJoinSize())
+          .MoveValue();
+  MadeModel::Options mopts;
+  mopts.hidden_sizes = {16, 16};
+  mopts.seed = 23;
+  MadeModel model(&schema, mopts);
+  DpsOptions dopts;
+  dopts.epochs = 2;
+  dopts.batch_size = 16;
+  dopts.sample_paths = 3;
+  dopts.seed = 31;
+  SAM_CHECK_OK(TrainDps(&model, train, dopts).status());
+  return ParamsDigest(model);
+}
+
+TEST(DpsTrainerTest, GoldenParamsDigest) {
+  // Pins the trained parameters bit for bit. Resume-vs-uninterrupted tests
+  // compare two runs of the same code; this one compares against constants,
+  // so a refactor of the training arithmetic (autodiff ops, kernels, MADE
+  // passes) that changes any trained bit fails here. Both kernel backends
+  // must reproduce the same constants.
+  constexpr uint64_t kCensus = 0x10b1f384cd1a2321ULL;
+  constexpr uint64_t kImdb = 0xdf8d5b1366f6ae9fULL;
+  const kernels::Backend saved = kernels::ActiveBackend();
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::Avx2Available()) backends.push_back(kernels::Backend::kAvx2);
+  for (kernels::Backend b : backends) {
+    ASSERT_TRUE(kernels::SetBackend(b));
+    const char* name = b == kernels::Backend::kScalar ? "scalar" : "avx2";
+    EXPECT_EQ(Hex(TrainCensusGolden()), Hex(kCensus)) << name;
+    EXPECT_EQ(Hex(TrainImdbGolden()), Hex(kImdb)) << name;
+  }
+  kernels::SetBackend(saved);
 }
 
 TEST(DpsTrainerTest, TimeBudgetStopsEarly) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <utility>
 
 #include "autodiff/adam.h"
 #include "autodiff/ops.h"
@@ -64,6 +66,62 @@ TEST(OpsGradTest, Matmul) {
   Tensor w = Tensor::Param(Make(3, 2, {0.1, -0.2, 0.3, 0.4, -0.5, 0.6}));
   Tensor x = Tensor::Constant(Make(2, 3, {1, 2, 3, -1, 0, 2}));
   CheckGradients(w, [&](const Tensor& p) { return SumAll(Mul(Matmul(x, p), Matmul(x, p))); });
+}
+
+TEST(OpsGradTest, MatmulPrefix) {
+  // dB, with the input zero past the live prefix (columns [2, 3)).
+  Tensor w = Tensor::Param(Make(3, 2, {0.1, -0.2, 0.3, 0.4, -0.5, 0.6}));
+  Tensor x = Tensor::Constant(Make(2, 3, {1, 2, 0, -1, 0.5, 0}));
+  CheckGradients(w, [&](const Tensor& p) {
+    Tensor y = MatmulPrefix(x, p, 2);
+    return SumAll(Mul(y, y));
+  });
+  // dA, read through the prefix only, as a DPS column pass reads it: the
+  // live columns are padded out to the full input width.
+  Tensor a = Tensor::Param(Make(2, 2, {0.7, -1.2, 0.4, 2.0}));
+  Tensor w2 = Tensor::Constant(Make(3, 2, {0.1, -0.2, 0.3, 0.4, -0.5, 0.6}));
+  CheckGradients(a, [&](const Tensor& p) {
+    Tensor y = MatmulPrefix(PadColumns(p, 0, 3), w2, 2);
+    return SumAll(Mul(y, y));
+  });
+}
+
+TEST(OpsTest, MatmulPrefixGradientsBitIdenticalToMatmul) {
+  // On the live prefix, MatmulPrefix's dA and its whole dB must be the very
+  // bits ad::Matmul produces, for every live width; dA past the prefix is
+  // never accumulated and stays +0.0.
+  const size_t rows = 7, k = 13, d = 6;
+  Rng rng(5);
+  for (size_t live : {size_t{0}, size_t{1}, size_t{6}, k}) {
+    Matrix a(rows, k), w(k, d), g(rows, d);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < live; ++c) a(r, c) = rng.Uniform(-2.0, 2.0);
+    }
+    for (size_t i = 0; i < w.size(); ++i) w.data()[i] = rng.Uniform(-2.0, 2.0);
+    for (size_t i = 0; i < g.size(); ++i) g.data()[i] = rng.Uniform(-2.0, 2.0);
+    auto grads = [&](bool prefix) {
+      Tensor ta = Tensor::Param(a);
+      Tensor tw = Tensor::Param(w);
+      Tensor y = prefix ? MatmulPrefix(ta, tw, live) : Matmul(ta, tw);
+      SumAll(Mul(y, Tensor::Constant(g))).Backward();
+      return std::make_pair(ta.grad(), tw.grad());
+    };
+    const auto [da_ref, dw_ref] = grads(false);
+    const auto [da, dw] = grads(true);
+    ASSERT_EQ(dw.size(), dw_ref.size());
+    EXPECT_EQ(std::memcmp(dw.data(), dw_ref.data(), dw.size() * sizeof(double)),
+              0)
+        << "dB, live=" << live;
+    for (size_t r = 0; r < rows; ++r) {
+      EXPECT_EQ(std::memcmp(da.row(r), da_ref.row(r), live * sizeof(double)),
+                0)
+          << "dA row " << r << ", live=" << live;
+      for (size_t c = live; c < k; ++c) {
+        EXPECT_FALSE(std::signbit(da(r, c)));
+        EXPECT_EQ(da(r, c), 0.0);
+      }
+    }
+  }
 }
 
 TEST(OpsGradTest, Relu) {

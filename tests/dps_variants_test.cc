@@ -78,7 +78,8 @@ TEST(ResMadeTest, DensePathMatchesSamplerPathWithResiduals) {
   Matrix in(1, s.schema.total_domain());
   in(0, s.schema.columns()[0].offset) = 1.0;  // Column 0 = code 0.
   ad::Tensor t = ad::Tensor::Constant(in);
-  ad::Tensor logits = model.ColumnLogits(mw, model.Hidden(mw, t), t, 1);
+  ad::Tensor logits =
+      model.ColumnLogits(mw, model.Hidden(mw, t, t.cols()), t, 1);
   ad::Tensor dense = ad::Softmax(logits);
 
   MadeModel::SamplerState st = model.InitState(1);

@@ -51,13 +51,17 @@ void ExpectBitIdentical(const std::vector<double>& a,
       << what << " diverges between scalar and AVX2";
 }
 
-// Shapes with deliberate lane remainders (not multiples of 4/8/16/64).
+// Shapes with deliberate lane remainders (not multiples of 4/8/16/64), plus
+// the DPS training shapes: census-like (batch 128, hidden 48, a 2- and a
+// 9-wide column slice, 260 input units) and imdb-like (batch 256, fanout
+// domain 25, 269 input units).
 struct Shape {
   size_t m, k, n;
 };
-const Shape kShapes[] = {{1, 1, 1},   {3, 5, 7},    {17, 33, 5},
-                         {4, 240, 16}, {2, 241, 19}, {13, 250, 37},
-                         {8, 64, 129}};
+const Shape kShapes[] = {{1, 1, 1},     {3, 5, 7},     {17, 33, 5},
+                         {4, 240, 16},  {2, 241, 19},  {13, 250, 37},
+                         {8, 64, 129},  {128, 48, 260}, {128, 2, 260},
+                         {128, 9, 260}, {256, 25, 269}};
 
 TEST(KernelParityTest, MatmulBitIdentical) {
   if (!kernels::Avx2Available()) GTEST_SKIP() << "no AVX2 on this machine";

@@ -4,6 +4,11 @@
 // graceful drain.
 
 #include <gtest/gtest.h>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -324,6 +329,68 @@ TEST(ServeTest, MalformedRequestsGetErrorsNotCrashes) {
                        "\"query\": \"martians\\t\\t-1\"}");
   ASSERT_TRUE(v.ok());
   EXPECT_FALSE(v.ValueOrDie().Find("ok")->bool_value);
+  server.Stop();
+}
+
+TEST(ServeTest, OverlongLineGetsErrorAndDisconnect) {
+  ServeFixture f = MakeFixture(/*rows=*/200);
+  SamServer server(f.db.get(), f.exec.get(), f.model, ServeOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  // A raw socket: ServeClient frames every line with a newline.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  // 2 MiB and no newline, twice the server's line cap. Sent from a thread:
+  // once the server stops reading, the send ends only when the connection
+  // is closed under it.
+  std::thread flood([fd] {
+    const std::string blob(size_t{2} << 20, 'x');
+    size_t sent = 0;
+    while (sent < blob.size()) {
+      const ssize_t n =
+          ::send(fd, blob.data() + sent, blob.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<size_t>(n);
+    }
+  });
+  // Everything the server sends until it closes the connection.
+  std::string received;
+  bool closed = false;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!closed && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    char buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      closed = true;
+    } else {
+      received.append(buf, static_cast<size_t>(n));
+    }
+  }
+  flood.join();
+  ::close(fd);
+  EXPECT_TRUE(closed) << "the server kept the connection open";
+  ASSERT_FALSE(received.empty());
+  ASSERT_EQ(received.back(), '\n');
+  received.pop_back();
+  EXPECT_EQ(received.find('\n'), std::string::npos) << "one response line";
+  auto v = obs::ParseJson(received);
+  ASSERT_TRUE(v.ok()) << received;
+  EXPECT_FALSE(v.ValueOrDie().Find("ok")->bool_value);
+  EXPECT_EQ(v.ValueOrDie().Find("code")->string_value, "InvalidArgument");
+
+  // The server survived and still serves other clients.
+  ServeClient client = Connect(server);
+  auto pong = client.Call("{\"id\": 1, \"type\": \"ping\"}");
+  ASSERT_TRUE(pong.ok());
+  EXPECT_TRUE(pong.ValueOrDie().Find("ok")->bool_value);
   server.Stop();
 }
 
