@@ -3,8 +3,8 @@
 // Two legs, both timing GenerationPipeline::Run end to end:
 //   census    single-relation generation, caps {loose, tight} x commit
 //             threads {1, default}: the tight cap forces spill traffic, and
-//             commit_threads > 1 overlaps MADE sampling of batch b+1 with
-//             the decode + spill write of batch b;
+//             commit_threads > 1 samples a window of the next batches on the
+//             pool during the decode + spill write of batch b;
 //   multirel  imdb-like snowflake with a trained model and a tight cap
 //             (partition fan-out > 1): commit_threads=1 is the fully serial
 //             Group-and-Merge baseline, the parallel config prepares whole

@@ -1,5 +1,6 @@
 #include "ar/made.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -209,6 +210,19 @@ void MadeModel::SyncSamplerWeights() {
 
 MadeModel::SamplerState MadeModel::InitState(size_t batch) const {
   SamplerState s;
+  const size_t widest = *std::max_element(options_.hidden_sizes.begin(),
+                                          options_.hidden_sizes.end());
+  size_t max_domain = 0;
+  for (const ModelColumn& mc : schema_->columns()) {
+    max_domain = std::max(max_domain, mc.domain_size);
+  }
+  s.h.Reshape(batch, widest);
+  s.h_next.Reshape(batch, widest);
+  s.probs.Reshape(batch, max_domain);
+  if (options_.direct_connections) {
+    s.direct.Reshape(batch, max_domain);
+    s.units.reserve(batch * schema_->num_columns());
+  }
   ResetState(&s, batch);
   return s;
 }
@@ -222,13 +236,8 @@ void MadeModel::ResetState(SamplerState* state, size_t batch) const {
   for (size_t r = 0; r < batch; ++r) {
     std::copy(bias, bias + h1, state->pre1.row(r));
   }
-  if (options_.direct_connections) {
-    state->direct.Reshape(batch, schema_->total_domain());
-    std::fill(state->direct.data(),
-              state->direct.data() + state->direct.size(), 0.0);
-  } else {
-    state->direct = Matrix();
-  }
+  state->units.clear();
+  state->observed = 0;
 }
 
 const Matrix& MadeModel::CondProbs(const SamplerState& state,
@@ -264,18 +273,35 @@ const Matrix& MadeModel::CondProbs(const SamplerState& state,
   const ModelColumn& mc = schema_->columns()[col];
   const size_t off = mc.offset;
   const size_t d = mc.domain_size;
+  if (options_.direct_connections) {
+    // Direct logits of this column: the masked direct weights of every
+    // observed unit, summed from +0.0 in observation order — the order (and
+    // so the bits) of a full-width accumulator fed by each Observe. Masked
+    // weights are ±0.0, which leave such a sum unchanged, but are added all
+    // the same so non-finite weights propagate as before.
+    Matrix& direct = state.direct;
+    direct.Reshape(batch, d);
+    const double* w = cached_w_direct_.data() + off;
+    const size_t stride = cached_w_direct_.cols();
+    for (size_t r = 0; r < batch; ++r) {
+      double* acc = direct.row(r);
+      std::fill(acc, acc + d, 0.0);
+      for (size_t k = 0; k < state.observed; ++k) {
+        const double* wu = w + state.units[k * batch + r] * stride;
+        for (size_t j = 0; j < d; ++j) acc[j] += wu[j];
+      }
+    }
+  }
   Matrix& logits = state.probs;
   logits.Reshape(batch, d);
   // Fused output slice: logits = h * W_out[:, off:off+d] + b_out[off:off+d]
-  // (+ direct). W_out and the direct accumulator are indexed at their full
-  // row stride; the kernel reads only the d-wide slice of each row.
+  // (+ direct). W_out is indexed at its full row stride; the kernel reads
+  // only the d-wide slice of each row.
   kr.output_slice(state.h.data(), batch, state.h.cols(),
                   cached_w_out_.data() + off, cached_w_out_.cols(),
                   b_out_.value().data() + off,
-                  options_.direct_connections ? state.direct.data() + off
-                                              : nullptr,
-                  options_.direct_connections ? state.direct.cols() : 0,
-                  logits.data(), d);
+                  options_.direct_connections ? state.direct.data() : nullptr,
+                  options_.direct_connections ? d : 0, logits.data(), d);
   // Row softmax through the kernel layer (shared FastExp keeps the two
   // backends bit-identical; libm's std::exp makes no such promise).
   kr.softmax_rows(logits.data(), batch, d);
@@ -283,12 +309,11 @@ const Matrix& MadeModel::CondProbs(const SamplerState& state,
 }
 
 void MadeModel::Observe(SamplerState* state, size_t col,
-                        const std::vector<int32_t>& codes) const {
+                        std::span<const int32_t> codes) const {
   SAM_CHECK(sampler_synced_);
   SAM_CHECK_EQ(codes.size(), state->batch);
   const ModelColumn& mc = schema_->columns()[col];
   const size_t h1 = options_.hidden_sizes[0];
-  const size_t d_total = schema_->total_domain();
   for (size_t r = 0; r < state->batch; ++r) {
     const int32_t code = codes[r];
     SAM_CHECK(code >= 0 && static_cast<size_t>(code) < mc.domain_size)
@@ -296,10 +321,10 @@ void MadeModel::Observe(SamplerState* state, size_t col,
     const size_t unit = mc.offset + static_cast<size_t>(code);
     kernels::Active().vec_add(state->pre1.row(r), cached_w_[0].row(unit), h1);
     if (options_.direct_connections) {
-      kernels::Active().vec_add(state->direct.row(r),
-                                cached_w_direct_.row(unit), d_total);
+      state->units.push_back(static_cast<uint32_t>(unit));
     }
   }
+  state->observed++;
 }
 
 namespace {

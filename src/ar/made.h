@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,27 +82,42 @@ class MadeModel {
   /// Call after training (the trainer does this automatically).
   void SyncSamplerWeights();
 
-  /// Per-batch incremental state: first-layer pre-activations and direct
-  /// logits accumulate as columns are observed.
+  /// Per-batch incremental state: first-layer pre-activations accumulate as
+  /// columns are observed, and the observed one-hot units are recorded for
+  /// the direct connections.
   struct SamplerState {
     Matrix pre1;           ///< B x H1 (bias included).
-    Matrix direct;         ///< B x total_domain (empty if disabled).
     size_t batch = 0;
+    /// One-hot input unit (offset + code) of every observed column, in
+    /// observation order: units[k * batch + r] is row r's unit of the k-th
+    /// observed column. CondProbs sums the direct weights of these units for
+    /// the column in flight only, so the state holds O(B x columns) here
+    /// instead of a B x total_domain accumulator.
+    std::vector<uint32_t> units;
+    size_t observed = 0;   ///< Columns recorded in `units`.
     /// Forward-pass scratch owned by the state so CondProbs allocates nothing
     /// per call (at generation batch sizes a fresh Matrix is an mmap + page
     /// faults + munmap every forward). `mutable` because the scratch is not
-    /// part of the state's logical value; states are per-batch, so the
-    /// sampler's batch-parallelism never shares one across threads.
+    /// part of the state's logical value; a state belongs to one sampler
+    /// thread at a time, so the batch-parallel samplers never share one.
     mutable Matrix h;       ///< Hidden activations in flight.
     mutable Matrix h_next;  ///< Next hidden layer (swapped with `h`).
+    mutable Matrix direct;  ///< Direct logits of the column (B x domain).
     mutable Matrix probs;   ///< CondProbs result (B x domain(col)).
   };
 
+  /// A state for batches of up to `batch` rows with its scratch pre-sized
+  /// (hidden buffers at the widest layer, `direct`/`probs` at the largest
+  /// domain, `units` for every column), so no later ResetState, Observe or
+  /// CondProbs call on it grows a buffer. The parallel FOJ samplers build
+  /// one per worker on the calling thread before dispatch: scratch first
+  /// allocated on a worker lands in that thread's malloc arena, which keeps
+  /// it after the batch is freed.
   SamplerState InitState(size_t batch) const;
 
   /// Re-initialises `state` for a fresh batch of `batch` rows, reusing its
-  /// allocations: pre1 returns to the first-layer bias, the direct
-  /// accumulator to zero. The batched estimator re-enters with the same
+  /// allocations: pre1 returns to the first-layer bias and no column is
+  /// observed. The batched estimator re-enters with the same
   /// per-block state every call — fresh InitState matrices would be an
   /// mmap + page faults + munmap per round at serving batch sizes.
   void ResetState(SamplerState* state, size_t batch) const;
@@ -112,9 +128,10 @@ class MadeModel {
   /// state (copy it to keep it longer).
   const Matrix& CondProbs(const SamplerState& state, size_t col) const;
 
-  /// Feeds the sampled codes of `col` into the state accumulators.
+  /// Feeds the sampled codes of `col` into the state: first-layer
+  /// pre-activations and the recorded direct-connection units.
   void Observe(SamplerState* state, size_t col,
-               const std::vector<int32_t>& codes) const;
+               std::span<const int32_t> codes) const;
 
   // --- Persistence -----------------------------------------------------------
 

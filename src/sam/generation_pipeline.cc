@@ -244,21 +244,28 @@ struct GenerationPipeline::Impl {
   };
   CommitWindow window;
 
-  /// \brief Speculative MADE sampling of the next FOJ batch, overlapping
-  /// the spill write / decode of the current one. `SampleFojBatch` is
-  /// bit-identical per (base_seed, batch), so a discarded speculation is
-  /// recomputed identically on resume.
-  struct SamplePrefetch {
-    bool valid = false;
+  /// \brief One sample batch of the in-order sample window: its codes and
+  /// the sampler state it runs on, both allocated on the pipeline thread
+  /// before dispatch (the state once per slot, re-entered by every batch
+  /// the slot carries). `SampleFojBatchInto` is bit-identical per
+  /// (base_seed, batch), so a discarded speculation is recomputed
+  /// identically on resume.
+  struct SampleSlot {
+    bool valid = false;  ///< Holds batch `batch_index` (in flight or done).
     size_t batch_index = 0;
-    int64_t reserved = 0;
+    int64_t reserved = 0;  ///< Budget held for a speculative batch's codes.
     SamModel::FojSample foj;  ///< Filled by the worker before `done`.
+    MadeModel::SamplerState state;
+    bool state_ready = false;
     std::future<void> done;
   };
-  SamplePrefetch sample_prefetch;
+  /// Batch b lives in slot b % size; the speculative batches are always the
+  /// contiguous run of batches after the executing sample step. One slot
+  /// per pool thread when parallel commits are enabled, else one.
+  std::vector<SampleSlot> sample_window;
 
   ~Impl() {
-    DrainSamplePrefetch();
+    DrainSampleWindow();
     ClearRowBuffer();
     ClearVirtBuffers();
     ClearWindow();
@@ -286,6 +293,9 @@ struct GenerationPipeline::Impl {
     }
     return nullptr;
   }
+
+  /// Row-buffer reservation granularity.
+  static constexpr int64_t kRowSlab = 64ll << 10;
 
   int64_t RowFlushBytes() const {
     const int64_t cap = budget.cap();
@@ -789,13 +799,12 @@ struct GenerationPipeline::Impl {
   Status AccountAppendedRow(const std::string& rel) {
     row_buf.rows++;
     RelState(rel).rows_emitted++;
-    // Reserve buffer growth in 64 KiB slabs (per-byte reservations would
-    // dominate the profile).
-    const int64_t slab = 64ll << 10;
+    // Reserve buffer growth in slabs (per-byte reservations would dominate
+    // the profile).
     while (row_buf.reserved < static_cast<int64_t>(row_buf.csv.size())) {
       SAM_RETURN_NOT_OK(
-          budget.Reserve(slab, "row buffer for relation '" + rel + "'"));
-      row_buf.reserved += slab;
+          budget.Reserve(kRowSlab, "row buffer for relation '" + rel + "'"));
+      row_buf.reserved += kRowSlab;
     }
     if (static_cast<int64_t>(row_buf.csv.size()) >= RowFlushBytes()) {
       SAM_RETURN_NOT_OK(FlushRowChunk(rel));
@@ -926,78 +935,138 @@ struct GenerationPipeline::Impl {
 
   // -- Sample steps ---------------------------------------------------------
 
-  void DrainSamplePrefetch() {
-    if (!sample_prefetch.valid) return;
-    if (sample_prefetch.done.valid()) sample_prefetch.done.wait();
-    if (sample_prefetch.reserved > 0) budget.Release(sample_prefetch.reserved);
-    sample_prefetch = SamplePrefetch{};
+  bool SampleWindowEnabled() const {
+    return ParallelCommitEnabled() && opts.injected_foj == nullptr;
   }
 
-  /// Kicks off background sampling of the next FOJ batch when (a) the next
-  /// plan step is that batch, (b) parallel commits are enabled, and (c) the
-  /// budget fits the speculative codes with a quarter of the cap left free
-  /// — speculation must never make a mandatory reservation fail that would
-  /// have succeeded serially. On any miss the next step simply samples
-  /// synchronously, producing the identical bytes.
-  void MaybeStartSamplePrefetch(size_t batch_index) {
-    if (!ParallelCommitEnabled() || opts.injected_foj != nullptr) return;
-    const size_t next = batch_index + 1;
-    if (static_cast<uint64_t>(next) >= sample_batches) return;
-    if (state.next_step + 1 >= plan.size()) return;
-    const Step& s = plan[state.next_step + 1];
-    if (s.kind != Step::Kind::kSample || s.index != next) return;
-    const size_t batch = options().generation_batch;
-    const uint64_t start = static_cast<uint64_t>(next) * batch;
-    const size_t rows =
-        static_cast<size_t>(std::min<uint64_t>(batch, k - start));
-    const int64_t bytes = FojChunk::BytesFor(rows, schema().num_columns());
-    if (budget.cap() > 0 &&
-        budget.reserved() + bytes > budget.cap() - budget.cap() / 4) {
-      return;
+  size_t SampleRows(size_t batch_index) const {
+    const uint64_t start =
+        static_cast<uint64_t>(batch_index) * options().generation_batch;
+    return static_cast<size_t>(
+        std::min<uint64_t>(options().generation_batch, k - start));
+  }
+
+  SampleSlot& SlotFor(size_t batch_index) {
+    if (sample_window.empty()) {
+      sample_window.resize(SampleWindowEnabled() ? Pool()->num_threads() : 1);
     }
-    if (!budget.Reserve(bytes, "speculative sample batch").ok()) return;
-    sample_prefetch.valid = true;
-    sample_prefetch.batch_index = next;
-    sample_prefetch.reserved = bytes;
-    sample_prefetch.done = Pool()->Submit([this, next, rows] {
-      sample_prefetch.foj = sam->SampleFojBatch(state.base_seed, next, rows);
-    });
+    return sample_window[batch_index % sample_window.size()];
+  }
+
+  /// Claims `slot` for `batch_index` and sizes its codes and (first time)
+  /// its sampler state, on the calling thread.
+  void PrepareSlot(SampleSlot* slot, size_t batch_index, size_t rows) {
+    slot->valid = true;
+    slot->batch_index = batch_index;
+    slot->foj.count = rows;
+    slot->foj.codes.assign(schema().num_columns(), std::vector<int32_t>(rows));
+    if (!slot->state_ready) {
+      slot->state = sam->model()->InitState(
+          std::min<uint64_t>(options().generation_batch, k));
+      slot->state_ready = true;
+    }
+  }
+
+  void SampleIntoSlot(SampleSlot* slot) const {
+    sam->SampleFojBatchInto(state.base_seed, slot->batch_index, &slot->foj,
+                            0, slot->foj.count, &slot->state);
+  }
+
+  /// Waits out every speculative batch and releases its reservation (on
+  /// stop, error and destruction; the sampler states are kept).
+  void DrainSampleWindow() {
+    for (SampleSlot& slot : sample_window) {
+      if (!slot.valid) continue;
+      if (slot.done.valid()) slot.done.wait();
+      if (slot.reserved > 0) budget.Release(slot.reserved);
+      slot.valid = false;
+      slot.reserved = 0;
+      slot.done = {};
+      slot.foj = {};
+    }
+  }
+
+  /// Keeps the window's slots sampling the batches after `batch_index`, in
+  /// plan order, when parallel commits are enabled. Each speculative batch
+  /// reserves its codes before dispatch, and only while a quarter of the
+  /// cap — and at least what the executing step may still reserve — stays
+  /// free: speculation must never make a mandatory reservation fail that
+  /// would have succeeded serially. The first batch that does not fit ends
+  /// the fill, so the speculative batches stay a contiguous run; a step
+  /// that finds its batch missing samples it synchronously, producing the
+  /// identical bytes.
+  void FillSampleWindow(size_t batch_index) {
+    // Alg 1's decode still fills a row buffer, reserved in slabs up to one
+    // slab past the flush threshold; a multi-relation step only writes its
+    // chunk.
+    const int64_t cap = budget.cap();
+    const int64_t keep_free =
+        std::max(cap / 4, multi ? 0 : RowFlushBytes() + kRowSlab);
+    size_t in_flight = 0;
+    const size_t width = SampleWindowEnabled() ? sample_window.size() : 0;
+    for (size_t j = 1; j <= width; ++j) {
+      const size_t next = batch_index + j;
+      const uint64_t step = state.next_step + j;
+      if (next >= sample_batches || step >= plan.size()) break;
+      const Step& s = plan[step];
+      if (s.kind != Step::Kind::kSample || s.index != next) break;
+      SampleSlot& slot = SlotFor(next);
+      if (slot.valid) {  // Speculated by an earlier step.
+        SAM_CHECK_EQ(slot.batch_index, next);
+        ++in_flight;
+        continue;
+      }
+      const size_t rows = SampleRows(next);
+      const int64_t bytes = FojChunk::BytesFor(rows, schema().num_columns());
+      if (cap > 0 && budget.reserved() + bytes > cap - keep_free) break;
+      if (!budget.Reserve(bytes, "speculative sample batch").ok()) break;
+      PrepareSlot(&slot, next, rows);
+      slot.reserved = bytes;
+      slot.done = Pool()->Submit([this, &slot] { SampleIntoSlot(&slot); });
+      ++in_flight;
+    }
+    obs::MetricsRegistry::Global()
+        .GetGauge("sam.gen.sample_parallelism")
+        ->Set(static_cast<double>(std::max<size_t>(in_flight, 1)));
   }
 
   Status ExecSample(size_t batch_index) {
     obs::TraceSpan span("generate/pipeline/sample");
-    const size_t batch = options().generation_batch;
-    const uint64_t start = static_cast<uint64_t>(batch_index) * batch;
-    const size_t rows =
-        static_cast<size_t>(std::min<uint64_t>(batch, k - start));
+    const size_t rows = SampleRows(batch_index);
+    const int64_t bytes = FojChunk::BytesFor(rows, schema().num_columns());
     ScopedReservation res(&budget);
     SamModel::FojSample foj;
-    if (sample_prefetch.valid && sample_prefetch.batch_index == batch_index) {
-      sample_prefetch.done.wait();
-      foj = std::move(sample_prefetch.foj);
-      // Hand the speculative reservation to this step's scope; releasing
-      // and immediately re-acquiring the same amount cannot fail.
-      const int64_t bytes = sample_prefetch.reserved;
-      sample_prefetch = SamplePrefetch{};
-      budget.Release(bytes);
+    if (opts.injected_foj != nullptr) {
       SAM_RETURN_NOT_OK(res.Acquire(bytes, "sample batch codes"));
-    } else {
-      DrainSamplePrefetch();  // Defensive: a stale speculation is discarded.
-      SAM_RETURN_NOT_OK(
-          res.Acquire(FojChunk::BytesFor(rows, schema().num_columns()),
-                      "sample batch codes"));
-      if (opts.injected_foj != nullptr) {
-        foj.count = rows;
-        for (const auto& col : opts.injected_foj->codes) {
-          foj.codes.emplace_back(col.begin() + start,
-                                 col.begin() + start + rows);
-        }
-      } else {
-        foj = sam->SampleFojBatch(state.base_seed, batch_index, rows);
+      const uint64_t start =
+          static_cast<uint64_t>(batch_index) * options().generation_batch;
+      foj.count = rows;
+      for (const auto& col : opts.injected_foj->codes) {
+        foj.codes.emplace_back(col.begin() + start,
+                               col.begin() + start + rows);
       }
+    } else {
+      SampleSlot& slot = SlotFor(batch_index);
+      if (slot.valid && slot.batch_index == batch_index) {
+        slot.done.wait();
+        slot.done = {};
+        // Hand the speculative reservation to this step's scope; releasing
+        // and immediately re-acquiring the same amount cannot fail.
+        budget.Release(slot.reserved);
+        slot.reserved = 0;
+        SAM_RETURN_NOT_OK(res.Acquire(bytes, "sample batch codes"));
+      } else {
+        DrainSampleWindow();  // Defensive: stale speculation is discarded.
+        SAM_RETURN_NOT_OK(res.Acquire(bytes, "sample batch codes"));
+        PrepareSlot(&slot, batch_index, rows);
+        SampleIntoSlot(&slot);
+      }
+      foj = std::move(slot.foj);
+      slot.valid = false;
+      // Overlap the spill write / decode below with sampling of the next
+      // batches.
+      FillSampleWindow(batch_index);
     }
-    // Overlap the spill write / decode below with sampling of batch b+1.
-    MaybeStartSamplePrefetch(batch_index);
 
     if (multi) {
       FojChunk chunk;
@@ -1776,13 +1845,17 @@ struct GenerationPipeline::Impl {
       if (StopRequested() ||
           (opts.stop_after_steps > 0 &&
            summary.steps_executed >= opts.stop_after_steps)) {
+        DrainSampleWindow();
         SAM_RETURN_NOT_OK(SaveCheckpoint());
         FillSummary(&summary, /*completed=*/false);
         SAM_LOG(Info) << "generation stopped at step " << state.next_step
                       << "/" << plan.size() << " (checkpoint saved)";
         return summary;
       }
-      SAM_RETURN_NOT_OK(ExecStep(plan[state.next_step]));
+      if (Status st = ExecStep(plan[state.next_step]); !st.ok()) {
+        DrainSampleWindow();
+        return st;
+      }
       state.next_step++;
       summary.steps_executed++;
       since_checkpoint++;

@@ -45,10 +45,12 @@ struct GenerationPipelineOptions {
   /// primary-key field, child-emission lists, leftover/summary chunks — and
   /// the results are committed strictly in plan order, so every spill file,
   /// checkpoint cursor and published byte is identical for every thread
-  /// count. MADE sampling of FOJ batch b+1 likewise overlaps the spill
-  /// write of batch b. Window and speculative-batch memory is reserved from
-  /// the cap before dispatch (serial fallback when tight), and thread
-  /// counts are deliberately excluded from the resume fingerprint.
+  /// count. Likewise, while sample step b writes its batch, a window of up
+  /// to pool-size speculative batches b+1, b+2, ... samples on the pool,
+  /// consumed in plan order. Window and speculative-batch memory is
+  /// reserved from the cap before dispatch (narrower windows, down to
+  /// serial, when tight), and thread counts are deliberately excluded from
+  /// the resume fingerprint.
   size_t commit_threads = 0;
   /// Keep spill files and checkpoints after a successful publish (debugging).
   bool keep_work_dir = false;

@@ -6,7 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <unordered_map>
+#include <thread>
 
 #include "ar/estimator.h"
 #include "common/logging.h"
@@ -25,10 +25,6 @@ Status ValidateSamOptions(const SamOptions& options) {
   }
   if (options.foj_samples == 0) {
     return Status::InvalidArgument("SamOptions.foj_samples must be positive");
-  }
-  if (options.sampler_threads == 0) {
-    return Status::InvalidArgument(
-        "SamOptions.sampler_threads must be positive");
   }
   if (options.memory_cap_bytes <= 0) {
     return Status::InvalidArgument(
@@ -91,113 +87,95 @@ Result<double> SamModel::EstimateCardinality(const Query& q, size_t paths) const
   return estimator.EstimateCardinality(q);
 }
 
-void SamModel::SampleFojBatchInto(FojSample* out, size_t start, size_t batch,
-                                  Rng* batch_rng) const {
+void SamModel::SampleFojBatchInto(uint64_t base_seed, size_t batch_index,
+                                  FojSample* out, size_t start, size_t rows,
+                                  MadeModel::SamplerState* state) const {
   obs::TraceSpan batch_span("generate/foj_batch");
   static obs::Counter* foj_samples =
       obs::MetricsRegistry::Global().GetCounter("sam.foj.samples");
-  foj_samples->Add(batch);
-  const size_t n_cols = schema_.num_columns();
-
-  // Indicator column index per FK relation, for NULL-consistency forcing.
-  std::unordered_map<std::string, size_t> indicator_col;
-  for (size_t c = 0; c < n_cols; ++c) {
-    if (schema_.columns()[c].kind == ModelColumnKind::kIndicator) {
-      indicator_col[schema_.columns()[c].table] = c;
-    }
-  }
-
-  MadeModel::SamplerState state = model_->InitState(batch);
-  // Sampled indicator codes of this batch, per FK relation.
-  std::unordered_map<std::string, std::vector<int32_t>> batch_indicators;
-  std::vector<int32_t> codes(batch);
-  for (size_t col = 0; col < n_cols; ++col) {
+  foj_samples->Add(rows);
+  Rng batch_rng(FojBatchSeed(base_seed, batch_index));
+  // Codes are sampled straight into `out`, and every sampling buffer lives
+  // in the caller's `state`: a buffer allocated here, on a sampler worker,
+  // would land in that thread's malloc arena (see MadeModel::InitState).
+  model_->ResetState(state, rows);
+  for (size_t col = 0; col < schema_.num_columns(); ++col) {
     const ModelColumn& mc = schema_.columns()[col];
-    const Matrix& probs = model_->CondProbs(state, col);
-    for (size_t r = 0; r < batch; ++r) {
+    const Matrix& probs = model_->CondProbs(*state, col);
+    int32_t* codes = out->codes[col].data() + start;
+    for (size_t r = 0; r < rows; ++r) {
       // Sample straight from the probability row; the old per-row copy into
       // a scratch vector dominated the sampling profile on wide columns.
-      int64_t pick = batch_rng->Categorical(probs.row(r), mc.domain_size);
+      int64_t pick = batch_rng.Categorical(probs.row(r), mc.domain_size);
       if (pick < 0) pick = 0;
       codes[r] = static_cast<int32_t>(pick);
     }
     if (options_.enforce_null_consistency &&
         mc.kind != ModelColumnKind::kIndicator) {
-      const auto it = indicator_col.find(mc.table);
-      if (it != indicator_col.end()) {
-        // The relation's indicator may be ordered *after* this column, in
-        // which case it has not been sampled yet and no forcing applies
-        // (operator[] would otherwise materialise an empty vector and
-        // ind[r] would read out of bounds).
-        const auto bit = batch_indicators.find(mc.table);
-        if (bit != batch_indicators.end() && bit->second.size() == batch) {
-          const auto& ind = bit->second;
-          for (size_t r = 0; r < batch; ++r) {
-            if (ind[r] == 0) codes[r] = 0;  // NULL token / fanout value 1.
-          }
+      // The relation's indicator may be ordered *after* this column, in
+      // which case it has not been sampled yet and no forcing applies.
+      const int ind =
+          schema_.FindColumn(ModelColumnKind::kIndicator, mc.table, mc.table);
+      if (ind >= 0 && static_cast<size_t>(ind) < col) {
+        const int32_t* present = out->codes[static_cast<size_t>(ind)].data() +
+                                 start;
+        for (size_t r = 0; r < rows; ++r) {
+          if (present[r] == 0) codes[r] = 0;  // NULL token / fanout value 1.
         }
       }
     }
-    if (mc.kind == ModelColumnKind::kIndicator) {
-      batch_indicators[mc.table] = codes;
-    }
-    model_->Observe(&state, col, codes);
-    for (size_t r = 0; r < batch; ++r) out->codes[col][start + r] = codes[r];
+    model_->Observe(state, col, {codes, rows});
   }
-}
-
-SamModel::FojSample SamModel::SampleFojBatch(uint64_t base_seed,
-                                             size_t batch_index,
-                                             size_t rows) const {
-  FojSample out;
-  out.count = rows;
-  out.codes.assign(schema_.num_columns(), std::vector<int32_t>(rows));
-  Rng batch_rng(FojBatchSeed(base_seed, batch_index));
-  SampleFojBatchInto(&out, 0, rows, &batch_rng);
-  return out;
 }
 
 SamModel::FojSample SamModel::SampleFoj(size_t k, Rng* rng) const {
   obs::TraceSpan foj_span("generate/sample_foj");
   // `generation_batch` is validated positive in Create, but SampleFoj is
   // callable on its own; a zero batch would loop forever below.
-  SAM_CHECK(options_.generation_batch > 0)
-      << "generation_batch must be positive";
+  const size_t gb = options_.generation_batch;
+  SAM_CHECK(gb > 0) << "generation_batch must be positive";
   FojSample out;
   out.count = k;
   out.codes.assign(schema_.num_columns(), std::vector<int32_t>(k));
-
-  // Batch start offsets.
-  std::vector<size_t> starts;
-  for (size_t start = 0; start < k; start += options_.generation_batch) {
-    starts.push_back(start);
-  }
 
   // Sampling is embarrassingly parallel (§4.2): batches are independent, and
   // every batch derives its RNG from the caller seed by batch index (via
   // FojBatchSeed) — in the sequential path too — so the sample is
   // bit-identical for every sampler_threads value. The model is only read.
   const uint64_t base_seed = rng->engine()();
+  const size_t batches = (k + gb - 1) / gb;
+  if (batches == 0) return out;
+  const size_t threads =
+      options_.sampler_threads > 0
+          ? options_.sampler_threads
+          : std::max<size_t>(1, std::thread::hardware_concurrency());
+  const size_t workers = std::min(threads, batches);
+  static obs::Gauge* parallelism = obs::MetricsRegistry::Global().GetGauge(
+      "sam.gen.sample_parallelism");
+  parallelism->Set(static_cast<double>(workers));
 
-  if (options_.sampler_threads <= 1 || starts.size() <= 1) {
-    for (size_t i = 0; i < starts.size(); ++i) {
-      const size_t start = starts[i];
-      Rng batch_rng(FojBatchSeed(base_seed, i));
-      SampleFojBatchInto(&out, start,
-                         std::min(options_.generation_batch, k - start),
-                         &batch_rng);
-    }
-    return out;
+  // One sampler state per worker, allocated and pre-sized here on the
+  // calling thread and re-entered for every batch of its stride. Scratch
+  // first allocated on a worker would land in that thread's malloc arena,
+  // which keeps it after the batch frees it (docs/PERFORMANCE.md).
+  std::vector<MadeModel::SamplerState> states;
+  states.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    states.push_back(model_->InitState(std::min(gb, k)));
   }
-
-  ThreadPool pool(options_.sampler_threads);
-  pool.ParallelFor(starts.size(), [&](size_t i) {
-    const size_t start = starts[i];
-    Rng shard_rng(FojBatchSeed(base_seed, i));
-    SampleFojBatchInto(&out, start,
-                       std::min(options_.generation_batch, k - start),
-                       &shard_rng);
-  });
+  auto run_worker = [&](size_t w) {
+    for (size_t i = w; i < batches; i += workers) {
+      const size_t start = i * gb;
+      SampleFojBatchInto(base_seed, i, &out, start, std::min(gb, k - start),
+                         &states[w]);
+    }
+  };
+  if (workers == 1) {
+    run_worker(0);
+  } else {
+    ThreadPool pool(workers);
+    pool.ParallelFor(workers, run_worker);
+  }
   return out;
 }
 

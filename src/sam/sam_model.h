@@ -37,10 +37,13 @@ struct SamOptions {
   /// tuple of *unkeyed* leaf relations.
   double leftover_key_threshold = 0.5;
   /// Worker threads for `SampleFoj` (Alg 1 is "embarrassingly parallel",
-  /// §4.2). Every sample batch derives its RNG from `generation_seed` and
-  /// its batch index — in the sequential path too — so generation is
-  /// bit-identical for every thread count.
-  size_t sampler_threads = 1;
+  /// §4.2); 0 = hardware concurrency. Worker w samples batches w, w+W, ...
+  /// with one reused sampler state. Every sample batch derives its RNG from
+  /// `generation_seed` and its batch index — in the sequential path too — so
+  /// generation is bit-identical for every thread count. The generation
+  /// pipeline (multi-relation `Generate`) sizes its sample window by its own
+  /// thread pool instead (`GenerationPipelineOptions::commit_threads`).
+  size_t sampler_threads = 0;
   uint64_t generation_seed = 999;
   /// Optional AR-ordering override: a permutation of the natural model-column
   /// layout (entry i = natural index of the column sampled at position i).
@@ -141,12 +144,18 @@ class SamModel {
     return base_seed ^ (0x9e3779b97f4a7c15ULL * (batch_index + 1));
   }
 
-  /// Samples one generation batch of `rows` FOJ tuples as its own FojSample,
-  /// using the batch RNG `FojBatchSeed(base_seed, batch_index)`. The codes
-  /// are bit-identical to rows [batch_index * generation_batch, ... + rows)
-  /// of a `SampleFoj` call whose caller RNG produced the same `base_seed`.
-  FojSample SampleFojBatch(uint64_t base_seed, size_t batch_index,
-                           size_t rows) const;
+  /// Progressive-samples generation batch `batch_index` (`rows` FOJ tuples,
+  /// batch RNG `FojBatchSeed(base_seed, batch_index)`) into
+  /// `out->codes[*][start, start + rows)`, which must already be sized. The
+  /// codes are bit-identical to rows [batch_index * generation_batch, ...
+  /// + rows) of a `SampleFoj` call whose caller RNG produced the same
+  /// `base_seed`. `state` is caller-owned sampler scratch from
+  /// `model()->InitState(n)` with n >= rows, re-entered via ResetState; a
+  /// parallel caller gives each worker its own. The one batch sampler of
+  /// both `SampleFoj` and the generation pipeline's sample steps.
+  void SampleFojBatchInto(uint64_t base_seed, size_t batch_index,
+                          FojSample* out, size_t start, size_t rows,
+                          MadeModel::SamplerState* state) const;
 
   /// Inverse-probability weight of relation `table` for sample `s` (Eq. 4);
   /// 0 when the relation is absent (indicator 0).
@@ -163,10 +172,6 @@ class SamModel {
       : schema_(std::move(schema)), options_(options) {}
 
   Result<Database> GenerateSingleRelation(Rng* rng) const;
-
-  /// Progressive-samples one batch into `out->codes[*][start, start+batch)`.
-  void SampleFojBatchInto(FojSample* out, size_t start, size_t batch,
-                          Rng* batch_rng) const;
 
   ModelSchema schema_;
   SamOptions options_;

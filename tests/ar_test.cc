@@ -270,7 +270,7 @@ TEST_F(MadeTest, SamplerPathMatchesDensePath) {
   ad::Tensor dense_probs = ad::Softmax(logits);
 
   MadeModel::SamplerState state = model_->InitState(1);
-  model_->Observe(&state, 0, {2});
+  model_->Observe(&state, 0, std::vector<int32_t>{2});
   const Matrix fast_probs = model_->CondProbs(state, 1);
 
   for (size_t j = 0; j < 2; ++j) {

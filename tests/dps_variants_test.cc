@@ -57,7 +57,7 @@ TEST(ResMadeTest, ResidualModelPreservesAutoregressiveProperty) {
   // P(col 0) must not change when a later column's input is observed.
   MadeModel::SamplerState a = model.InitState(1);
   const Matrix p_before = model.CondProbs(a, 0);
-  model.Observe(&a, 1, {0});  // Feed column 1 (later than 0).
+  model.Observe(&a, 1, std::vector<int32_t>{0});  // Feed column 1 (later than 0).
   const Matrix p_after = model.CondProbs(a, 0);
   for (size_t j = 0; j < p_before.cols(); ++j) {
     EXPECT_DOUBLE_EQ(p_before(0, j), p_after(0, j));
@@ -83,7 +83,7 @@ TEST(ResMadeTest, DensePathMatchesSamplerPathWithResiduals) {
   ad::Tensor dense = ad::Softmax(logits);
 
   MadeModel::SamplerState st = model.InitState(1);
-  model.Observe(&st, 0, {0});
+  model.Observe(&st, 0, std::vector<int32_t>{0});
   const Matrix fast = model.CondProbs(st, 1);
   for (size_t j = 0; j < fast.cols(); ++j) {
     EXPECT_NEAR(dense.value()(0, j), fast(0, j), 1e-10);

@@ -135,9 +135,24 @@ TEST(SamOptionsValidationTest, RejectsDegenerateKnobs) {
   zero_foj.foj_samples = 0;
   EXPECT_TRUE(ValidateSamOptions(zero_foj).code() == StatusCode::kInvalidArgument);
 
+  // sampler_threads = 0 is not degenerate: it means hardware concurrency,
+  // and it samples bit-identically to one thread.
   SamOptions zero_threads;
   zero_threads.sampler_threads = 0;
-  EXPECT_TRUE(ValidateSamOptions(zero_threads).code() == StatusCode::kInvalidArgument);
+  zero_threads.generation_batch = 16;  // 7 batches of 100 samples.
+  EXPECT_TRUE(ValidateSamOptions(zero_threads).ok());
+  SamOptions one_thread = zero_threads;
+  one_thread.sampler_threads = 1;
+  const Database db = MakeChainDatabase();
+  auto zero = MakeChainSam(db, zero_threads);
+  auto one = MakeChainSam(db, one_thread);
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  zero.ValueOrDie()->model()->SyncSamplerWeights();
+  one.ValueOrDie()->model()->SyncSamplerWeights();
+  Rng r0(3), r1(3);
+  EXPECT_EQ(zero.ValueOrDie()->SampleFoj(100, &r0).codes,
+            one.ValueOrDie()->SampleFoj(100, &r1).codes);
 }
 
 TEST(SamOptionsValidationTest, CreateFailsFastOnZeroGenerationBatch) {
