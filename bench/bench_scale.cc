@@ -1,12 +1,12 @@
 // bench_scale — out-of-core generation throughput under --memory-cap.
 //
 // Two legs, both timing GenerationPipeline::Run end to end:
-//   census    single-relation generation, caps {loose, tight} x commit
-//             threads {1, default}: the tight cap forces spill traffic, and
-//             commit_threads > 1 samples a window of the next batches on the
+//   census    single-relation generation, caps {loose, tight} x threads
+//             {1, default}: the tight cap forces spill traffic, and
+//             threads != 1 samples a window of the next batches on the
 //             pool during the decode + spill write of batch b;
 //   multirel  imdb-like snowflake with a trained model and a tight cap
-//             (partition fan-out > 1): commit_threads=1 is the fully serial
+//             (partition fan-out > 1): threads=1 is the fully serial
 //             Group-and-Merge baseline, the parallel config prepares whole
 //             partitions (decode, CSV rendering, emission lists) on the
 //             worker pool and commits them in plan order.
@@ -16,8 +16,8 @@
 // high-water mark is asserted <= cap for every run.
 //
 // Results go to stdout and (machine-readable, for cross-PR perf tracking) to
-// --json-out, default BENCH_scale.json: rows/sec per (leg, cap, commit
-// threads), plus process peak RSS.
+// --json-out, default BENCH_scale.json: rows/sec per (leg, cap, threads),
+// plus process peak RSS.
 //
 // Flags:
 //   --smoke          tiny sizes (CI)
@@ -25,7 +25,7 @@
 //   --titles=N       imdb-like title rows           (default 1200; smoke 300)
 //   --foj-samples=N  FOJ samples for the multirel leg
 //                                                (default 16384; smoke 8192)
-//   --commit-threads=N parallel-leg worker count    (default 0 = hardware)
+//   --threads=N      parallel-leg worker count      (default 0 = hardware)
 //   --min-speedup=X  fail (exit 1) when the multirel parallel/serial rows/sec
 //                    ratio lands below X (default 0 = report only); skipped
 //                    with a note on single-core machines, where the in-order
@@ -67,7 +67,7 @@ struct Args {
   size_t rows = 12000;
   size_t titles = 1200;
   size_t foj_samples = 16384;
-  size_t commit_threads = 0;  // 0 = hardware concurrency.
+  size_t threads = 0;  // 0 = hardware concurrency.
   double min_speedup = 0;
   std::string json_out = "BENCH_scale.json";
 };
@@ -91,8 +91,8 @@ Args ParseArgs(int argc, char** argv) {
       args.titles = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--foj-samples=")) {
       args.foj_samples = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--commit-threads=")) {
-      args.commit_threads = static_cast<size_t>(std::atoll(v));
+    } else if (const char* v = value("--threads=")) {
+      args.threads = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--min-speedup=")) {
       args.min_speedup = std::atof(v);
     } else if (const char* v = value("--json-out=")) {
@@ -162,15 +162,13 @@ struct RunResult {
 
 /// One timed pipeline run; exits the process on any pipeline error.
 RunResult TimedRun(const SamModel& sam, const std::string& root,
-                   const std::string& tag, size_t commit_threads,
-                   size_t partition_threads) {
+                   const std::string& tag, size_t threads) {
   RunResult r;
   r.out_dir = root + "/out_" + tag;
   GenerationPipelineOptions popts;
   popts.out_dir = r.out_dir;
   popts.work_dir = root + "/work_" + tag;
-  popts.partition_threads = partition_threads;
-  popts.commit_threads = commit_threads;
+  popts.threads = threads;
   GenerationPipeline pipeline(&sam, popts);
   const auto t0 = std::chrono::steady_clock::now();
   auto run = pipeline.Run();
@@ -200,14 +198,13 @@ int Run(int argc, char** argv) {
   const size_t hw = std::max(1u, std::thread::hardware_concurrency());
 
   std::printf("bench_scale: census rows=%zu, imdb titles=%zu, foj=%zu, "
-              "hw threads=%zu, commit-threads=%zu\n",
-              args.rows, args.titles, args.foj_samples, hw,
-              args.commit_threads);
+              "hw threads=%zu, threads=%zu\n",
+              args.rows, args.titles, args.foj_samples, hw, args.threads);
 
-  // -- Census leg: single-relation, caps x commit threads ------------------
+  // -- Census leg: single-relation, caps x threads -------------------------
   struct CensusPoint {
     int64_t cap_mib;
-    size_t commit_threads;
+    size_t threads;
     double rows_per_sec;
   };
   std::vector<CensusPoint> census_points;
@@ -232,11 +229,10 @@ int Run(int argc, char** argv) {
       SAM_CHECK(sam.ok()) << sam.status().ToString();
       sam.ValueOrDie()->model()->SyncSamplerWeights();
       RunResult serial;
-      for (const size_t ct : {size_t{1}, args.commit_threads}) {
+      for (const size_t ct : {size_t{1}, args.threads}) {
         const std::string tag =
             "census_c" + std::to_string(cap_mib) + "_t" + std::to_string(ct);
-        RunResult r = TimedRun(*sam.ValueOrDie(), scratch.path(), tag, ct,
-                               /*partition_threads=*/ct);
+        RunResult r = TimedRun(*sam.ValueOrDie(), scratch.path(), tag, ct);
         CheckCap(r, options.memory_cap_bytes, tag);
         if (ct == 1) {
           serial = r;
@@ -244,7 +240,7 @@ int Run(int argc, char** argv) {
           CheckIdentical(serial, r, "census");
         }
         census_points.push_back(CensusPoint{cap_mib, ct, r.rows_per_sec});
-        std::printf("census  cap=%4lld MiB  commit-threads=%zu  "
+        std::printf("census  cap=%4lld MiB  threads=%zu  "
                     "%10.0f rows/s\n",
                     static_cast<long long>(cap_mib), ct, r.rows_per_sec);
       }
@@ -278,12 +274,10 @@ int Run(int argc, char** argv) {
     sam.ValueOrDie()->model()->SyncSamplerWeights();
 
     RunResult serial = TimedRun(*sam.ValueOrDie(), scratch.path(),
-                                "multirel_serial", /*commit_threads=*/1,
-                                /*partition_threads=*/1);
+                                "multirel_serial", /*threads=*/1);
     CheckCap(serial, multirel_cap, "multirel_serial");
     RunResult parallel = TimedRun(*sam.ValueOrDie(), scratch.path(),
-                                  "multirel_parallel", args.commit_threads,
-                                  /*partition_threads=*/args.commit_threads);
+                                  "multirel_parallel", args.threads);
     CheckCap(parallel, multirel_cap, "multirel_parallel");
     CheckIdentical(serial, parallel, "multirel");
     serial_rps = serial.rows_per_sec;
@@ -308,16 +302,16 @@ int Run(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\"bench\": \"scale\", \"hw_threads\": %zu, "
-                 "\"commit_threads\": %zu, \"peak_rss_mib\": %.1f, "
+                 "\"threads\": %zu, \"peak_rss_mib\": %.1f, "
                  "\"census\": [",
-                 hw, args.commit_threads, peak_rss_mib);
+                 hw, args.threads, peak_rss_mib);
     for (size_t i = 0; i < census_points.size(); ++i) {
       std::fprintf(f,
-                   "%s{\"cap_mib\": %lld, \"commit_threads\": %zu, "
+                   "%s{\"cap_mib\": %lld, \"threads\": %zu, "
                    "\"rows_per_sec\": %.0f}",
                    i == 0 ? "" : ", ",
                    static_cast<long long>(census_points[i].cap_mib),
-                   census_points[i].commit_threads,
+                   census_points[i].threads,
                    census_points[i].rows_per_sec);
     }
     std::fprintf(f,

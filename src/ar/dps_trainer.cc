@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 
 #include "ar/training_checkpoint.h"
 #include "autodiff/adam.h"
 #include "autodiff/ops.h"
+#include "common/fnv1a.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "obs/metrics_registry.h"
@@ -66,26 +66,6 @@ ColumnMasks BuildColumnMasks(const std::vector<const CompiledQuery*>& queries,
   return out;
 }
 
-/// FNV-1a accumulator used for the training-configuration fingerprint.
-class Fnv1a {
- public:
-  void Add(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 1099511628211ull;
-    }
-  }
-  void AddDouble(double d) {
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    Add(bits);
-  }
-  uint64_t hash() const { return h_; }
-
- private:
-  uint64_t h_ = 1469598103934665603ull;
-};
-
 }  // namespace
 
 Status ValidateDpsOptions(const DpsOptions& o) {
@@ -100,10 +80,6 @@ Status ValidateDpsOptions(const DpsOptions& o) {
   }
   if (!std::isfinite(o.learning_rate)) {
     return Status::InvalidArgument("DpsOptions.learning_rate must be finite");
-  }
-  if (!std::isfinite(o.lr_decay) || o.lr_decay <= 0) {
-    return Status::InvalidArgument(
-        "DpsOptions.lr_decay must be finite and > 0");
   }
   if (!std::isfinite(o.gumbel_tau) || o.gumbel_tau <= 0) {
     return Status::InvalidArgument(
@@ -137,42 +113,45 @@ uint64_t TrainingFingerprint(const DpsOptions& options, const MadeModel& model,
   Fnv1a h;
   // Training options that shape the arithmetic. The checkpointing knobs
   // (dir/cadence/retention/resume) only decide *when* snapshots are written,
-  // never what is computed, so they are deliberately excluded.
-  h.Add(options.epochs);
-  h.Add(options.batch_size);
-  h.Add(options.sample_paths);
-  h.AddDouble(options.learning_rate);
-  h.AddDouble(options.lr_decay);
-  h.AddDouble(options.gumbel_tau);
-  h.AddDouble(options.gumbel_tau_final);
-  h.AddDouble(options.clip_norm);
-  h.Add(options.seed);
-  h.AddDouble(options.time_budget_seconds);
+  // never what is computed, so they are deliberately excluded. The constants
+  // stand where retired options (learning-rate decay 1.0, direct connections
+  // on, init scale 1.0) were mixed, so checkpoints written before their
+  // removal still resume.
+  h.MixU64(options.epochs);
+  h.MixU64(options.batch_size);
+  h.MixU64(options.sample_paths);
+  h.MixDouble(options.learning_rate);
+  h.MixDouble(1.0);
+  h.MixDouble(options.gumbel_tau);
+  h.MixDouble(options.gumbel_tau_final);
+  h.MixDouble(options.clip_norm);
+  h.MixU64(options.seed);
+  h.MixDouble(options.time_budget_seconds);
   // Model architecture.
   const MadeModel::Options& mo = model.options();
-  h.Add(mo.hidden_sizes.size());
-  for (size_t hs : mo.hidden_sizes) h.Add(hs);
-  h.Add(mo.residual ? 1 : 0);
-  h.Add(mo.direct_connections ? 1 : 0);
-  h.AddDouble(mo.init_scale);
-  h.Add(mo.seed);
+  h.MixU64(mo.hidden_sizes.size());
+  for (size_t hs : mo.hidden_sizes) h.MixU64(hs);
+  h.MixU64(mo.residual ? 1 : 0);
+  h.MixU64(1);
+  h.MixDouble(1.0);
+  h.MixU64(mo.seed);
   // Schema layout (column order matters: it defines the AR factorisation).
   const ModelSchema& schema = model.schema();
-  h.Add(schema.num_columns());
-  h.Add(schema.total_domain());
-  h.Add(static_cast<uint64_t>(schema.foj_size()));
+  h.MixU64(schema.num_columns());
+  h.MixU64(schema.total_domain());
+  h.MixU64(static_cast<uint64_t>(schema.foj_size()));
   for (const auto& c : schema.columns()) {
-    h.Add(c.domain_size);
-    h.Add(c.offset);
-    h.Add(static_cast<uint64_t>(c.kind));
+    h.MixU64(c.domain_size);
+    h.MixU64(c.offset);
+    h.MixU64(static_cast<uint64_t>(c.kind));
   }
   // Training workload (labels + shape; the predicates themselves are pinned
   // by the schema's compiled domains).
-  h.Add(train.size());
+  h.MixU64(train.size());
   for (const auto& q : train) {
-    h.Add(static_cast<uint64_t>(q.cardinality));
-    h.Add(q.relations.size());
-    h.Add(q.predicates.size());
+    h.MixU64(static_cast<uint64_t>(q.cardinality));
+    h.MixU64(q.relations.size());
+    h.MixU64(q.predicates.size());
   }
   return h.hash();
 }
@@ -340,11 +319,11 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
   for (size_t epoch = start_epoch;
        epoch < options.epochs && !out_of_budget && !stop_requested; ++epoch) {
     // A mid-epoch checkpoint already applied this epoch's start-of-epoch
-    // mutations (LR decay, shuffle, accumulator reset); re-applying them
+    // mutations (shuffle, accumulator reset); re-applying them
     // would diverge from the uninterrupted run.
     const bool resumed_mid_epoch = epoch == start_epoch && resume_in_epoch;
     obs::TraceSpan epoch_span("train/epoch");
-    // Temperature annealing (geometric) and learning-rate decay.
+    // Temperature annealing (geometric).
     double tau = options.gumbel_tau;
     if (options.gumbel_tau_final > 0 && options.epochs > 1) {
       const double t = static_cast<double>(epoch) /
@@ -353,9 +332,6 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
             std::pow(options.gumbel_tau_final / options.gumbel_tau, t);
     }
     if (!resumed_mid_epoch) {
-      if (epoch > 0 && options.lr_decay != 1.0) {
-        adam.set_lr(adam.options().lr * options.lr_decay);
-      }
       rng.Shuffle(&order);
       epoch_loss_sum = 0;
       epoch_loss_count = 0;

@@ -18,8 +18,6 @@ struct DpsOptions {
   /// trajectory through the AR model.
   size_t sample_paths = 2;
   double learning_rate = 2e-3;
-  /// Multiplicative learning-rate decay applied after each epoch (1 = none).
-  double lr_decay = 1.0;
   double gumbel_tau = 1.0;
   /// When > 0, the Gumbel-Softmax temperature is annealed geometrically from
   /// `gumbel_tau` to `gumbel_tau_final` across the epochs — sharper samples

@@ -2,39 +2,22 @@
 
 #include <cmath>
 
+#include "common/fnv1a.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "obs/metrics_registry.h"
 
 namespace sam {
-namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvMix(uint64_t h, const void* data, size_t n) {
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 uint64_t ProgressiveStreamKey(const CompiledQuery& cq) {
-  uint64_t h = kFnvOffset;
+  Fnv1a h;
   for (const auto& allow : cq.allow) {
     // Length-prefix each mask so (empty, 0b1) and (0b1, empty) differ.
-    const uint64_t n = allow.size();
-    h = FnvMix(h, &n, sizeof(n));
-    if (n > 0) h = FnvMix(h, allow.data(), allow.size());
+    h.MixU64(allow.size());
+    h.Mix(allow.data(), allow.size());
   }
-  if (!cq.scale_fanout.empty()) {
-    h = FnvMix(h, cq.scale_fanout.data(), cq.scale_fanout.size());
-  }
-  return h;
+  h.Mix(cq.scale_fanout.data(), cq.scale_fanout.size());
+  return h.hash();
 }
 
 int32_t SampleTrajectoryStep(const ModelColumn& mc,

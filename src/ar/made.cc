@@ -83,17 +83,14 @@ void MadeModel::BuildMasks() {
       }
     }
   }
-  // Direct input -> output connections: strictly earlier columns only.
-  if (options_.direct_connections) {
-    mask_direct_ = Matrix(d_in, d_in);
-    for (size_t ci = 0; ci < n; ++ci) {
-      for (size_t co = 0; co < n; ++co) {
-        if (co > ci) {
-          for (size_t j = 0; j < cols[ci].domain_size; ++j) {
-            for (size_t k = 0; k < cols[co].domain_size; ++k) {
-              mask_direct_(cols[ci].offset + j, cols[co].offset + k) = 1.0;
-            }
-          }
+  // Direct input -> output connections (as in Naru's MADE): strictly
+  // earlier columns only.
+  mask_direct_ = Matrix(d_in, d_in);
+  for (size_t ci = 0; ci < n; ++ci) {
+    for (size_t co = ci + 1; co < n; ++co) {
+      for (size_t j = 0; j < cols[ci].domain_size; ++j) {
+        for (size_t k = 0; k < cols[co].domain_size; ++k) {
+          mask_direct_(cols[ci].offset + j, cols[co].offset + k) = 1.0;
         }
       }
     }
@@ -104,7 +101,7 @@ void MadeModel::InitParams() {
   Rng rng(options_.seed);
   auto init = [&](size_t rows, size_t cols_n) {
     Matrix m(rows, cols_n);
-    const double scale = options_.init_scale / std::sqrt(static_cast<double>(rows));
+    const double scale = 1.0 / std::sqrt(static_cast<double>(rows));
     for (size_t i = 0; i < m.size(); ++i) m.data()[i] = rng.Normal() * scale;
     return m;
   };
@@ -119,9 +116,7 @@ void MadeModel::InitParams() {
   }
   w_out_ = Tensor::Param(init(prev, d));
   b_out_ = Tensor::Param(Matrix(1, d));
-  if (options_.direct_connections) {
-    w_direct_ = Tensor::Param(init(d, d));
-  }
+  w_direct_ = Tensor::Param(init(d, d));
   sampler_synced_ = false;
 }
 
@@ -131,7 +126,7 @@ std::vector<Tensor> MadeModel::params() const {
   for (const auto& b : biases_) out.push_back(b);
   out.push_back(w_out_);
   out.push_back(b_out_);
-  if (options_.direct_connections) out.push_back(w_direct_);
+  out.push_back(w_direct_);
   return out;
 }
 
@@ -147,9 +142,7 @@ MadeModel::MaskedWeights MadeModel::BuildMaskedWeights() const {
     mw.w.push_back(ad::Mul(weights_[l], Tensor::Constant(masks_[l])));
   }
   mw.w_out = ad::Mul(w_out_, Tensor::Constant(mask_out_));
-  if (options_.direct_connections) {
-    mw.w_direct = ad::Mul(w_direct_, Tensor::Constant(mask_direct_));
-  }
+  mw.w_direct = ad::Mul(w_direct_, Tensor::Constant(mask_direct_));
   return mw;
 }
 
@@ -180,11 +173,8 @@ Tensor MadeModel::ColumnLogits(const MaskedWeights& mw, const Tensor& hidden,
   Tensor logits = ad::AddRowBroadcast(
       ad::Matmul(hidden, ad::SliceColumns(mw.w_out, b, e)),
       ad::SliceColumns(b_out_, b, e));
-  if (options_.direct_connections) {
-    logits = ad::Add(logits, ad::MatmulPrefix(
-                                 input, ad::SliceColumns(mw.w_direct, b, e), b));
-  }
-  return logits;
+  return ad::Add(logits, ad::MatmulPrefix(
+                             input, ad::SliceColumns(mw.w_direct, b, e), b));
 }
 
 void MadeModel::SyncSamplerWeights() {
@@ -199,11 +189,9 @@ void MadeModel::SyncSamplerWeights() {
   for (size_t i = 0; i < cached_w_out_.size(); ++i) {
     cached_w_out_.data()[i] *= mask_out_.data()[i];
   }
-  if (options_.direct_connections) {
-    cached_w_direct_ = w_direct_.value();
-    for (size_t i = 0; i < cached_w_direct_.size(); ++i) {
-      cached_w_direct_.data()[i] *= mask_direct_.data()[i];
-    }
+  cached_w_direct_ = w_direct_.value();
+  for (size_t i = 0; i < cached_w_direct_.size(); ++i) {
+    cached_w_direct_.data()[i] *= mask_direct_.data()[i];
   }
   sampler_synced_ = true;
 }
@@ -219,10 +207,8 @@ MadeModel::SamplerState MadeModel::InitState(size_t batch) const {
   s.h.Reshape(batch, widest);
   s.h_next.Reshape(batch, widest);
   s.probs.Reshape(batch, max_domain);
-  if (options_.direct_connections) {
-    s.direct.Reshape(batch, max_domain);
-    s.units.reserve(batch * schema_->num_columns());
-  }
+  s.direct.Reshape(batch, max_domain);
+  s.units.reserve(batch * schema_->num_columns());
   ResetState(&s, batch);
   return s;
 }
@@ -273,23 +259,21 @@ const Matrix& MadeModel::CondProbs(const SamplerState& state,
   const ModelColumn& mc = schema_->columns()[col];
   const size_t off = mc.offset;
   const size_t d = mc.domain_size;
-  if (options_.direct_connections) {
-    // Direct logits of this column: the masked direct weights of every
-    // observed unit, summed from +0.0 in observation order — the order (and
-    // so the bits) of a full-width accumulator fed by each Observe. Masked
-    // weights are ±0.0, which leave such a sum unchanged, but are added all
-    // the same so non-finite weights propagate as before.
-    Matrix& direct = state.direct;
-    direct.Reshape(batch, d);
-    const double* w = cached_w_direct_.data() + off;
-    const size_t stride = cached_w_direct_.cols();
-    for (size_t r = 0; r < batch; ++r) {
-      double* acc = direct.row(r);
-      std::fill(acc, acc + d, 0.0);
-      for (size_t k = 0; k < state.observed; ++k) {
-        const double* wu = w + state.units[k * batch + r] * stride;
-        for (size_t j = 0; j < d; ++j) acc[j] += wu[j];
-      }
+  // Direct logits of this column: the masked direct weights of every
+  // observed unit, summed from +0.0 in observation order — the order (and so
+  // the bits) of a full-width accumulator fed by each Observe. Masked weights
+  // are ±0.0, which leave such a sum unchanged, but are added all the same
+  // so non-finite weights propagate as before.
+  Matrix& direct = state.direct;
+  direct.Reshape(batch, d);
+  const double* w = cached_w_direct_.data() + off;
+  const size_t stride = cached_w_direct_.cols();
+  for (size_t r = 0; r < batch; ++r) {
+    double* acc = direct.row(r);
+    std::fill(acc, acc + d, 0.0);
+    for (size_t k = 0; k < state.observed; ++k) {
+      const double* wu = w + state.units[k * batch + r] * stride;
+      for (size_t j = 0; j < d; ++j) acc[j] += wu[j];
     }
   }
   Matrix& logits = state.probs;
@@ -300,8 +284,7 @@ const Matrix& MadeModel::CondProbs(const SamplerState& state,
   kr.output_slice(state.h.data(), batch, state.h.cols(),
                   cached_w_out_.data() + off, cached_w_out_.cols(),
                   b_out_.value().data() + off,
-                  options_.direct_connections ? state.direct.data() : nullptr,
-                  options_.direct_connections ? d : 0, logits.data(), d);
+                  direct.data(), d, logits.data(), d);
   // Row softmax through the kernel layer (shared FastExp keeps the two
   // backends bit-identical; libm's std::exp makes no such promise).
   kr.softmax_rows(logits.data(), batch, d);
@@ -320,9 +303,7 @@ void MadeModel::Observe(SamplerState* state, size_t col,
         << "bad code " << code << " for column " << mc.name;
     const size_t unit = mc.offset + static_cast<size_t>(code);
     kernels::Active().vec_add(state->pre1.row(r), cached_w_[0].row(unit), h1);
-    if (options_.direct_connections) {
-      state->units.push_back(static_cast<uint32_t>(unit));
-    }
+    state->units.push_back(static_cast<uint32_t>(unit));
   }
   state->observed++;
 }

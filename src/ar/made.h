@@ -34,8 +34,6 @@ class MadeModel {
     /// (used by NeuroCard, which the paper builds on). Helps deeper stacks
     /// converge under DPS.
     bool residual = false;
-    bool direct_connections = true;
-    double init_scale = 1.0;  ///< Multiplier on 1/sqrt(fan_in) init.
     uint64_t seed = 12345;
   };
 
@@ -57,7 +55,7 @@ class MadeModel {
   struct MaskedWeights {
     std::vector<ad::Tensor> w;   ///< Per layer (first is input layer).
     ad::Tensor w_out;
-    ad::Tensor w_direct;         ///< Undefined when direct connections off.
+    ad::Tensor w_direct;
   };
   MaskedWeights BuildMaskedWeights() const;
 

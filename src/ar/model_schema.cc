@@ -155,35 +155,6 @@ Result<ModelSchema> ModelSchema::Build(const Database& db, const Workload& train
   return schema;
 }
 
-Status ModelSchema::ReorderColumns(const std::vector<size_t>& perm) {
-  if (perm.size() != columns_.size()) {
-    return Status::InvalidArgument(
-        "column order has " + std::to_string(perm.size()) +
-        " entries for a schema of " + std::to_string(columns_.size()) +
-        " columns");
-  }
-  std::vector<char> seen(columns_.size(), 0);
-  for (size_t i : perm) {
-    if (i >= columns_.size() || seen[i]) {
-      return Status::InvalidArgument(
-          "column order is not a permutation of [0, " +
-          std::to_string(columns_.size()) + ")");
-    }
-    seen[i] = 1;
-  }
-  std::vector<ModelColumn> reordered;
-  reordered.reserve(columns_.size());
-  for (size_t i : perm) reordered.push_back(std::move(columns_[i]));
-  columns_ = std::move(reordered);
-  size_t offset = 0;
-  for (auto& col : columns_) {
-    col.offset = offset;
-    offset += col.domain_size;
-  }
-  total_domain_ = offset;
-  return Status::OK();
-}
-
 int ModelSchema::FindColumn(ModelColumnKind kind, const std::string& table,
                             const std::string& name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {

@@ -82,8 +82,10 @@ class ModelSchema {
   /// workload (domains come only from query literals, never from data).
   ///
   /// For multi-relation databases the layout follows the topological order of
-  /// the join graph; each FK relation contributes indicator, content and
-  /// fanout columns (§4.1). `foj_size` is |FOJ| (|T| for single relations).
+  /// the join graph; each FK relation contributes its indicator, then its
+  /// content columns, then its fanout column (§4.1), so a relation's
+  /// indicator is always sampled before the columns it gates. `foj_size` is
+  /// |FOJ| (|T| for single relations).
   static Result<ModelSchema> Build(const Database& db, const Workload& train,
                                    const SchemaHints& hints, int64_t foj_size);
 
@@ -101,16 +103,6 @@ class ModelSchema {
   const std::map<std::string, int64_t>& table_sizes() const {
     return table_sizes_;
   }
-
-  /// \brief Reorders the model columns to `perm` (an AR-ordering experiment
-  /// knob: perm[i] = index, in the current layout, of the column that moves
-  /// to position i).
-  ///
-  /// One-hot offsets are recomputed; everything else (domains, join graph,
-  /// table sizes) is order-independent. Fails unless `perm` is a permutation
-  /// of [0, num_columns()). Must be applied before any model is built on the
-  /// schema, since masks and sampling order follow the column order.
-  Status ReorderColumns(const std::vector<size_t>& perm);
 
   /// Index of the column with the given role, or -1.
   int FindColumn(ModelColumnKind kind, const std::string& table,

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
@@ -26,34 +27,22 @@ namespace sam {
 
 namespace {
 
+/// An unkeyed leaf relation emits its final fractional tuple only when the
+/// carried weight reaches this much. (Keyed relations instead assign keys to
+/// leftover merge sets in descending-weight order until |T| is reached —
+/// Alg 2's size guarantee.)
+constexpr double kLeafCarryThreshold = 0.5;
+
 // ---------------------------------------------------------------------------
 // Deterministic hashing / seeding. Every RNG the pipeline uses is derived
 // from (base_seed, step identity), never threaded across steps, so replaying
 // a step from a checkpoint reproduces its bytes exactly.
 // ---------------------------------------------------------------------------
 
-struct Fnv1a {
-  uint64_t h = 1469598103934665603ull;
-  void Mix(const void* data, size_t len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void MixU64(uint64_t v) { Mix(&v, sizeof(v)); }
-  void MixI64(int64_t v) { Mix(&v, sizeof(v)); }
-  void MixDouble(double v) { Mix(&v, sizeof(v)); }
-  void MixString(const std::string& s) {
-    MixU64(s.size());
-    Mix(s.data(), s.size());
-  }
-};
-
 uint64_t HashKey(const std::string& s) {
   Fnv1a f;
   f.Mix(s.data(), s.size());
-  return f.h;
+  return f.hash();
 }
 
 uint64_t SplitMix64(uint64_t x) {
@@ -201,11 +190,11 @@ struct GenerationPipeline::Impl {
   /// partitions and therefore must *commit* in plan order. On a window
   /// miss, upcoming partitions of the active relation are built
   /// concurrently on `pool`, with the window's memory reserved from the
-  /// budget before dispatch. For keyed relations with parallel commits
-  /// enabled, workers additionally prepare the whole phase-B plan — decoded
-  /// CSV rows split at the pk field, ordered child-emission lists, leftover
-  /// and summary chunk contents — from a worker-local RNG seeded with the
-  /// partition's deterministic seed; the serial commit then replays the
+  /// budget before dispatch. For keyed relations, workers additionally
+  /// prepare the whole phase-B plan — decoded CSV rows split at the pk
+  /// field, ordered child-emission lists, leftover and summary chunk
+  /// contents — from a worker-local RNG seeded with the partition's
+  /// deterministic seed; the serial commit then replays the
   /// plan through the very same buffer/flush accounting, so the published
   /// database and every spill artifact are byte-identical for every thread
   /// count.
@@ -261,7 +250,7 @@ struct GenerationPipeline::Impl {
   };
   /// Batch b lives in slot b % size; the speculative batches are always the
   /// contiguous run of batches after the executing sample step. One slot
-  /// per pool thread when parallel commits are enabled, else one.
+  /// per pool thread, or one when `threads == 1`.
   std::vector<SampleSlot> sample_window;
 
   ~Impl() {
@@ -313,28 +302,14 @@ struct GenerationPipeline::Impl {
         per / static_cast<int64_t>(sizeof(SpillVirtual)), 256));
   }
 
-  /// Effective commit-thread knob: `commit_threads` falls back to
-  /// `partition_threads` (0 still means hardware concurrency). 1 requests a
-  /// fully serial commit pipeline — no prepared phase-B plans and no
-  /// speculative sampling — which is the baseline the parallel paths must
-  /// stay byte-identical to. Deliberately excluded from the fingerprint:
+  /// `threads == 1` is the fully serial reference — no partition windows
+  /// and no speculative sampling — that the parallel paths must stay
+  /// byte-identical to. Deliberately excluded from the fingerprint:
   /// resuming under a different thread count is supported.
-  size_t CommitThreadsKnob() const {
-    return opts.commit_threads > 0 ? opts.commit_threads
-                                   : opts.partition_threads;
-  }
-  bool ParallelCommitEnabled() const { return CommitThreadsKnob() != 1; }
+  bool Parallel() const { return opts.threads != 1; }
 
   ThreadPool* Pool() {
-    if (pool == nullptr) {
-      const size_t ct = CommitThreadsKnob();
-      const size_t pt = opts.partition_threads;
-      // Either knob at 0 means hardware concurrency; otherwise the pool
-      // serves both the prefetch and commit windows, so size it for the
-      // larger request.
-      pool = std::make_unique<ThreadPool>(
-          ct == 0 || pt == 0 ? 0 : std::max(ct, pt));
-    }
+    if (pool == nullptr) pool = std::make_unique<ThreadPool>(opts.threads);
     return pool.get();
   }
 
@@ -389,10 +364,12 @@ struct GenerationPipeline::Impl {
     f.MixU64(o.generation_batch);
     f.MixU64(o.foj_samples);
     f.MixU64(o.enforce_null_consistency ? 1 : 0);
-    f.MixDouble(o.leftover_key_threshold);
+    // The leaf threshold and the 0 (an empty column-order override) stand
+    // where retired options were mixed, so checkpoints written before their
+    // removal still resume.
+    f.MixDouble(kLeafCarryThreshold);
     f.MixU64(o.generation_seed);
-    f.MixU64(o.column_order.size());
-    for (size_t v : o.column_order) f.MixU64(v);
+    f.MixU64(0);
     // The cap fixes the partition fan-out and buffer thresholds, i.e. the
     // spill layout — resuming across a cap change would splice two layouts.
     f.MixI64(o.memory_cap_bytes);
@@ -407,7 +384,7 @@ struct GenerationPipeline::Impl {
       f.MixU64(foj->count);  // Injected tuples replace the model draws.
       for (const auto& c : foj->codes) f.Mix(c.data(), c.size() * sizeof(int32_t));
     }
-    return f.h;
+    return f.hash();
   }
 
   void BuildPlan() {
@@ -936,7 +913,7 @@ struct GenerationPipeline::Impl {
   // -- Sample steps ---------------------------------------------------------
 
   bool SampleWindowEnabled() const {
-    return ParallelCommitEnabled() && opts.injected_foj == nullptr;
+    return Parallel() && opts.injected_foj == nullptr;
   }
 
   size_t SampleRows(size_t batch_index) const {
@@ -987,7 +964,7 @@ struct GenerationPipeline::Impl {
   }
 
   /// Keeps the window's slots sampling the batches after `batch_index`, in
-  /// plan order, when parallel commits are enabled. Each speculative batch
+  /// plan order, unless `threads == 1`. Each speculative batch
   /// reserves its codes before dispatch, and only while a quarter of the
   /// cap — and at least what the executing step may still reserve — stays
   /// free: speculation must never make a mandatory reservation fail that
@@ -1209,8 +1186,8 @@ struct GenerationPipeline::Impl {
   }
 
   /// Builds a window of upcoming partitions of the active relation starting
-  /// at `first`, on `pool`: phase A (gather + group) always, plus the full
-  /// phase-B plan for keyed relations when parallel commits are enabled.
+  /// at `first`, on `pool` (never when `threads == 1`): phase A (gather +
+  /// group) always, plus the full phase-B plan for keyed relations.
   /// The whole window's estimated memory is reserved before dispatch; when
   /// the cap is too tight (or estimates are unavailable) the window shrinks
   /// and ultimately the step falls back to the fully serial path, whose
@@ -1218,10 +1195,8 @@ struct GenerationPipeline::Impl {
   Status BuildWindow(size_t rel_i, size_t first) {
     ClearWindow();
     if (partitions <= 1) return Status::OK();
-    const bool plan_b = active.keyed && ParallelCommitEnabled();
-    // Without prepared plans this is the phase-A prefetch of old, still
-    // gated on partition_threads alone.
-    if (!plan_b && opts.partition_threads == 1) return Status::OK();
+    if (!Parallel()) return Status::OK();
+    const bool plan_b = active.keyed;
     size_t win = std::min(partitions - first, Pool()->num_threads() * 2);
     if (win <= 1) return Status::OK();
 
@@ -1580,8 +1555,7 @@ struct GenerationPipeline::Impl {
     if (part + 1 == partitions) {
       // End of the relation: the final sub-threshold tuple goes to the last
       // aggregated group seen anywhere.
-      if (rs.leaf_carry >= options().leftover_key_threshold &&
-          rs.leaf_last_valid) {
+      if (rs.leaf_carry >= kLeafCarryThreshold && rs.leaf_last_valid) {
         SAM_RETURN_NOT_OK(
             EmitRow(rs.leaf_last_sample, -1, rs.leaf_last_fk, rng));
       } else if (rs.leaf_carry > 0.0 && obs::MetricsEnabled()) {

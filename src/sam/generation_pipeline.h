@@ -31,27 +31,20 @@ struct GenerationPipelineOptions {
   uint64_t stop_after_steps = 0;
   /// Checkpoints retained in `work_dir` (0 keeps all).
   size_t checkpoint_keep = 3;
-  /// Worker threads for Group-and-Merge partition prefetch (0 = hardware
-  /// concurrency, 1 = fully serial). Partitions of a relation are gathered
-  /// and grouped in parallel ahead of the serial commit phase; the published
-  /// database is byte-identical for every thread count, and prefetch memory
-  /// is reserved from the memory cap before dispatch (falling back to serial
-  /// execution when the cap is tight).
-  size_t partition_threads = 0;
-  /// Worker threads for the partition *commit* pipeline (0 = inherit
-  /// `partition_threads`, 1 = fully serial commits and no sample
-  /// pipelining). When parallel, a window of upcoming keyed partitions is
-  /// fully prepared on the thread pool — decode, CSV rendering split at the
-  /// primary-key field, child-emission lists, leftover/summary chunks — and
-  /// the results are committed strictly in plan order, so every spill file,
+  /// Worker threads (0 = hardware concurrency, 1 = the fully serial
+  /// reference: no prefetch, no prepared plans, no sample window). When
+  /// parallel, a window of upcoming partitions of a relation is prepared on
+  /// the thread pool — gather and group always; for keyed relations also
+  /// decode, CSV rendering split at the primary-key field, child-emission
+  /// lists and leftover/summary chunks — and the results are committed
+  /// strictly in plan order. Likewise, while sample step b writes its
+  /// batch, a window of up to pool-size speculative batches b+1, b+2, ...
+  /// samples on the pool, consumed in plan order. Every spill file,
   /// checkpoint cursor and published byte is identical for every thread
-  /// count. Likewise, while sample step b writes its batch, a window of up
-  /// to pool-size speculative batches b+1, b+2, ... samples on the pool,
-  /// consumed in plan order. Window and speculative-batch memory is
-  /// reserved from the cap before dispatch (narrower windows, down to
-  /// serial, when tight), and thread counts are deliberately excluded from
-  /// the resume fingerprint.
-  size_t commit_threads = 0;
+  /// count. Window and speculative-batch memory is reserved from the cap
+  /// before dispatch (narrower windows, down to serial, when tight), and
+  /// the thread count is deliberately excluded from the resume fingerprint.
+  size_t threads = 0;
   /// Keep spill files and checkpoints after a successful publish (debugging).
   bool keep_work_dir = false;
   /// Test seam: when set, the sample steps read their FOJ tuples from this

@@ -45,11 +45,6 @@ Result<std::unique_ptr<SamModel>> SamModel::Create(const Database& db,
   SAM_RETURN_NOT_OK(ValidateSamOptions(options));
   SAM_ASSIGN_OR_RETURN(ModelSchema schema,
                        ModelSchema::Build(db, train, hints, foj_size));
-  if (!options.column_order.empty()) {
-    // Applied before the MADE model is constructed so its masks and the
-    // sampling order both follow the requested AR ordering.
-    SAM_RETURN_NOT_OK(schema.ReorderColumns(options.column_order));
-  }
   auto sam = std::unique_ptr<SamModel>(new SamModel(std::move(schema), options));
 
   // Record the physical layout of every relation (column names/types and key
@@ -112,11 +107,11 @@ void SamModel::SampleFojBatchInto(uint64_t base_seed, size_t batch_index,
     }
     if (options_.enforce_null_consistency &&
         mc.kind != ModelColumnKind::kIndicator) {
-      // The relation's indicator may be ordered *after* this column, in
-      // which case it has not been sampled yet and no forcing applies.
+      // ModelSchema::Build orders a relation's indicator before its content
+      // and fanout columns, so it is already sampled here.
       const int ind =
           schema_.FindColumn(ModelColumnKind::kIndicator, mc.table, mc.table);
-      if (ind >= 0 && static_cast<size_t>(ind) < col) {
+      if (ind >= 0) {
         const int32_t* present = out->codes[static_cast<size_t>(ind)].data() +
                                  start;
         for (size_t r = 0; r < rows; ++r) {
@@ -141,13 +136,14 @@ SamModel::FojSample SamModel::SampleFoj(size_t k, Rng* rng) const {
   // Sampling is embarrassingly parallel (§4.2): batches are independent, and
   // every batch derives its RNG from the caller seed by batch index (via
   // FojBatchSeed) — in the sequential path too — so the sample is
-  // bit-identical for every sampler_threads value. The model is only read.
+  // bit-identical for every generation_threads value. The model is only
+  // read.
   const uint64_t base_seed = rng->engine()();
   const size_t batches = (k + gb - 1) / gb;
   if (batches == 0) return out;
   const size_t threads =
-      options_.sampler_threads > 0
-          ? options_.sampler_threads
+      options_.generation_threads > 0
+          ? options_.generation_threads
           : std::max<size_t>(1, std::thread::hardware_concurrency());
   const size_t workers = std::min(threads, batches);
   static obs::Gauge* parallelism = obs::MetricsRegistry::Global().GetGauge(
@@ -236,6 +232,7 @@ Result<Database> GenerateThroughPipeline(const SamModel* sam,
   popts.out_dir = dir + "/out";
   popts.work_dir = dir + "/work";
   popts.injected_foj = foj;
+  popts.threads = sam->options().generation_threads;
   SAM_RETURN_NOT_OK(GenerationPipeline(sam, popts).Run().status());
   return LoadDatabase(popts.out_dir);
 }

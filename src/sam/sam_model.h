@@ -30,28 +30,16 @@ struct SamOptions {
   /// imperfectly trained models, so the default trusts the model (a
   /// well-trained model emits NULL/1 for absent relations on its own).
   bool enforce_null_consistency = false;
-  /// When a Group-and-Merge group ends with accumulated weight below 1 it
-  /// becomes a "leftover" merge set; leftovers are assigned keys in
-  /// descending-weight order until the keyed relation reaches |T| tuples
-  /// (Alg 2's size guarantee). This threshold only gates the final fractional
-  /// tuple of *unkeyed* leaf relations.
-  double leftover_key_threshold = 0.5;
-  /// Worker threads for `SampleFoj` (Alg 1 is "embarrassingly parallel",
-  /// §4.2); 0 = hardware concurrency. Worker w samples batches w, w+W, ...
-  /// with one reused sampler state. Every sample batch derives its RNG from
-  /// `generation_seed` and its batch index — in the sequential path too — so
-  /// generation is bit-identical for every thread count. The generation
-  /// pipeline (multi-relation `Generate`) sizes its sample window by its own
-  /// thread pool instead (`GenerationPipelineOptions::commit_threads`).
-  size_t sampler_threads = 0;
+  /// Worker threads for all of `Generate`; 0 = hardware concurrency, 1 =
+  /// fully serial. `SampleFoj` (Alg 1 is "embarrassingly parallel", §4.2)
+  /// runs W workers, worker w sampling batches w, w+W, ... with one reused
+  /// sampler state; multi-relation `Generate` passes it to the generation
+  /// pipeline as `GenerationPipelineOptions::threads`. Every sample batch
+  /// derives its RNG from `generation_seed` and its batch index — in the
+  /// sequential path too — so generation is bit-identical for every thread
+  /// count.
+  size_t generation_threads = 0;
   uint64_t generation_seed = 999;
-  /// Optional AR-ordering override: a permutation of the natural model-column
-  /// layout (entry i = natural index of the column sampled at position i).
-  /// Empty keeps ModelSchema::Build's topological order. An ordering knob for
-  /// AR-ordering experiments; orderings that place a relation's content or
-  /// fanout columns before its indicator disable NULL-consistency forcing for
-  /// those columns (the indicator is not yet sampled at forcing time).
-  std::vector<size_t> column_order;
   /// Budget for the generation pipeline's data-proportional structures
   /// (resident code columns, weight arrays, spill buffers, group tables),
   /// which multi-relation `SamModel::Generate` runs too. The pipeline spills

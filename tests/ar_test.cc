@@ -382,7 +382,6 @@ uint64_t TrainCensusGolden() {
   MadeModel::Options mopts;
   mopts.hidden_sizes = {24, 24};
   mopts.residual = true;
-  mopts.direct_connections = true;
   mopts.seed = 17;
   MadeModel model(&schema, mopts);
   DpsOptions dopts;

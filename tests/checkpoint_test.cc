@@ -77,7 +77,6 @@ DpsOptions SmallTrainOptions() {
   o.batch_size = 16;
   o.sample_paths = 1;
   o.seed = 123;
-  o.lr_decay = 0.7;  // Exercise the per-epoch LR mutation across resume.
   return o;
 }
 
@@ -147,9 +146,6 @@ TEST_F(CheckpointTest, ValidateDpsOptionsRejectsBadValues) {
   o = DpsOptions();
   o.learning_rate = std::numeric_limits<double>::infinity();
   expect_invalid(o, "inf lr");
-  o = DpsOptions();
-  o.lr_decay = 0;
-  expect_invalid(o, "lr_decay=0");
   o = DpsOptions();
   o.gumbel_tau = 0;
   expect_invalid(o, "gumbel_tau=0");

@@ -104,24 +104,13 @@ TEST(ResMadeTest, ResidualModelTrains) {
 
 TEST(DpsVariantsTest, TauAnnealingRunsAndLearns) {
   Env s = MakeEnv();
-  MadeModel model(&s.schema, MadeModel::Options{{24, 24}, false, true, 1.0, 1});
+  MadeModel model(&s.schema, MadeModel::Options{{24, 24}, false, 1});
   DpsOptions dopts;
   dopts.epochs = 10;
   dopts.gumbel_tau = 2.0;
   dopts.gumbel_tau_final = 0.3;
   auto stats = TrainDps(&model, s.train, dopts).MoveValue();
   ASSERT_EQ(stats.size(), 10u);
-  EXPECT_LT(stats.back().mean_loss, stats.front().mean_loss);
-}
-
-TEST(DpsVariantsTest, LrDecayDoesNotBreakTraining) {
-  Env s = MakeEnv();
-  MadeModel model(&s.schema, MadeModel::Options{{24, 24}, false, true, 1.0, 2});
-  DpsOptions dopts;
-  dopts.epochs = 6;
-  dopts.learning_rate = 5e-3;
-  dopts.lr_decay = 0.7;
-  auto stats = TrainDps(&model, s.train, dopts).MoveValue();
   EXPECT_LT(stats.back().mean_loss, stats.front().mean_loss);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -105,16 +106,14 @@ Result<GenerationRunSummary> RunPipeline(const SamModel& sam,
                                          const std::string& work, bool resume,
                                          uint64_t stop_after_steps = 0,
                                          std::atomic<bool>* stop_flag = nullptr,
-                                         size_t partition_threads = 0,
-                                         size_t commit_threads = 0) {
+                                         size_t threads = 0) {
   GenerationPipelineOptions o;
   o.out_dir = out;
   o.work_dir = work;
   o.resume = resume;
   o.stop_after_steps = stop_after_steps;
   o.stop_flag = stop_flag;
-  o.partition_threads = partition_threads;
-  o.commit_threads = commit_threads;
+  o.threads = threads;
   GenerationPipeline p(&sam, o);
   return p.Run();
 }
@@ -266,6 +265,35 @@ TEST(GenerationPipelineTest, ResumeRejectsFingerprintMismatch) {
       << r.status().ToString();
 }
 
+std::string Hex(uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(GenerationPipelineTest, FingerprintsMatchRecordedValues) {
+  // Checkpoints embed these fingerprints and resume requires equality, so
+  // a checkpoint written by an earlier build resumes only while both stay
+  // value-identical. Constants recorded for an untrained default-option
+  // chain model; a change to either hash is a checkpoint format break.
+  constexpr uint64_t kTraining = 0x1d502245c7532506ULL;
+  constexpr uint64_t kGeneration = 0xa2f260ce01ba7d00ULL;
+  const Database db = MakeChainDatabase();
+  const Workload train = ChainWorkload();
+  auto sam = SamModel::Create(db, train, SchemaHints{}, 4, SamOptions{});
+  ASSERT_TRUE(sam.ok()) << sam.status().ToString();
+  const SamModel& model = *sam.ValueOrDie();
+  EXPECT_EQ(Hex(TrainingFingerprint(model.options().training, *model.model(),
+                                    train)),
+            Hex(kTraining));
+  GenerationPipelineOptions o;
+  o.out_dir = "unused_out";
+  o.work_dir = "unused_work";
+  EXPECT_EQ(Hex(GenerationPipeline(&model, o).Fingerprint()),
+            Hex(kGeneration));
+}
+
 TEST(GenerationPipelineTest, ResumeWithoutCheckpointIsNotFound) {
   const Database db = MakeChainDatabase();
   const auto sam = MakeChainModel(db, SamOptions{});
@@ -368,13 +396,14 @@ TEST(ParallelPartitionTest, PrefetchIsByteIdenticalAcrossThreadCounts) {
 
   auto serial = RunPipeline(*sam, root + "/out1", root + "/w1", false,
                             /*stop_after_steps=*/0, /*stop_flag=*/nullptr,
-                            /*partition_threads=*/1);
+                            /*threads=*/1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(serial.ValueOrDie().completed);
   const auto golden = ReadTree(root + "/out1");
 
   size_t variant = 2;
-  for (size_t threads : {size_t{0}, size_t{3}}) {  // 0 = hardware concurrency.
+  // 0 = hardware concurrency.
+  for (size_t threads : {size_t{2}, size_t{4}, size_t{0}}) {
     const std::string out = root + "/out" + std::to_string(variant);
     const std::string work = root + "/w" + std::to_string(variant);
     ++variant;
@@ -406,11 +435,10 @@ TEST(ParallelCommitTest, KillAtEveryStepIsByteIdenticalAcrossCommitThreads) {
   const std::string root = TempDir("sam_pipe_parallel_commit");
   std::filesystem::create_directories(root + "/scratch");
 
-  // Golden: fully serial commits (commit_threads = 1 also disables the
-  // sample pipelining and the prepared-plan path).
+  // Golden: the fully serial reference (threads = 1 also disables the
+  // sample window and the prepared-plan path).
   auto serial = RunPipeline(*sam, root + "/golden", root + "/gwork", false, 0,
-                            nullptr, /*partition_threads=*/1,
-                            /*commit_threads=*/1);
+                            nullptr, /*threads=*/1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(serial.ValueOrDie().completed);
   const auto golden = ReadTree(root + "/golden");
@@ -421,8 +449,7 @@ TEST(ParallelCommitTest, KillAtEveryStepIsByteIdenticalAcrossCommitThreads) {
   // gauge proves the prepared-plan path actually executed.
   obs::EnableMetrics(true);
   auto full = RunPipeline(*sam, root + "/out_full", root + "/w_full", false, 0,
-                          nullptr, /*partition_threads=*/0,
-                          /*commit_threads=*/4);
+                          nullptr, /*threads=*/4);
   obs::EnableMetrics(false);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_EQ(ReadTree(root + "/out_full"), golden);
@@ -438,17 +465,16 @@ TEST(ParallelCommitTest, KillAtEveryStepIsByteIdenticalAcrossCommitThreads) {
     const std::string w1 = root + "/w1_" + std::to_string(s);
     const std::string w4 = root + "/w4_" + std::to_string(s);
     const std::string out = root + "/out_" + std::to_string(s);
-    auto p1 = RunPipeline(*sam, root + "/unused_out", w1, false, s, nullptr, 1,
-                          /*commit_threads=*/1);
+    auto p1 = RunPipeline(*sam, root + "/unused_out", w1, false, s, nullptr,
+                          /*threads=*/1);
     ASSERT_TRUE(p1.ok()) << "stop=" << s << ": " << p1.status().ToString();
-    auto p4 = RunPipeline(*sam, out, w4, false, s, nullptr, 0,
-                          /*commit_threads=*/4);
+    auto p4 = RunPipeline(*sam, out, w4, false, s, nullptr, /*threads=*/4);
     ASSERT_TRUE(p4.ok()) << "stop=" << s << ": " << p4.status().ToString();
     ExpectWorkTreesEquivalent(w1, w4, root + "/scratch",
                               "stop=" + std::to_string(s));
 
-    auto rest = RunPipeline(*sam, out, w4, /*resume=*/true, 0, nullptr, 0,
-                            /*commit_threads=*/4);
+    auto rest = RunPipeline(*sam, out, w4, /*resume=*/true, 0, nullptr,
+                            /*threads=*/4);
     ASSERT_TRUE(rest.ok()) << "stop=" << s << ": " << rest.status().ToString();
     ASSERT_TRUE(rest.ValueOrDie().completed) << "stop=" << s;
     EXPECT_EQ(ReadTree(out), golden) << "stop=" << s;
@@ -469,15 +495,15 @@ TEST(ParallelCommitTest, MemoryCapHoldsForEveryThreadCount) {
   const std::string root = TempDir("sam_pipe_parallel_cap");
 
   size_t variant = 0;
-  for (size_t ct : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
     const std::string suffix = std::to_string(variant++);
     auto r = RunPipeline(*sam, root + "/out" + suffix, root + "/w" + suffix,
-                         false, 0, nullptr, /*partition_threads=*/0,
-                         /*commit_threads=*/ct);
-    ASSERT_TRUE(r.ok()) << "ct=" << ct << ": " << r.status().ToString();
-    ASSERT_TRUE(r.ValueOrDie().completed) << "ct=" << ct;
-    EXPECT_GT(r.ValueOrDie().peak_reserved, 0) << "ct=" << ct;
-    EXPECT_LE(r.ValueOrDie().peak_reserved, cap) << "ct=" << ct;
+                         false, 0, nullptr, threads);
+    ASSERT_TRUE(r.ok()) << "threads=" << threads << ": "
+                        << r.status().ToString();
+    ASSERT_TRUE(r.ValueOrDie().completed) << "threads=" << threads;
+    EXPECT_GT(r.ValueOrDie().peak_reserved, 0) << "threads=" << threads;
+    EXPECT_LE(r.ValueOrDie().peak_reserved, cap) << "threads=" << threads;
   }
 }
 
@@ -576,11 +602,12 @@ TEST(GenerationPipelineTest, DoubleColumnsPublishFullPrecision) {
   // Serial commits render rows with AppendCsvRow, parallel commits with the
   // prepared renderer: both must publish the same bytes.
   const std::string root = TempDir("sam_pipe_double");
-  for (size_t ct : {size_t{1}, size_t{4}}) {
-    const std::string suffix = std::to_string(ct);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    const std::string suffix = std::to_string(threads);
     auto r = RunPipeline(*sam.ValueOrDie(), root + "/out" + suffix,
-                         root + "/work" + suffix, false, 0, nullptr, 0, ct);
-    ASSERT_TRUE(r.ok()) << "ct=" << ct << ": " << r.status().ToString();
+                         root + "/work" + suffix, false, 0, nullptr, threads);
+    ASSERT_TRUE(r.ok()) << "threads=" << threads << ": "
+                        << r.status().ToString();
   }
   const auto published = ReadTree(root + "/out1");
   EXPECT_EQ(published, ReadTree(root + "/out4"));

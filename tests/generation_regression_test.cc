@@ -86,8 +86,8 @@ TEST(GenerationSizeGuaranteeTest, KeyedRelationsAlwaysReachTableSize) {
     // how the leftover merge sets fall out.
     EXPECT_EQ(g.FindTable("A")->num_rows(), 2u) << "seed " << seed;
     EXPECT_EQ(g.FindTable("B")->num_rows(), 3u) << "seed " << seed;
-    // The unkeyed leaf is gated by leftover_key_threshold: off by at most
-    // one tuple from |C| = 3.
+    // The unkeyed leaf's final fractional tuple is gated by a 0.5 carry
+    // threshold: off by at most one tuple from |C| = 3.
     EXPECT_GE(g.FindTable("C")->num_rows(), 2u) << "seed " << seed;
     EXPECT_LE(g.FindTable("C")->num_rows(), 4u) << "seed " << seed;
     EXPECT_TRUE(g.ValidateIntegrity().ok()) << "seed " << seed;
@@ -135,14 +135,14 @@ TEST(SamOptionsValidationTest, RejectsDegenerateKnobs) {
   zero_foj.foj_samples = 0;
   EXPECT_TRUE(ValidateSamOptions(zero_foj).code() == StatusCode::kInvalidArgument);
 
-  // sampler_threads = 0 is not degenerate: it means hardware concurrency,
+  // generation_threads = 0 is not degenerate: it means hardware concurrency,
   // and it samples bit-identically to one thread.
   SamOptions zero_threads;
-  zero_threads.sampler_threads = 0;
+  zero_threads.generation_threads = 0;
   zero_threads.generation_batch = 16;  // 7 batches of 100 samples.
   EXPECT_TRUE(ValidateSamOptions(zero_threads).ok());
   SamOptions one_thread = zero_threads;
-  one_thread.sampler_threads = 1;
+  one_thread.generation_threads = 1;
   const Database db = MakeChainDatabase();
   auto zero = MakeChainSam(db, zero_threads);
   auto one = MakeChainSam(db, one_thread);

@@ -1,7 +1,6 @@
 // Batched query execution (ParallelCardinality), compiled-query evaluation,
-// and the correctness fixes that ride along: sampler NULL-consistency under
-// adversarial AR orderings, metrics argument validation, and graceful errors
-// from Executor::Create on malformed key metadata.
+// and the correctness fixes that ride along: metrics argument validation and
+// graceful errors from Executor::Create on malformed key metadata.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "engine/compiled_query.h"
 #include "engine/executor.h"
 #include "metrics/metrics.h"
-#include "sam/sam_model.h"
 #include "workload/generator.h"
 
 namespace sam {
@@ -110,70 +108,6 @@ TEST(ParallelExecutionTest, ScratchReuseDoesNotLeakStateAcrossQueries) {
   (void)exec->Cardinality(cq1.ValueOrDie(), &scratch).ValueOrDie();
   const int64_t got = exec->Cardinality(cq2.ValueOrDie(), &scratch).ValueOrDie();
   EXPECT_EQ(got, static_cast<int64_t>(db.FindTable("census")->num_rows()));
-}
-
-// ---------------------------------------------------------------------------
-// Sampler NULL-consistency under adversarial AR orderings.
-
-TEST(ParallelExecutionTest, NullConsistencySafeWhenIndicatorsOrderedLast) {
-  // Regression: with enforce_null_consistency on, forcing used to read the
-  // relation's indicator batch via operator[], materialising an empty vector
-  // and indexing out of bounds whenever the AR ordering placed content or
-  // fanout columns before their indicator. Build such an ordering explicitly.
-  Database db = MakeImdbLike(150, 9);
-  auto exec = Executor::Create(&db).MoveValue();
-  MultiRelationWorkloadOptions wopts;
-  wopts.num_queries = 40;
-  auto train = GenerateMultiRelationWorkload(db, *exec, wopts).MoveValue();
-
-  // Natural layout first, to learn where the indicators sit.
-  SamOptions natural;
-  auto probe = SamModel::Create(db, train, SchemaHints{},
-                                exec->FullOuterJoinSize(), natural)
-                   .MoveValue();
-  const auto& cols = probe->schema().columns();
-  std::vector<size_t> others, indicators;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    (cols[i].kind == ModelColumnKind::kIndicator ? indicators : others)
-        .push_back(i);
-  }
-  ASSERT_FALSE(indicators.empty()) << "needs a multi-relation schema";
-
-  SamOptions adversarial;
-  adversarial.enforce_null_consistency = true;
-  adversarial.generation_batch = 64;
-  adversarial.column_order = others;
-  adversarial.column_order.insert(adversarial.column_order.end(),
-                                  indicators.begin(), indicators.end());
-  auto sam = SamModel::Create(db, train, SchemaHints{},
-                              exec->FullOuterJoinSize(), adversarial)
-                 .MoveValue();
-  sam->model()->SyncSamplerWeights();
-  Rng rng(21);
-  const auto foj = sam->SampleFoj(500, &rng);
-  ASSERT_EQ(foj.count, 500u);
-  const auto& reordered = sam->schema().columns();
-  for (size_t c = 0; c < reordered.size(); ++c) {
-    for (size_t s = 0; s < foj.count; ++s) {
-      ASSERT_GE(foj.codes[c][s], 0);
-      ASSERT_LT(foj.codes[c][s],
-                static_cast<int32_t>(reordered[c].domain_size));
-    }
-  }
-}
-
-TEST(ParallelExecutionTest, ColumnOrderRejectsNonPermutations) {
-  Database db = MakeImdbLike(100, 2);
-  auto exec = Executor::Create(&db).MoveValue();
-  MultiRelationWorkloadOptions wopts;
-  wopts.num_queries = 20;
-  auto train = GenerateMultiRelationWorkload(db, *exec, wopts).MoveValue();
-  SamOptions opts;
-  opts.column_order = {0, 0, 1};  // Duplicate index, wrong length.
-  auto sam = SamModel::Create(db, train, SchemaHints{},
-                              exec->FullOuterJoinSize(), opts);
-  ASSERT_FALSE(sam.ok());
-  EXPECT_EQ(sam.status().code(), StatusCode::kInvalidArgument) << sam.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

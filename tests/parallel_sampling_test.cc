@@ -38,7 +38,7 @@ TEST(ParallelSamplingTest, ShardedSamplerIsDeterministicPerThreadCount) {
   Database db = MakeImdbLike(200, 3);
   auto exec = Executor::Create(&db).MoveValue();
   SamOptions options;
-  options.sampler_threads = 4;
+  options.generation_threads = 4;
   options.generation_batch = 128;
   auto sam = MakeModel(db, *exec, options);
 
@@ -55,7 +55,7 @@ TEST(ParallelSamplingTest, ParallelIsBitIdenticalToSequential) {
   Database db = MakeImdbLike(200, 5);
   auto exec = Executor::Create(&db).MoveValue();
   SamOptions seq_opts;
-  seq_opts.sampler_threads = 1;
+  seq_opts.generation_threads = 1;
   seq_opts.generation_batch = 256;
   auto seq_model = MakeModel(db, *exec, seq_opts);
 
@@ -66,14 +66,14 @@ TEST(ParallelSamplingTest, ParallelIsBitIdenticalToSequential) {
   // the sampled codes are bit-identical for every thread count.
   for (size_t threads : {2, 3, 8}) {
     SamOptions par_opts = seq_opts;
-    par_opts.sampler_threads = threads;
+    par_opts.generation_threads = threads;
     auto par_model = MakeModel(db, *exec, par_opts);
     Rng r2(7);
     const auto par = par_model->SampleFoj(4000, &r2);
     ASSERT_EQ(seq.count, par.count);
     for (size_t c = 0; c < seq.codes.size(); ++c) {
       EXPECT_EQ(seq.codes[c], par.codes[c])
-          << "column " << c << " diverges at sampler_threads=" << threads;
+          << "column " << c << " diverges at generation_threads=" << threads;
     }
   }
 }
@@ -118,11 +118,11 @@ TEST(ParallelSamplingTest, DefaultThreadsMatchSerialGeneration) {
   options.generation_batch = 256;  // 12 batches: every worker takes several.
 
   // Alg 1 in RAM: |T| samples through SampleFoj, then the decode. Only
-  // `sampler_threads` differs between the runs (the untrained weights come
+  // `generation_threads` differs between the runs (the untrained weights come
   // from the fixed model seed); 0 is hardware concurrency.
   uint64_t serial = 0;
   for (size_t threads : {1, 2, 4, 0}) {
-    options.sampler_threads = threads;
+    options.generation_threads = threads;
     auto sam = SamModel::Create(db, train, SchemaHints{}, 3000, options)
                    .MoveValue();
     sam->model()->SyncSamplerWeights();
@@ -131,7 +131,7 @@ TEST(ParallelSamplingTest, DefaultThreadsMatchSerialGeneration) {
     ASSERT_EQ(gen.ValueOrDie().FindTable("census")->num_rows(), 3000u);
     const uint64_t digest = CellDigest(gen.ValueOrDie());
     if (threads == 1) serial = digest;
-    EXPECT_EQ(digest, serial) << "sampler_threads=" << threads;
+    EXPECT_EQ(digest, serial) << "generation_threads=" << threads;
   }
 }
 
@@ -140,15 +140,14 @@ struct WindowRun {
   double sample_parallelism = 0.0;          ///< Gauge high-water mark.
 };
 
-/// Runs the generation pipeline for `sam` under `dir` with both thread
-/// knobs at `threads`; the run must complete within the memory cap.
+/// Runs the generation pipeline for `sam` under `dir` on `threads` workers;
+/// the run must complete within the memory cap.
 WindowRun RunWindow(const SamModel& sam, const std::filesystem::path& dir,
                     size_t threads) {
   GenerationPipelineOptions o;
   o.out_dir = (dir / "out").string();
   o.work_dir = (dir / "work").string();
-  o.partition_threads = threads;
-  o.commit_threads = threads;
+  o.threads = threads;
   obs::Gauge* gauge =
       obs::MetricsRegistry::Global().GetGauge("sam.gen.sample_parallelism");
   gauge->Reset();
@@ -261,7 +260,7 @@ TEST(ParallelSamplingTest, PipelineSampleWindowIsByteIdentical) {
 }
 
 TEST(ParallelSamplingTest, GenerationWorksWithParallelSampler) {
-  // Alg 1 in RAM is the path that reads `sampler_threads`: a census-like
+  // Alg 1 in RAM samples through `SampleFoj`: a census-like
   // single relation, sampled on 4 workers in batches of 128.
   Database db = MakeCensusLike(1200, 7);
   auto exec = Executor::Create(&db).MoveValue();
@@ -270,7 +269,7 @@ TEST(ParallelSamplingTest, GenerationWorksWithParallelSampler) {
   auto train =
       GenerateSingleRelationWorkload(db, "census", *exec, wopts).MoveValue();
   SamOptions options;
-  options.sampler_threads = 4;
+  options.generation_threads = 4;
   options.generation_batch = 128;
   options.model.hidden_sizes = {16, 16};
   options.training.epochs = 2;

@@ -30,6 +30,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -116,6 +117,8 @@ class Flags {
   }
 
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
+
+  const std::map<std::string, std::string>& values() const { return values_; }
 
  private:
   std::map<std::string, std::string> values_;
@@ -426,17 +429,9 @@ int CmdGenerate(const Flags& flags) {
   SAM_CLI_ASSIGN(options.generation_checkpoint_every,
                  flags.GetInt("checkpoint-every",
                               options.generation_checkpoint_every));
-  int64_t partition_threads = 0;
-  SAM_CLI_ASSIGN(partition_threads, flags.GetInt("partition-threads", 0));
-  if (partition_threads < 0) {
-    return Fail("generate: --partition-threads must be >= 0");
-  }
-  int64_t commit_threads = 0;
-  SAM_CLI_ASSIGN(commit_threads,
-                 flags.GetInt("commit-threads", partition_threads));
-  if (commit_threads < 0) {
-    return Fail("generate: --commit-threads must be >= 0");
-  }
+  int64_t threads = 0;
+  SAM_CLI_ASSIGN(threads, flags.GetInt("threads", 0));
+  if (threads < 0) return Fail("generate: --threads must be >= 0");
 
   auto inputs = LoadPipelineInputs(flags);
   if (!inputs.ok()) return FailStatus(inputs.status());
@@ -467,8 +462,7 @@ int CmdGenerate(const Flags& flags) {
   SAM_CLI_ASSIGN(ckpt_keep, flags.GetInt("checkpoint-keep", 3));
   popts.stop_after_steps = static_cast<uint64_t>(stop_after_steps);
   popts.checkpoint_keep = static_cast<size_t>(ckpt_keep);
-  popts.partition_threads = static_cast<size_t>(partition_threads);
-  popts.commit_threads = static_cast<size_t>(commit_threads);
+  popts.threads = static_cast<size_t>(threads);
   popts.keep_work_dir = flags.GetBool("keep-work");
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
@@ -819,17 +813,15 @@ int Usage() {
       "            [--foj-samples=K] [--gen-batch=N]\n"
       "            [--checkpoint-dir=DIR] [--checkpoint-every=N]\n"
       "            [--checkpoint-keep=N] [--resume] [--memory-cap=MiB]\n"
-      "            [--stop-after-steps=N] [--keep-work]\n"
-      "            [--partition-threads=N] [--commit-threads=N]\n"
+      "            [--stop-after-steps=N] [--keep-work] [--threads=N]\n"
       "            Runs the crash-safe generation pipeline under --memory-cap\n"
       "            (default 256): spill files + checkpoints live in\n"
       "            --checkpoint-dir (default OUT.work), SIGINT/SIGTERM\n"
       "            checkpoint and exit 0, and --resume continues to a\n"
       "            byte-identical database (see docs/GENERATION.md).\n"
-      "            --partition-threads parallelises partition prefetch and\n"
-      "            --commit-threads the commit pipeline (0 = hardware, 1 =\n"
-      "            serial; commit-threads defaults to partition-threads).\n"
-      "            Output bytes are identical for every thread count.\n"
+      "            --threads parallelises sampling and Group-and-Merge (0 =\n"
+      "            hardware, 1 = serial); output bytes are identical for\n"
+      "            every thread count.\n"
       "  evaluate  --original=DIR --generated=DIR --workload=FILE [--latency]\n"
       "  estimate  --db=DIR --workload=FILE --hints=... --model=FILE [--verbose]\n"
       "  serve     --db=DIR --workload=FILE --hints=... --model=FILE\n"
@@ -844,6 +836,7 @@ int Usage() {
       "            (see docs/SERVE.md).\n"
       "  stats     --metrics=FILE and/or --trace=FILE\n"
       "            Pretty-prints files written by --metrics-out/--trace-out.\n"
+      "Unknown flags are errors.\n"
       "global flags (any command):\n"
       "  --trace-out=FILE    record pipeline spans, write Chrome-trace JSON\n"
       "                      (load in chrome://tracing or Perfetto)\n"
@@ -852,23 +845,74 @@ int Usage() {
   return 2;
 }
 
-int Dispatch(const std::string& cmd, const Flags& flags) {
-  if (cmd == "dataset") return CmdDataset(flags);
-  if (cmd == "workload") return CmdWorkload(flags);
-  if (cmd == "label") return CmdLabel(flags);
-  if (cmd == "train") return CmdTrain(flags);
-  if (cmd == "generate") return CmdGenerate(flags);
-  if (cmd == "evaluate") return CmdEvaluate(flags);
-  if (cmd == "estimate") return CmdEstimate(flags);
-  if (cmd == "serve") return CmdServe(flags);
-  if (cmd == "stats") return CmdStats(flags);
-  return Usage();
+/// A subcommand and the flags it reads besides kGlobalFlags.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  bool model_flags;  ///< Also reads kModelFlags.
+  std::vector<std::string> flags;
+};
+
+/// Read by every command (in Main).
+const char* const kGlobalFlags[] = {"log-level", "trace-out", "metrics-out"};
+/// Read by LoadPipelineInputs and OptionsFromFlags.
+const char* const kModelFlags[] = {"db",     "workload",    "hints",
+                                   "numeric", "epochs",      "batch",
+                                   "lr",      "paths",       "time-budget",
+                                   "seed",    "hidden",      "foj-samples",
+                                   "gen-seed"};
+
+const Command* FindCommand(const std::string& name) {
+  static const std::vector<Command> commands = {
+      {"dataset", CmdDataset, false, {"kind", "rows", "seed", "out"}},
+      {"workload", CmdWorkload, false,
+       {"db", "out", "queries", "seed", "joblight", "max-joins", "coverage",
+        "max-filters", "table"}},
+      {"label", CmdLabel, false, {"db", "workload", "out", "threads"}},
+      {"train", CmdTrain, true,
+       {"model-out", "checkpoint-dir", "checkpoint-every", "checkpoint-keep",
+        "resume", "stop-after-epochs"}},
+      {"generate", CmdGenerate, true,
+       {"model", "out", "gen-batch", "memory-cap", "checkpoint-dir",
+        "checkpoint-every", "checkpoint-keep", "resume", "stop-after-steps",
+        "keep-work", "threads"}},
+      {"evaluate", CmdEvaluate, false,
+       {"original", "generated", "workload", "latency"}},
+      {"estimate", CmdEstimate, true, {"model", "limit", "verbose"}},
+      {"serve", CmdServe, true,
+       {"model", "host", "port", "queue-cap", "batch-max", "threads",
+        "plan-cache", "timeout-ms", "watch-ms"}},
+      {"stats", CmdStats, false, {"metrics", "trace"}},
+  };
+  for (const Command& c : commands) {
+    if (name == c.name) return &c;
+  }
+  return nullptr;
+}
+
+bool Declares(const Command& command, const std::string& flag) {
+  auto in = [&flag](const auto& names) {
+    return std::find(std::begin(names), std::end(names), flag) !=
+           std::end(names);
+  };
+  return in(kGlobalFlags) || (command.model_flags && in(kModelFlags)) ||
+         in(command.flags);
 }
 
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
+  const Command* command = FindCommand(cmd);
+  if (command == nullptr) return Usage();
   const Flags flags(argc, argv, 2);
+  // A typo or a retired flag must fail before any input is loaded, not be
+  // silently ignored.
+  for (const auto& [key, value] : flags.values()) {
+    if (!Declares(*command, key)) {
+      return Fail(cmd + ": unknown flag --" + key +
+                  " (run samdb_cli without arguments for usage)");
+    }
+  }
 
   // Global observability flags, honoured by every subcommand.
   const std::string log_level = flags.Get("log-level");
@@ -894,7 +938,7 @@ int Main(int argc, char** argv) {
   }
   if (!metrics_out.empty()) obs::EnableMetrics(true);
 
-  int rc = Dispatch(cmd, flags);
+  int rc = command->run(flags);
 
   // Flush observability output even when the command failed: a partial trace
   // is exactly what is needed to debug the failure.
