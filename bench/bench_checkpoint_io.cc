@@ -1,16 +1,19 @@
-// Micro benchmarks (google-benchmark) for the fault-tolerance layer:
-// checkpoint write/load throughput across snapshot sizes, the CRC32 core,
-// and atomic file commits. Guards the per-epoch checkpoint overhead — the
-// write path sits inside the training loop, so a regression here slows
-// every checkpointed run.
-
-#include <benchmark/benchmark.h>
+// Micro benchmarks for the fault-tolerance layer: checkpoint write/load
+// throughput across snapshot sizes, the CRC32 core, and atomic file commits.
+// Guards the per-epoch checkpoint overhead — the write path sits inside the
+// training loop, so a regression here slows every checkpointed run.
+//
+//   ./build/bench/bench_checkpoint_io [--repeats=N]
+//
+// Each line is the median time per call over N timed batches (default 3).
 
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "ar/training_checkpoint.h"
+#include "bench_common.h"
+#include "common/logging.h"
 #include "common/random.h"
 #include "linalg/matrix.h"
 #include "storage/artifact_io.h"
@@ -55,55 +58,54 @@ TrainingCheckpoint MakeCheckpoint(size_t param_doubles) {
   return c;
 }
 
-void BM_CheckpointSave(benchmark::State& state) {
-  const TrainingCheckpoint c = MakeCheckpoint(static_cast<size_t>(state.range(0)));
+void BenchCheckpointSave(const bench::BenchConfig& config, size_t n) {
+  const TrainingCheckpoint c = MakeCheckpoint(n);
   const std::string path = BenchDir() + "/save.ckpt";
-  size_t bytes = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(c.Save(path));
-    bytes = std::filesystem::file_size(path);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(bytes) * state.iterations());
+  SAM_CHECK(c.Save(path).ok());
+  const double bytes = static_cast<double>(std::filesystem::file_size(path));
+  bench::RunMicro(config, "CheckpointSave/" + std::to_string(n),
+                  [&] { bench::KeepAlive(c.Save(path)); }, 0, bytes);
 }
-BENCHMARK(BM_CheckpointSave)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
-void BM_CheckpointLoad(benchmark::State& state) {
-  const TrainingCheckpoint c = MakeCheckpoint(static_cast<size_t>(state.range(0)));
+void BenchCheckpointLoad(const bench::BenchConfig& config, size_t n) {
+  const std::string name = "CheckpointLoad/" + std::to_string(n);
+  const TrainingCheckpoint c = MakeCheckpoint(n);
   const std::string path = BenchDir() + "/load.ckpt";
   if (!c.Save(path).ok()) {
-    state.SkipWithError("checkpoint save failed");
+    bench::SkipMicro(name, "checkpoint save failed");
     return;
   }
-  const size_t bytes = std::filesystem::file_size(path);
-  for (auto _ : state) {
+  const double bytes = static_cast<double>(std::filesystem::file_size(path));
+  bench::RunMicro(config, name, [&] {
     auto loaded = TrainingCheckpoint::Load(path);
-    benchmark::DoNotOptimize(loaded);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(bytes) * state.iterations());
+    bench::KeepAlive(loaded);
+  }, 0, bytes);
 }
-BENCHMARK(BM_CheckpointLoad)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
-void BM_Crc32(benchmark::State& state) {
-  const std::string data(static_cast<size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Crc32(data.data(), data.size()));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(data.size()) * state.iterations());
+void BenchCrc32(const bench::BenchConfig& config, size_t n) {
+  const std::string data(n, 'x');
+  bench::RunMicro(config, "Crc32/" + std::to_string(n), [&] {
+    bench::KeepAlive(Crc32(data.data(), data.size()));
+  }, 0, static_cast<double>(n));
 }
-BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(1 << 20)->Arg(16 << 20);
 
-void BM_AtomicWriteFile(benchmark::State& state) {
-  const std::string contents(static_cast<size_t>(state.range(0)), 'y');
+void BenchAtomicWriteFile(const bench::BenchConfig& config, size_t n) {
+  const std::string contents(n, 'y');
   const std::string path = BenchDir() + "/atomic.bin";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(AtomicWriteFile(path, contents));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(contents.size()) *
-                          state.iterations());
+  bench::RunMicro(config, "AtomicWriteFile/" + std::to_string(n), [&] {
+    bench::KeepAlive(AtomicWriteFile(path, contents));
+  }, 0, static_cast<double>(n));
 }
-BENCHMARK(BM_AtomicWriteFile)->Arg(64 << 10)->Arg(4 << 20);
 
 }  // namespace
 }  // namespace sam
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  using namespace sam;
+  const bench::BenchConfig config = bench::ParseArgs(argc, argv);
+  for (size_t n : {10'000, 100'000, 1'000'000}) BenchCheckpointSave(config, n);
+  for (size_t n : {10'000, 100'000, 1'000'000}) BenchCheckpointLoad(config, n);
+  for (size_t n : {4 << 10, 1 << 20, 16 << 20}) BenchCrc32(config, n);
+  for (size_t n : {64 << 10, 4 << 20}) BenchAtomicWriteFile(config, n);
+  return 0;
+}

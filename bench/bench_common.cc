@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -35,8 +36,6 @@ BenchConfig ParseArgs(int argc, char** argv) {
       config.metrics_out = arg.substr(14);
     } else if (StartsWith(arg, "--trace-out=")) {
       config.trace_out = arg.substr(12);
-    } else if (StartsWith(arg, "--benchmark")) {
-      // Allow google-benchmark flags to pass through harness binaries.
     } else {
       std::fprintf(stderr, "unknown flag: %s (expected --scale=, --seed=)\n",
                    arg.c_str());
@@ -81,6 +80,47 @@ BenchPhase::~BenchPhase() {
   obs::MetricsRegistry::Global()
       .GetHistogram("bench.phase." + name_ + "_seconds")
       ->Observe(watch_.ElapsedSeconds());
+}
+
+void RunMicro(const BenchConfig& config, const std::string& name,
+              const std::function<void()>& op, double items_per_op,
+              double bytes_per_op) {
+  constexpr double kRoundSeconds = 0.05;
+  // Calibrate: double the batch until it is long enough to time reliably
+  // (this also serves as the warm-up).
+  size_t batch = 1;
+  double elapsed = 0;
+  for (;;) {
+    Stopwatch watch;
+    for (size_t i = 0; i < batch; ++i) op();
+    elapsed = watch.ElapsedSeconds();
+    if (elapsed >= kRoundSeconds / 5) break;
+    batch *= 2;
+  }
+  batch = std::max<size_t>(
+      1, static_cast<size_t>(batch * kRoundSeconds / elapsed));
+  const int repeats = std::max(1, config.repeats);
+  std::vector<double> per_op;
+  for (int rep = 0; rep < repeats; ++rep) {
+    Stopwatch watch;
+    for (size_t i = 0; i < batch; ++i) op();
+    per_op.push_back(watch.ElapsedSeconds() / static_cast<double>(batch));
+  }
+  std::sort(per_op.begin(), per_op.end());
+  const double secs = per_op[per_op.size() / 2];
+  if (secs >= 1e-3) {
+    std::printf("%-40s %10.3f ms/op", name.c_str(), secs * 1e3);
+  } else {
+    std::printf("%-40s %10.3f us/op", name.c_str(), secs * 1e6);
+  }
+  if (items_per_op > 0) std::printf("  %12.4g items/s", items_per_op / secs);
+  if (bytes_per_op > 0) std::printf("  %10.1f MB/s", bytes_per_op / secs / 1e6);
+  std::printf("  (%zu calls x %d)\n", batch, repeats);
+  std::fflush(stdout);
+}
+
+void SkipMicro(const std::string& name, const std::string& why) {
+  std::printf("%-40s skipped: %s\n", name.c_str(), why.c_str());
 }
 
 DatasetSizes SizesFor(const BenchConfig& config) {

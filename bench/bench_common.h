@@ -8,6 +8,7 @@
 // keeps every binary in the seconds-to-minutes range on a laptop CPU.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -67,6 +68,24 @@ class BenchPhase {
   obs::TraceSpan span_;
   Stopwatch watch_;
 };
+
+/// \brief Plain timing loop for the micro benches (`bench_micro_ar`,
+/// `bench_checkpoint_io`). Grows a batch of `op` calls until it lasts about
+/// 50 ms, times `config.repeats` such batches and prints one line: the
+/// median time per call, then items/s and MB/s when the per-call counts are
+/// non-zero.
+void RunMicro(const BenchConfig& config, const std::string& name,
+              const std::function<void()>& op, double items_per_op = 0,
+              double bytes_per_op = 0);
+
+/// Prints a micro-bench line for a case that cannot run here.
+void SkipMicro(const std::string& name, const std::string& why);
+
+/// Keeps the compiler from discarding a value a timed call computed.
+template <typename T>
+inline void KeepAlive(const T& value) {
+  asm volatile("" : : "g"(&value) : "memory");
+}
 
 /// Dataset sizes per scale.
 struct DatasetSizes {

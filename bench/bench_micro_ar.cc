@@ -1,14 +1,17 @@
-// Micro benchmarks (google-benchmark) for the hot paths of the AR model and
-// the execution engine: conditional-distribution evaluation, FOJ sampling
-// throughput, DPS training steps, and cardinality evaluation.
-
-#include <benchmark/benchmark.h>
+// Micro benchmarks for the hot paths of the AR model and the execution
+// engine: conditional-distribution evaluation, FOJ sampling throughput, DPS
+// training steps, and cardinality evaluation.
+//
+//   ./build/bench/bench_micro_ar [--repeats=N]
+//
+// Each line is the median time per call over N timed batches (default 3);
+// items/s counts rows (batch benches), queries or multiply-adds as noted.
 
 #include "ar/batched_estimator.h"
 #include "ar/dps_trainer.h"
 #include "ar/estimator.h"
-#include "common/thread_pool.h"
 #include "ar/made.h"
+#include "bench_common.h"
 #include "common/logging.h"
 #include "datasets/datasets.h"
 #include "engine/executor.h"
@@ -18,6 +21,10 @@
 
 namespace sam {
 namespace {
+
+using bench::BenchConfig;
+using bench::KeepAlive;
+using bench::RunMicro;
 
 struct CensusFixture {
   CensusFixture() {
@@ -56,17 +63,13 @@ CensusFixture& Fixture() {
   return *fixture;
 }
 
-void BM_MadeCondProbs(benchmark::State& state) {
+void BenchMadeCondProbs(const BenchConfig& config, size_t batch) {
   auto& f = Fixture();
-  const size_t batch = static_cast<size_t>(state.range(0));
   MadeModel::SamplerState s = f.model->InitState(batch);
-  for (auto _ : state) {
-    const Matrix& probs = f.model->CondProbs(s, 0);
-    benchmark::DoNotOptimize(probs.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
+  RunMicro(config, "MadeCondProbs/" + std::to_string(batch), [&] {
+    KeepAlive(f.model->CondProbs(s, 0).data());
+  }, static_cast<double>(batch));
 }
-BENCHMARK(BM_MadeCondProbs)->Arg(64)->Arg(512)->Arg(2048);
 
 // Sampler state with every column but the last observed (random in-domain
 // codes): the hidden activations are dense the way they are mid-generation.
@@ -85,170 +88,172 @@ MadeModel::SamplerState ObservedState(const CensusFixture& f, size_t batch) {
   return s;
 }
 
-// Same forward pass, backend pinned per benchmark: the scalar/AVX2 delta is
-// the headline number of docs/PERFORMANCE.md. The AVX2 variant reports an
-// error and exits early when the build or CPU lacks AVX2.
-void BM_MadeCondProbsBackend(benchmark::State& state, kernels::Backend b) {
+const char* BackendName(kernels::Backend b) {
+  return b == kernels::Backend::kAvx2 ? "Avx2" : "Scalar";
+}
+
+/// Pins a kernel backend for one bench case and restores the previous one.
+class BackendGuard {
+ public:
+  explicit BackendGuard(kernels::Backend b) : saved_(kernels::ActiveBackend()) {
+    kernels::SetBackend(b);
+  }
+  ~BackendGuard() { kernels::SetBackend(saved_); }
+
+ private:
+  kernels::Backend saved_;
+};
+
+// Same forward pass, backend pinned per case: the scalar/AVX2 delta is the
+// headline number of docs/PERFORMANCE.md. The AVX2 case is reported as
+// skipped when the build or CPU lacks AVX2.
+void BenchMadeCondProbsBackend(const BenchConfig& config, kernels::Backend b,
+                               size_t batch) {
+  const std::string name = std::string("MadeCondProbs") + BackendName(b) +
+                           "/" + std::to_string(batch);
   if (b == kernels::Backend::kAvx2 && !kernels::Avx2Available()) {
-    state.SkipWithError("AVX2 unavailable");
+    bench::SkipMicro(name, "AVX2 unavailable");
     return;
   }
   auto& f = Fixture();
-  const kernels::Backend saved = kernels::ActiveBackend();
-  kernels::SetBackend(b);
-  const size_t batch = static_cast<size_t>(state.range(0));
+  BackendGuard guard(b);
   const MadeModel::SamplerState s = ObservedState(f, batch);
   const size_t last_col = f.schema->num_columns() - 1;
-  for (auto _ : state) {
-    const Matrix& probs = f.model->CondProbs(s, last_col);
-    benchmark::DoNotOptimize(probs.data());
-  }
-  kernels::SetBackend(saved);
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
+  RunMicro(config, name, [&] {
+    KeepAlive(f.model->CondProbs(s, last_col).data());
+  }, static_cast<double>(batch));
 }
-void BM_MadeCondProbsScalar(benchmark::State& state) {
-  BM_MadeCondProbsBackend(state, kernels::Backend::kScalar);
-}
-void BM_MadeCondProbsAvx2(benchmark::State& state) {
-  BM_MadeCondProbsBackend(state, kernels::Backend::kAvx2);
-}
-BENCHMARK(BM_MadeCondProbsScalar)->Arg(512)->Arg(2048);
-BENCHMARK(BM_MadeCondProbsAvx2)->Arg(512)->Arg(2048);
 
-void BM_KernelMatmul(benchmark::State& state, kernels::Backend b) {
+// items/s counts multiply-adds (2 n^3 per call).
+void BenchKernelMatmul(const BenchConfig& config, kernels::Backend b,
+                       size_t n) {
+  const std::string name =
+      std::string("KernelMatmul") + BackendName(b) + "/" + std::to_string(n);
   if (b == kernels::Backend::kAvx2 && !kernels::Avx2Available()) {
-    state.SkipWithError("AVX2 unavailable");
+    bench::SkipMicro(name, "AVX2 unavailable");
     return;
   }
-  const size_t n = static_cast<size_t>(state.range(0));
   std::vector<double> a(n * n, 1.5), bm(n * n, -0.75), c(n * n);
   const auto& table = kernels::Table(b);
-  for (auto _ : state) {
+  RunMicro(config, name, [&] {
     table.matmul(a.data(), n, n, bm.data(), n, c.data());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(2 * n * n * n));
+    KeepAlive(c.data());
+  }, static_cast<double>(2 * n * n * n));
 }
-void BM_KernelMatmulScalar(benchmark::State& state) {
-  BM_KernelMatmul(state, kernels::Backend::kScalar);
-}
-void BM_KernelMatmulAvx2(benchmark::State& state) {
-  BM_KernelMatmul(state, kernels::Backend::kAvx2);
-}
-BENCHMARK(BM_KernelMatmulScalar)->Arg(64)->Arg(256);
-BENCHMARK(BM_KernelMatmulAvx2)->Arg(64)->Arg(256);
 
 // Word-level bitmap predicate evaluation against a census-sized code column.
-void BM_EvalPredicates(benchmark::State& state, kernels::Backend b) {
+void BenchEvalPredicates(const BenchConfig& config, kernels::Backend b) {
+  const std::string name = std::string("EvalPredicates") + BackendName(b);
   if (b == kernels::Backend::kAvx2 && !kernels::Avx2Available()) {
-    state.SkipWithError("AVX2 unavailable");
+    bench::SkipMicro(name, "AVX2 unavailable");
     return;
   }
   auto& f = Fixture();
-  const kernels::Backend saved = kernels::ActiveBackend();
-  kernels::SetBackend(b);
+  BackendGuard guard(b);
   size_t q = 0;
-  for (auto _ : state) {
+  RunMicro(config, name, [&] {
     auto card = f.exec->Cardinality(f.train[q % f.train.size()]);
     SAM_CHECK(card.ok());
-    benchmark::DoNotOptimize(card.ValueOrDie());
+    KeepAlive(card.ValueOrDie());
     ++q;
-  }
-  kernels::SetBackend(saved);
+  });
 }
-void BM_EvalPredicatesScalar(benchmark::State& state) {
-  BM_EvalPredicates(state, kernels::Backend::kScalar);
-}
-void BM_EvalPredicatesAvx2(benchmark::State& state) {
-  BM_EvalPredicates(state, kernels::Backend::kAvx2);
-}
-BENCHMARK(BM_EvalPredicatesScalar);
-BENCHMARK(BM_EvalPredicatesAvx2);
 
-void BM_MadeObserve(benchmark::State& state) {
+void BenchMadeObserve(const BenchConfig& config, size_t batch) {
   auto& f = Fixture();
-  const size_t batch = static_cast<size_t>(state.range(0));
   MadeModel::SamplerState s = f.model->InitState(batch);
   const std::vector<int32_t> codes(batch, 0);
-  for (auto _ : state) {
-    f.model->Observe(&s, 0, codes);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
+  RunMicro(config, "MadeObserve/" + std::to_string(batch),
+           [&] { f.model->Observe(&s, 0, codes); }, static_cast<double>(batch));
 }
-BENCHMARK(BM_MadeObserve)->Arg(512);
 
-void BM_ProgressiveEstimate(benchmark::State& state) {
+void BenchProgressiveEstimate(const BenchConfig& config, size_t paths) {
   auto& f = Fixture();
-  ProgressiveEstimator est(f.model.get(), static_cast<size_t>(state.range(0)));
+  ProgressiveEstimator est(f.model.get(), paths);
   size_t q = 0;
-  for (auto _ : state) {
+  RunMicro(config, "ProgressiveEstimate/" + std::to_string(paths), [&] {
     auto card = est.EstimateCardinality(f.train[q % f.train.size()]);
     SAM_CHECK(card.ok());
-    benchmark::DoNotOptimize(card.ValueOrDie());
+    KeepAlive(card.ValueOrDie());
     ++q;
-  }
+  });
 }
-BENCHMARK(BM_ProgressiveEstimate)->Arg(64)->Arg(256);
 
-// K queries coalesced into one batched call (args: {coalesced, paths});
-// items/sec is queries/sec. Compare against BM_ProgressiveEstimate at the
-// same path count for the fusion win; pass --threads via bench_estimation
-// for the pool-sharded numbers (google-benchmark timing and ThreadPool don't
-// compose cleanly here, so this one stays single-threaded).
-void BM_BatchedProgressiveEstimate(benchmark::State& state) {
+// K queries coalesced into one batched call; items/s is queries/s. Compare
+// against ProgressiveEstimate at the same path count for the fusion win;
+// bench_estimation --threads gives the pool-sharded numbers, so this one
+// stays single-threaded.
+void BenchBatchedProgressiveEstimate(const BenchConfig& config,
+                                     size_t coalesced, size_t paths) {
   auto& f = Fixture();
-  const size_t coalesced = static_cast<size_t>(state.range(0));
-  const size_t paths = static_cast<size_t>(state.range(1));
   BatchedProgressiveEstimator est(f.model.get());
   std::vector<Query> queries;
   for (size_t i = 0; i < coalesced; ++i) {
     queries.push_back(f.train[i % f.train.size()]);
   }
-  for (auto _ : state) {
-    auto cards = est.EstimateBatch(queries, paths);
-    SAM_CHECK(cards.ok());
-    benchmark::DoNotOptimize(cards.ValueOrDie());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(coalesced));
+  RunMicro(config,
+           "BatchedProgressiveEstimate/" + std::to_string(coalesced) + "/" +
+               std::to_string(paths),
+           [&] {
+             auto cards = est.EstimateBatch(queries, paths);
+             SAM_CHECK(cards.ok());
+             KeepAlive(cards.ValueOrDie());
+           },
+           static_cast<double>(coalesced));
 }
-BENCHMARK(BM_BatchedProgressiveEstimate)
-    ->Args({1, 64})
-    ->Args({8, 64})
-    ->Args({64, 64})
-    ->Args({8, 256});
 
-void BM_DpsTrainStep(benchmark::State& state) {
+// One DPS epoch over the fixture workload; items/s is queries/s.
+void BenchDpsTrainStep(const BenchConfig& config, size_t batch_size) {
   auto& f = Fixture();
   MadeModel::Options mopts;
   mopts.hidden_sizes = {64, 64};
   MadeModel model(f.schema.get(), mopts);
   DpsOptions dopts;
   dopts.epochs = 1;
-  dopts.batch_size = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
+  dopts.batch_size = batch_size;
+  RunMicro(config, "DpsTrainStep/" + std::to_string(batch_size), [&] {
     auto stats = TrainDps(&model, f.train, dopts);
     SAM_CHECK(stats.ok());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(f.train.size()));
+  }, static_cast<double>(f.train.size()));
 }
-BENCHMARK(BM_DpsTrainStep)->Arg(64)->Unit(benchmark::kMillisecond);
 
-void BM_ExecutorCardinality(benchmark::State& state) {
+void BenchExecutorCardinality(const BenchConfig& config) {
   auto& f = Fixture();
   size_t q = 0;
-  for (auto _ : state) {
+  RunMicro(config, "ExecutorCardinality", [&] {
     auto card = f.exec->Cardinality(f.train[q % f.train.size()]);
     SAM_CHECK(card.ok());
-    benchmark::DoNotOptimize(card.ValueOrDie());
+    KeepAlive(card.ValueOrDie());
     ++q;
-  }
+  });
 }
-BENCHMARK(BM_ExecutorCardinality);
 
 }  // namespace
 }  // namespace sam
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  using namespace sam;
+  using kernels::Backend;
+  const bench::BenchConfig config = bench::ParseArgs(argc, argv);
+  for (size_t batch : {64, 512, 2048}) BenchMadeCondProbs(config, batch);
+  for (Backend b : {Backend::kScalar, Backend::kAvx2}) {
+    for (size_t batch : {512, 2048}) {
+      BenchMadeCondProbsBackend(config, b, batch);
+    }
+  }
+  for (Backend b : {Backend::kScalar, Backend::kAvx2}) {
+    for (size_t n : {64, 256}) BenchKernelMatmul(config, b, n);
+  }
+  for (Backend b : {Backend::kScalar, Backend::kAvx2}) {
+    BenchEvalPredicates(config, b);
+  }
+  BenchMadeObserve(config, 512);
+  for (size_t paths : {64, 256}) BenchProgressiveEstimate(config, paths);
+  BenchBatchedProgressiveEstimate(config, 1, 64);
+  BenchBatchedProgressiveEstimate(config, 8, 64);
+  BenchBatchedProgressiveEstimate(config, 64, 64);
+  BenchBatchedProgressiveEstimate(config, 8, 256);
+  BenchDpsTrainStep(config, 64);
+  BenchExecutorCardinality(config);
+  return 0;
+}

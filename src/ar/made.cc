@@ -279,7 +279,7 @@ const Matrix& MadeModel::CondProbs(const SamplerState& state,
   Matrix& logits = state.probs;
   logits.Reshape(batch, d);
   // Fused output slice: logits = h * W_out[:, off:off+d] + b_out[off:off+d]
-  // (+ direct). W_out is indexed at its full row stride; the kernel reads
+  // + direct. W_out is indexed at its full row stride; the kernel reads
   // only the d-wide slice of each row.
   kr.output_slice(state.h.data(), batch, state.h.cols(),
                   cached_w_out_.data() + off, cached_w_out_.cols(),

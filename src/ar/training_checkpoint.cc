@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "common/logging.h"
 #include "storage/artifact_io.h"
 
 namespace sam {
@@ -154,23 +153,8 @@ std::vector<std::string> ListCheckpointFiles(const std::string& dir) {
 
 Result<TrainingCheckpoint> LoadLatestValidCheckpoint(
     const std::string& dir, std::string* loaded_path) {
-  const std::vector<std::string> files = ListCheckpointFiles(dir);
-  if (files.empty()) {
-    return Status::NotFound("no checkpoints in '" + dir + "'");
-  }
-  for (auto it = files.rbegin(); it != files.rend(); ++it) {
-    Result<TrainingCheckpoint> loaded = TrainingCheckpoint::Load(*it);
-    if (loaded.ok()) {
-      if (loaded_path != nullptr) *loaded_path = *it;
-      return loaded;
-    }
-    SAM_LOG(Warn) << "skipping corrupt checkpoint " << *it << ": "
-                     << loaded.status().ToString();
-  }
-  return Status::IOError("all " + std::to_string(files.size()) +
-                         " checkpoint(s) in '" + dir +
-                         "' are corrupt; refusing to restart from scratch "
-                         "silently (clear the directory to start over)");
+  return LoadNewestValidCheckpointWithPrefix<TrainingCheckpoint>(
+      dir, "ckpt_", "checkpoint", &TrainingCheckpoint::Load, loaded_path);
 }
 
 void PruneCheckpointsWithPrefix(const std::string& dir,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ar/dps_trainer.h"
+#include "common/logging.h"
 #include "common/result.h"
 #include "linalg/matrix.h"
 
@@ -84,6 +85,35 @@ std::vector<std::string> ListCheckpointFiles(const std::string& dir);
 /// is progress order).
 std::vector<std::string> ListCheckpointFilesWithPrefix(
     const std::string& dir, const std::string& prefix);
+
+/// \brief The newest-valid scan shared by training and generation
+/// checkpoints: tries `load` on the `<prefix>*.ckpt` files in `dir`, newest
+/// first, skipping corrupt ones with a warning. `NotFound` when there are no
+/// such files, `IOError` when every one is corrupt; `noun` ("checkpoint",
+/// "generation checkpoint") names the kind in the messages.
+template <typename T>
+Result<T> LoadNewestValidCheckpointWithPrefix(
+    const std::string& dir, const std::string& prefix, const std::string& noun,
+    Result<T> (*load)(const std::string&), std::string* loaded_path) {
+  const std::vector<std::string> files =
+      ListCheckpointFilesWithPrefix(dir, prefix);
+  if (files.empty()) {
+    return Status::NotFound("no " + noun + "s in '" + dir + "'");
+  }
+  for (auto it = files.rbegin(); it != files.rend(); ++it) {
+    Result<T> loaded = load(*it);
+    if (loaded.ok()) {
+      if (loaded_path != nullptr) *loaded_path = *it;
+      return loaded;
+    }
+    SAM_LOG(Warn) << "skipping corrupt " << noun << " " << *it << ": "
+                  << loaded.status().ToString();
+  }
+  return Status::IOError("all " + std::to_string(files.size()) + " " + noun +
+                         "(s) in '" + dir +
+                         "' are corrupt; refusing to restart from scratch "
+                         "silently (clear the directory to start over)");
+}
 
 /// \brief Loads the newest checkpoint in `dir` that passes validation.
 ///

@@ -147,10 +147,8 @@ void OutputSlice(const double* h, size_t rows, size_t hc, const double* w,
       const double* wrow = w + k * w_stride;
       for (size_t j = 0; j < d; ++j) lr[j] += hv * wrow[j];
     }
-    if (direct != nullptr) {
-      const double* dr = direct + r * direct_stride;
-      for (size_t j = 0; j < d; ++j) lr[j] += dr[j];
-    }
+    const double* dr = direct + r * direct_stride;
+    for (size_t j = 0; j < d; ++j) lr[j] += dr[j];
   }
 }
 

@@ -81,10 +81,11 @@ struct KernelTable {
   void (*vec_add)(double* dst, const double* src, size_t n);
 
   /// Fused output-slice forward for the MADE logits block:
-  ///   out[r] = bias + h[r] * W + (direct[r] if non-null)
+  ///   out[r] = bias + h[r] * W + direct[r]
   /// h: rows x hc, W: hc x d with row stride `w_stride` (a column slice of a
   /// wider matrix), bias: d entries, direct: rows x d with row stride
-  /// `direct_stride` (nullptr to skip), out: rows x d contiguous.
+  /// `direct_stride` (required: MADE's direct connections are always on),
+  /// out: rows x d contiguous.
   /// For d > 4, h entries equal to 0.0 are skipped (per-k work is wide enough
   /// that exploiting ReLU sparsity pays). For d <= 4 a shared
   /// register-accumulating path runs with NO zero-skip — the branch would

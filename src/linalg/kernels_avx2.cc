@@ -369,15 +369,13 @@ void OutputSlice(const double* h, size_t rows, size_t hc, const double* w,
       if (hv == 0.0) continue;
       AxpyRow(lr, w + k * w_stride, hv, d);
     }
-    if (direct != nullptr) {
-      const double* dr = direct + r * direct_stride;
-      size_t c = 0;
-      for (; c + 4 <= d; c += 4) {
-        _mm256_storeu_pd(lr + c, _mm256_add_pd(_mm256_loadu_pd(lr + c),
-                                               _mm256_loadu_pd(dr + c)));
-      }
-      for (; c < d; ++c) lr[c] += dr[c];
+    const double* dr = direct + r * direct_stride;
+    size_t c = 0;
+    for (; c + 4 <= d; c += 4) {
+      _mm256_storeu_pd(lr + c, _mm256_add_pd(_mm256_loadu_pd(lr + c),
+                                             _mm256_loadu_pd(dr + c)));
     }
+    for (; c < d; ++c) lr[c] += dr[c];
   }
 }
 

@@ -34,12 +34,8 @@ inline void OutputSliceSmall(const double* h, size_t rows, size_t hc,
       for (int j = 0; j < D; ++j) acc[j] += hv * wrow[j];
     }
     double* lr = out + r * d;
-    if (direct != nullptr) {
-      const double* dr = direct + r * direct_stride;
-      for (int j = 0; j < D; ++j) lr[j] = acc[j] + dr[j];
-    } else {
-      for (int j = 0; j < D; ++j) lr[j] = acc[j];
-    }
+    const double* dr = direct + r * direct_stride;
+    for (int j = 0; j < D; ++j) lr[j] = acc[j] + dr[j];
   }
 }
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "ar/training_checkpoint.h"
-#include "common/logging.h"
 #include "storage/artifact_io.h"
 
 namespace sam {
@@ -117,24 +116,9 @@ std::string GenerationCheckpointFileName(uint64_t next_step) {
 
 Result<GenerationCheckpoint> LoadLatestValidGenerationCheckpoint(
     const std::string& dir, std::string* loaded_path) {
-  const std::vector<std::string> files =
-      ListCheckpointFilesWithPrefix(dir, kGenCheckpointPrefix);
-  if (files.empty()) {
-    return Status::NotFound("no generation checkpoints in '" + dir + "'");
-  }
-  for (auto it = files.rbegin(); it != files.rend(); ++it) {
-    Result<GenerationCheckpoint> loaded = GenerationCheckpoint::Load(*it);
-    if (loaded.ok()) {
-      if (loaded_path != nullptr) *loaded_path = *it;
-      return loaded;
-    }
-    SAM_LOG(Warn) << "skipping corrupt generation checkpoint " << *it << ": "
-                  << loaded.status().ToString();
-  }
-  return Status::IOError("all " + std::to_string(files.size()) +
-                         " generation checkpoint(s) in '" + dir +
-                         "' are corrupt; refusing to restart from scratch "
-                         "silently (clear the directory to start over)");
+  return LoadNewestValidCheckpointWithPrefix<GenerationCheckpoint>(
+      dir, kGenCheckpointPrefix, "generation checkpoint",
+      &GenerationCheckpoint::Load, loaded_path);
 }
 
 void PruneGenerationCheckpoints(const std::string& dir, size_t keep) {

@@ -14,6 +14,7 @@
 
 #include "common/fnv1a.h"
 #include "common/logging.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -45,15 +46,8 @@ uint64_t HashKey(const std::string& s) {
   return f.hash();
 }
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 uint64_t DeriveSeed(uint64_t base, const std::string& tag) {
-  return SplitMix64(base ^ HashKey(tag));
+  return Mix64(base ^ HashKey(tag));
 }
 
 // ---------------------------------------------------------------------------

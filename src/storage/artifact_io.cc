@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <thread>
 
 #include "common/logging.h"
@@ -51,26 +50,6 @@ bool FaultFires() {
   return true;
 }
 
-/// True when `err` is worth retrying: transient device hiccups, not
-/// deterministic failures like ENOSPC or a bad path.
-bool IsTransientErrno(int err) { return err == EIO || err == EAGAIN; }
-
-Status WriteAllBytes(int fd, const char* data, size_t len,
-                     const std::string& path, int* err_out) {
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::write(fd, data + done, len - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (err_out != nullptr) *err_out = errno;
-      return Status::IOError("write failed for '" + path + "': " +
-                             std::strerror(errno));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 /// Best-effort fsync of the directory containing `path`, so the rename
 /// itself is durable. Errors are ignored: on filesystems that reject
 /// directory fsync the rename is still atomic, just not yet durable.
@@ -100,147 +79,6 @@ void FlipBitInFile(const std::string& path, long long byte_offset) {
   ::close(fd);
 }
 
-/// Shared commit path: writes `blob` to `path + ".tmp"`, fsyncs, renames.
-/// Injected faults leave the filesystem exactly as the simulated crash
-/// would (see ArtifactFaultInjection). `*transient` is set when the failure
-/// is a retryable device hiccup (injected or real EIO/EAGAIN) rather than a
-/// deterministic error.
-Status CommitBlobImpl(const std::string& path, const std::string& blob,
-                      bool* transient) {
-  *transient = false;
-  // Transient faults are consumed per *attempt*, before the per-commit
-  // crash-fault accounting, so `skip_commits` keeps counting commits rather
-  // than attempts.
-  if (g_faults_active && g_faults.transient_failures > 0) {
-    --g_faults.transient_failures;
-    *transient = true;
-    return Status::IOError("injected fault: transient I/O error (EIO) writing '" +
-                           path + "'");
-  }
-  const bool faulty = FaultFires();
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot open '" + tmp + "' for writing: " +
-                           std::strerror(errno));
-  }
-  if (faulty && g_faults.enospc) {
-    // A full disk is a *reported* write error, not a crash: the staged temp
-    // file is cleaned up and the caller sees a clean, non-retryable IOError.
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return Status::IOError("write failed for '" + tmp +
-                           "': " + std::strerror(ENOSPC) +
-                           " (injected ENOSPC)");
-  }
-
-  size_t to_write = blob.size();
-  bool injected_torn_write = false;
-  if (faulty) {
-    if (g_faults.fail_write_at_byte >= 0 &&
-        static_cast<size_t>(g_faults.fail_write_at_byte) < blob.size()) {
-      to_write = static_cast<size_t>(g_faults.fail_write_at_byte);
-      injected_torn_write = true;
-    } else if (g_faults.truncate_on_close) {
-      to_write = blob.size() / 2;
-    }
-  }
-
-  int write_errno = 0;
-  const Status write_st =
-      WriteAllBytes(fd, blob.data(), to_write, tmp, &write_errno);
-  if (!write_st.ok()) {
-    ::close(fd);
-    ::unlink(tmp.c_str());  // Real error, not a simulated crash: clean up.
-    *transient = IsTransientErrno(write_errno);
-    return write_st;
-  }
-  if (injected_torn_write) {
-    // Simulated crash mid-write: the torn temp file stays on disk and the
-    // target path is untouched.
-    ::close(fd);
-    return Status::IOError("injected fault: crash after writing " +
-                           std::to_string(to_write) + " of " +
-                           std::to_string(blob.size()) + " bytes to '" + tmp +
-                           "'");
-  }
-  if (::fsync(fd) != 0) {
-    const Status st = Status::IOError("fsync failed for '" + tmp + "': " +
-                                      std::strerror(errno));
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return st;
-  }
-  ::close(fd);
-
-  if (faulty && g_faults.torn_rename) {
-    // Simulated crash between fsync and rename: complete temp file, target
-    // path untouched.
-    return Status::IOError("injected fault: crash before renaming '" + tmp +
-                           "' over '" + path + "'");
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status st = Status::IOError("rename '" + tmp + "' -> '" + path +
-                                      "' failed: " + std::strerror(errno));
-    ::unlink(tmp.c_str());
-    return st;
-  }
-  FsyncParentDir(path);
-  if (faulty && g_faults.bit_flip_at_byte >= 0) {
-    // Post-commit bit rot: the commit itself reports success.
-    FlipBitInFile(path, g_faults.bit_flip_at_byte);
-  }
-  return Status::OK();
-}
-
-/// Retry loop around the raw commit: transient failures (EIO/EAGAIN, real
-/// or injected) are retried with exponential backoff up to
-/// `kMaxCommitAttempts` total attempts; anything else fails immediately.
-Status CommitBlobWithRetry(const std::string& path, const std::string& blob) {
-  static obs::Counter* retries =
-      obs::MetricsRegistry::Global().GetCounter("sam.artifact.retries_total");
-  Status st;
-  for (int attempt = 1; attempt <= kMaxCommitAttempts; ++attempt) {
-    bool transient = false;
-    st = CommitBlobImpl(path, blob, &transient);
-    if (st.ok() || !transient) return st;
-    if (attempt == kMaxCommitAttempts) break;
-    retries->Add(1);
-    const auto backoff = std::chrono::milliseconds(5LL << (attempt - 1));
-    SAM_LOG(Warn) << "transient write failure for '" << path << "' (attempt "
-                  << attempt << "/" << kMaxCommitAttempts << "), retrying in "
-                  << backoff.count() << "ms: " << st.ToString();
-    std::this_thread::sleep_for(backoff);
-  }
-  return Status::IOError("commit of '" + path + "' failed after " +
-                         std::to_string(kMaxCommitAttempts) +
-                         " attempts (transient errors persisted): " +
-                         st.ToString());
-}
-
-/// Observed commit path shared by AtomicWriteFile and ArtifactWriter. The
-/// trace/metrics writers themselves land here, after their snapshots are
-/// taken, so instrumenting the commit never feeds back into the output.
-Status CommitBlob(const std::string& path, const std::string& blob) {
-  obs::TraceSpan span("artifact/commit");
-  if (!obs::MetricsEnabled()) return CommitBlobWithRetry(path, blob);
-  static obs::Counter* commits =
-      obs::MetricsRegistry::Global().GetCounter("sam.artifact.commits");
-  static obs::Counter* bytes =
-      obs::MetricsRegistry::Global().GetCounter("sam.artifact.bytes");
-  static obs::Histogram* seconds =
-      obs::MetricsRegistry::Global().GetHistogram(
-          "sam.artifact.commit_seconds");
-  const auto t0 = std::chrono::steady_clock::now();
-  const Status st = CommitBlobWithRetry(path, blob);
-  seconds->Observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count());
-  commits->Add(1);
-  bytes->Add(blob.size());
-  return st;
-}
-
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
@@ -264,7 +102,9 @@ void ClearArtifactFaultInjectionForTest() {
 }
 
 Status AtomicWriteFile(const std::string& path, const std::string& contents) {
-  return CommitBlob(path, contents);
+  SAM_ASSIGN_OR_RETURN(AtomicFileWriter w, AtomicFileWriter::Open(path));
+  SAM_RETURN_NOT_OK(w.Append(contents));
+  return w.Commit();
 }
 
 Result<AtomicFileWriter> AtomicFileWriter::Open(const std::string& path) {
@@ -316,45 +156,86 @@ Status AtomicFileWriter::Append(const char* data, size_t len) {
     return Status::Internal("AtomicFileWriter for '" + path_ +
                             "' is closed (committed or moved from)");
   }
-  int write_errno = 0;
-  const Status st = WriteAllBytes(fd_, data, len, tmp_, &write_errno);
-  if (!st.ok()) {
-    Abandon();  // Reported error: no staged temp file left behind.
-    return st;
+  size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::write(fd_, data + done, len - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const Status st = Status::IOError("write failed for '" + tmp_ + "': " +
+                                        std::strerror(errno));
+      Abandon();  // Reported error: no staged temp file left behind.
+      return st;
+    }
+    done += static_cast<size_t>(n);
   }
   bytes_written_ += len;
   return Status::OK();
 }
 
+// The one commit barrier: the buffered front-ends (AtomicWriteFile,
+// ArtifactWriter::Commit) stage through this writer too, so every durable
+// file shares one protocol, one fault seam and one set of commit metrics.
+// The trace/metrics writers themselves land here, after their snapshots are
+// taken, so instrumenting the commit never feeds back into the output.
 Status AtomicFileWriter::Commit() {
   if (fd_ < 0) {
     return Status::Internal("AtomicFileWriter for '" + path_ +
                             "' is closed (committed or moved from)");
   }
-  // The fault seam fires once per streamed commit, mirroring the buffered
-  // path: crash modes leave the filesystem as the real crash would, reported
-  // errors clean up the staged file.
-  if (g_faults_active && g_faults.transient_failures > 0) {
-    // Transient hiccups at the commit barrier retry with backoff; the bytes
-    // already staged stay valid across attempts.
-    static obs::Counter* retries =
-        obs::MetricsRegistry::Global().GetCounter("sam.artifact.retries_total");
-    int attempt = 1;
-    while (g_faults.transient_failures > 0) {
-      --g_faults.transient_failures;
-      if (attempt >= kMaxCommitAttempts) {
-        Abandon();
-        return Status::IOError("commit of '" + path_ + "' failed after " +
-                               std::to_string(kMaxCommitAttempts) +
-                               " attempts (transient errors persisted)");
-      }
-      retries->Add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(5LL << (attempt - 1)));
-      ++attempt;
-    }
+  obs::TraceSpan span("artifact/commit");
+  const auto t0 = std::chrono::steady_clock::now();
+  const Status st = CommitStaged();
+  if (obs::MetricsEnabled()) {
+    static obs::Counter* commits =
+        obs::MetricsRegistry::Global().GetCounter("sam.artifact.commits");
+    static obs::Counter* bytes =
+        obs::MetricsRegistry::Global().GetCounter("sam.artifact.bytes");
+    static obs::Histogram* seconds =
+        obs::MetricsRegistry::Global().GetHistogram(
+            "sam.artifact.commit_seconds");
+    seconds->Observe(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count());
+    commits->Add(1);
+    bytes->Add(bytes_written_);
   }
+  return st;
+}
+
+Status AtomicFileWriter::CommitStaged() {
+  // Transient hiccups are consumed per *attempt*, before the per-commit
+  // crash-fault accounting, so `skip_commits` keeps counting commits rather
+  // than attempts. The staged bytes stay valid across attempts, so a retry
+  // only backs off and tries the barrier again.
+  static obs::Counter* retries =
+      obs::MetricsRegistry::Global().GetCounter("sam.artifact.retries_total");
+  for (int attempt = 1; g_faults_active && g_faults.transient_failures > 0;
+       ++attempt) {
+    --g_faults.transient_failures;
+    const Status st = Status::IOError(
+        "injected fault: transient I/O error (EIO) committing '" + path_ + "'");
+    if (attempt == kMaxCommitAttempts) {
+      Abandon();
+      return Status::IOError("commit of '" + path_ + "' failed after " +
+                             std::to_string(kMaxCommitAttempts) +
+                             " attempts (transient errors persisted): " +
+                             st.ToString());
+    }
+    retries->Add(1);
+    const auto backoff = std::chrono::milliseconds(5LL << (attempt - 1));
+    SAM_LOG(Warn) << "transient write failure for '" << path_ << "' (attempt "
+                  << attempt << "/" << kMaxCommitAttempts << "), retrying in "
+                  << backoff.count() << "ms: " << st.ToString();
+    std::this_thread::sleep_for(backoff);
+  }
+
+  // Injected crash modes leave the filesystem exactly as the simulated crash
+  // would (see ArtifactFaultInjection); reported errors clean up the staged
+  // temp file.
   const bool faulty = FaultFires();
   if (faulty && g_faults.enospc) {
+    // A full disk is a *reported* write error, not a crash: the caller sees a
+    // clean, non-retryable IOError and no staged file is left behind.
     Abandon();
     return Status::IOError("write failed for '" + tmp_ +
                            "': " + std::strerror(ENOSPC) +
@@ -363,15 +244,17 @@ Status AtomicFileWriter::Commit() {
   if (faulty && g_faults.fail_write_at_byte >= 0 &&
       static_cast<unsigned long long>(g_faults.fail_write_at_byte) <
           bytes_written_) {
-    // Simulated crash mid-write: truncated temp file stays, target untouched.
+    // Simulated crash mid-write: the torn temp file stays on disk and the
+    // target path is untouched.
     ::ftruncate(fd_, static_cast<off_t>(g_faults.fail_write_at_byte));
     ::close(fd_);
     fd_ = -1;
-    tmp_.clear();  // Deliberately leave the torn temp file, like a crash.
+    const std::string torn = tmp_;
+    tmp_.clear();
     return Status::IOError("injected fault: crash after writing " +
                            std::to_string(g_faults.fail_write_at_byte) +
                            " of " + std::to_string(bytes_written_) +
-                           " bytes to '" + path_ + ".tmp'");
+                           " bytes to '" + torn + "'");
   }
   if (faulty && g_faults.truncate_on_close) {
     // Lying close: half the bytes reach disk but the commit reports success.
@@ -385,23 +268,25 @@ Status AtomicFileWriter::Commit() {
   }
   ::close(fd_);
   fd_ = -1;
+  const std::string staged = tmp_;
+  tmp_.clear();
   if (faulty && g_faults.torn_rename) {
-    tmp_.clear();  // Complete temp file stays; target path untouched.
-    return Status::IOError("injected fault: crash before renaming '" + path_ +
-                           ".tmp' over '" + path_ + "'");
+    // Simulated crash between fsync and rename: complete temp file, target
+    // path untouched.
+    return Status::IOError("injected fault: crash before renaming '" + staged +
+                           "' over '" + path_ + "'");
   }
-  if (::rename(tmp_.c_str(), path_.c_str()) != 0) {
-    const Status st = Status::IOError("rename '" + tmp_ + "' -> '" + path_ +
+  if (::rename(staged.c_str(), path_.c_str()) != 0) {
+    const Status st = Status::IOError("rename '" + staged + "' -> '" + path_ +
                                       "' failed: " + std::strerror(errno));
-    ::unlink(tmp_.c_str());
-    tmp_.clear();
+    ::unlink(staged.c_str());
     return st;
   }
   FsyncParentDir(path_);
   if (faulty && g_faults.bit_flip_at_byte >= 0) {
+    // Post-commit bit rot: the commit itself reports success.
     FlipBitInFile(path_, g_faults.bit_flip_at_byte);
   }
-  tmp_.clear();
   return Status::OK();
 }
 
@@ -440,10 +325,10 @@ size_t ArtifactWriter::committed_size() const {
 }
 
 Status ArtifactWriter::Commit(const std::string& path) const {
-  std::string blob;
-  blob.reserve(kHeaderBytes + payload_.size());
-  auto append = [&blob](const void* data, size_t len) {
-    blob.append(static_cast<const char*>(data), len);
+  std::string header;
+  header.reserve(kHeaderBytes);
+  auto append = [&header](const void* data, size_t len) {
+    header.append(static_cast<const char*>(data), len);
   };
   append(&kArtifactMagic, 4);
   const uint32_t container = kContainerVersion;
@@ -454,8 +339,10 @@ Status ArtifactWriter::Commit(const std::string& path) const {
   append(&crc, 4);
   const uint64_t size = payload_.size();
   append(&size, 8);
-  blob += payload_;
-  return CommitBlob(path, blob);
+  SAM_ASSIGN_OR_RETURN(AtomicFileWriter w, AtomicFileWriter::Open(path));
+  SAM_RETURN_NOT_OK(w.Append(header));
+  SAM_RETURN_NOT_OK(w.Append(payload_));
+  return w.Commit();
 }
 
 Result<StreamingArtifactReader> StreamingArtifactReader::Open(
@@ -641,59 +528,16 @@ Status StreamingArtifactReader::Finish() const {
 
 Result<ArtifactReader> ArtifactReader::Open(const std::string& path,
                                             const std::string& kind) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "'");
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IOError("read failed for '" + path + "'");
-  if (blob.size() < kHeaderBytes) {
-    return Status::IOError("artifact '" + path + "' truncated: " +
-                           std::to_string(blob.size()) +
-                           " bytes is smaller than the header");
-  }
-  size_t off = 0;
-  auto read32 = [&]() {
-    uint32_t v;
-    std::memcpy(&v, blob.data() + off, 4);
-    off += 4;
-    return v;
-  };
-  if (read32() != kArtifactMagic) {
-    return Status::InvalidArgument("'" + path + "' is not a SAM artifact");
-  }
-  const uint32_t container = read32();
-  if (container != kContainerVersion) {
-    return Status::InvalidArgument("artifact '" + path +
-                                   "' has unsupported container version " +
-                                   std::to_string(container));
-  }
-  std::string file_kind = blob.substr(off, kKindBytes);
-  off += kKindBytes;
-  std::string want_kind = kind;
-  want_kind.resize(kKindBytes, '\0');
-  if (file_kind != want_kind) {
-    return Status::InvalidArgument(
-        "artifact '" + path + "' has kind '" +
-        file_kind.substr(0, file_kind.find('\0')) + "', expected '" + kind +
-        "'");
-  }
+  // The streaming reader owns the one header check; the payload then lands
+  // in a buffer sized from the validated header, and Finish() checks the CRC.
+  SAM_ASSIGN_OR_RETURN(StreamingArtifactReader in,
+                       StreamingArtifactReader::Open(path, kind));
   ArtifactReader reader;
-  reader.version_ = read32();
-  const uint32_t crc = read32();
-  uint64_t payload_size;
-  std::memcpy(&payload_size, blob.data() + off, 8);
-  off += 8;
-  if (payload_size != blob.size() - kHeaderBytes) {
-    return Status::IOError(
-        "artifact '" + path + "' corrupt: header declares " +
-        std::to_string(payload_size) + " payload bytes, file has " +
-        std::to_string(blob.size() - kHeaderBytes));
-  }
-  reader.payload_ = blob.substr(kHeaderBytes);
-  if (Crc32(reader.payload_.data(), reader.payload_.size()) != crc) {
-    return Status::IOError("artifact '" + path +
-                           "' corrupt: payload checksum mismatch");
-  }
+  reader.version_ = in.version();
+  reader.payload_.resize(in.payload_size());
+  SAM_RETURN_NOT_OK(
+      in.Read(reader.payload_.data(), reader.payload_.size()).status());
+  SAM_RETURN_NOT_OK(in.Finish());
   return reader;
 }
 

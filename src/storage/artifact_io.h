@@ -16,12 +16,13 @@ namespace sam {
 ///   u32 magic ("SAMA")  u32 container version  char kind[8]
 ///   u32 artifact version  u32 crc32(payload)  u64 payload size  payload...
 ///
-/// Writers buffer the full payload in memory and commit it with
-/// write-temp → fsync → rename → fsync(dir), so a crash at any instant
-/// leaves either the previous file intact or a temp file the reader never
-/// looks at. Readers validate magic, kind, declared payload length and the
-/// CRC32 before exposing a single byte, so truncation and bit rot surface as
-/// a clean `Status` instead of partially-applied state.
+/// Every durable file — buffered (`AtomicWriteFile`, `ArtifactWriter`) or
+/// streamed (`AtomicFileWriter`) — is staged in `path + ".tmp"` and published
+/// by one commit barrier: fsync → rename → fsync(dir), so a crash at any
+/// instant leaves either the previous file intact or a temp file the reader
+/// never looks at. Readers validate magic, kind, declared payload length and
+/// the CRC32 before exposing a single byte, so truncation and bit rot surface
+/// as a clean `Status` instead of partially-applied state.
 ///
 /// Byte order is host order; artifacts are an internal persistence format,
 /// not a cross-architecture interchange format (the CI fleet is
@@ -68,13 +69,14 @@ void ClearArtifactFaultInjectionForTest();
 
 /// \brief Writes `contents` to `path` with atomic temp+fsync+rename
 /// semantics (no header/checksum — used for interoperable text formats:
-/// CSVs, schema files, workloads). Goes through the fault-injection seam.
+/// CSVs, schema files, workloads). A buffered front-end: the bytes are
+/// staged through `AtomicFileWriter` and published by its commit barrier.
 ///
-/// Transient write failures (EIO/EAGAIN) are retried up to
-/// `kMaxCommitAttempts` times with exponential backoff; every retry bumps
-/// the `sam.artifact.retries_total` counter, and exhausting the budget
-/// fails with an `IOError` naming the path. Hard failures (ENOSPC, bad
-/// paths) are not retried and leave no staged temp file behind.
+/// Transient failures at the barrier are retried up to `kMaxCommitAttempts`
+/// times with exponential backoff (the staged bytes stay valid); every retry
+/// bumps the `sam.artifact.retries_total` counter, and exhausting the budget
+/// fails with an `IOError` naming the path. Hard failures (write errors,
+/// ENOSPC, bad paths) are not retried and leave no staged temp file behind.
 Status AtomicWriteFile(const std::string& path, const std::string& contents);
 
 /// Retry budget for transient commit failures (total attempts, so N - 1
@@ -84,10 +86,12 @@ constexpr int kMaxCommitAttempts = 4;
 /// \brief Streaming variant of `AtomicWriteFile` for outputs too large to
 /// buffer under a memory cap (out-of-core CSV assembly).
 ///
-/// Bytes are appended straight to `path + ".tmp"`; `Commit()` fsyncs and
-/// renames into place (honouring the fault-injection seam), so the target
-/// path is still all-or-nothing even though the payload never lives in RAM.
-/// Destroying an uncommitted writer unlinks the temp file.
+/// Bytes are appended straight to `path + ".tmp"`; `Commit()` is the one
+/// commit barrier every durable write reaches: the fault-injection seam, the
+/// bounded transient retry, fsync → rename → fsync(dir), and the
+/// `artifact/commit` span with the `sam.artifact.*` metrics. The target path
+/// is all-or-nothing even though the payload never lives in RAM. Destroying
+/// an uncommitted writer unlinks the temp file.
 class AtomicFileWriter {
  public:
   static Result<AtomicFileWriter> Open(const std::string& path);
@@ -113,6 +117,8 @@ class AtomicFileWriter {
   AtomicFileWriter() = default;
 
   void Abandon();
+  /// The barrier proper (everything in `Commit` but the observation).
+  Status CommitStaged();
 
   std::string path_;
   std::string tmp_;
@@ -144,7 +150,8 @@ class ArtifactWriter {
   /// Total on-disk size after Commit (header + payload).
   size_t committed_size() const;
 
-  /// Atomically publishes the artifact at `path` (see file comment).
+  /// Atomically publishes the artifact at `path`: stages the header, then
+  /// the payload, through `AtomicFileWriter` (see file comment).
   Status Commit(const std::string& path) const;
 
  private:
@@ -210,9 +217,11 @@ class StreamingArtifactReader {
 
 /// \brief Validates and reads back an artifact written by `ArtifactWriter`.
 ///
-/// `Open` performs all integrity checks up front; the typed getters are
-/// bounds-checked against the declared payload, so a corrupt length field
-/// can never cause an out-of-bounds read or a partially-filled object.
+/// `Open` performs all integrity checks up front — the header check of
+/// `StreamingArtifactReader`, one read of the payload, then its CRC — and
+/// the typed getters are bounds-checked against the declared payload, so a
+/// corrupt length field can never cause an out-of-bounds read or a
+/// partially-filled object.
 class ArtifactReader {
  public:
   /// Opens `path`, expecting artifact kind `kind`. Fails with

@@ -460,6 +460,93 @@ TEST_F(ArtifactIoTest, AtomicFileWriterFaultSweep) {
     ClearArtifactFaultInjectionForTest();
     EXPECT_EQ(ReadAll(dir + "/d.csv"), "survives\n");
   }
+
+  // The remaining modes stream a complete SAMA artifact, so the reader can
+  // show that a corrupt streamed commit is detected exactly like a buffered
+  // one.
+  ArtifactWriter aw("TESTKIND", 1);
+  aw.PutString("streamed through the one commit barrier");
+  ASSERT_TRUE(aw.Commit(dir + "/source.bin").ok());
+  const std::string artifact = ReadAll(dir + "/source.bin");
+  auto stream = [&](const std::string& name) {
+    auto w = AtomicFileWriter::Open(dir + "/" + name);
+    EXPECT_TRUE(w.ok());
+    EXPECT_TRUE(w.ValueOrDie().Append(artifact).ok());
+    return w.ValueOrDie().Commit();
+  };
+  {
+    // Lying close: the commit reports success, the reader sees truncation.
+    ArtifactFaultInjection f;
+    f.truncate_on_close = true;
+    SetArtifactFaultInjectionForTest(f);
+    EXPECT_TRUE(stream("e.bin").ok());
+    ClearArtifactFaultInjectionForTest();
+    auto r = ArtifactReader::Open(dir + "/e.bin", "TESTKIND");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  }
+  {
+    // Bit rot after a successful streamed commit fails the CRC at read.
+    ArtifactFaultInjection f;
+    f.bit_flip_at_byte = 40;
+    SetArtifactFaultInjectionForTest(f);
+    EXPECT_TRUE(stream("f.bin").ok());
+    ClearArtifactFaultInjectionForTest();
+    auto r = ArtifactReader::Open(dir + "/f.bin", "TESTKIND");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  }
+  {
+    // skip_commits counts streamed commits: the first lands intact, the
+    // fault fires on the second.
+    ArtifactFaultInjection f;
+    f.skip_commits = 1;
+    f.torn_rename = true;
+    SetArtifactFaultInjectionForTest(f);
+    EXPECT_TRUE(stream("g.bin").ok());
+    EXPECT_FALSE(stream("h.bin").ok());
+    ClearArtifactFaultInjectionForTest();
+    EXPECT_TRUE(ArtifactReader::Open(dir + "/g.bin", "TESTKIND").ok());
+    EXPECT_FALSE(std::filesystem::exists(dir + "/h.bin"));
+  }
+  {
+    // An exhausted transient budget fails naming the path and the budget,
+    // and leaves neither target nor staging behind.
+    ArtifactFaultInjection f;
+    f.transient_failures = kMaxCommitAttempts;
+    SetArtifactFaultInjectionForTest(f);
+    const Status st = stream("i.bin");
+    ClearArtifactFaultInjectionForTest();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kIOError);
+    EXPECT_NE(st.ToString().find(dir + "/i.bin"), std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.ToString().find(std::to_string(kMaxCommitAttempts)),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_FALSE(std::filesystem::exists(dir + "/i.bin"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/i.bin.tmp"));
+  }
+}
+
+TEST_F(ArtifactIoTest, StreamedCommitIsCountedLikeBufferedOnes) {
+  obs::EnableMetrics(true);
+  obs::Counter* commits =
+      obs::MetricsRegistry::Global().GetCounter("sam.artifact.commits");
+  obs::Counter* bytes =
+      obs::MetricsRegistry::Global().GetCounter("sam.artifact.bytes");
+  const uint64_t commits_before = commits->Value();
+  const uint64_t bytes_before = bytes->Value();
+
+  auto w = AtomicFileWriter::Open(TempDir("sam_afw_metrics") + "/t.csv");
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  ASSERT_TRUE(w.ValueOrDie().Append("header\nrow\n").ok());
+  const Status st = w.ValueOrDie().Commit();
+  obs::EnableMetrics(false);
+
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(commits->Value(), commits_before + 1);
+  EXPECT_EQ(bytes->Value(), bytes_before + 11);
 }
 
 TEST_F(ArtifactIoTest, Crc32MatchesKnownVector) {

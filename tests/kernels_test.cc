@@ -200,16 +200,14 @@ TEST(KernelParityTest, OutputSliceBitIdentical) {
   const auto w = RandomVec(&rng, hc * w_stride);
   const auto bias = RandomVec(&rng, d);
   const auto direct = RandomVec(&rng, rows * direct_stride);
-  for (const double* dir : {direct.data(), static_cast<const double*>(nullptr)}) {
-    std::vector<double> os(rows * d), ov(rows * d);
-    Table(Backend::kScalar)
-        .output_slice(h.data(), rows, hc, w.data(), w_stride, bias.data(), dir,
-                      direct_stride, os.data(), d);
-    Table(Backend::kAvx2)
-        .output_slice(h.data(), rows, hc, w.data(), w_stride, bias.data(), dir,
-                      direct_stride, ov.data(), d);
-    ExpectBitIdentical(os, ov, "output_slice");
-  }
+  std::vector<double> os(rows * d), ov(rows * d);
+  Table(Backend::kScalar)
+      .output_slice(h.data(), rows, hc, w.data(), w_stride, bias.data(),
+                    direct.data(), direct_stride, os.data(), d);
+  Table(Backend::kAvx2)
+      .output_slice(h.data(), rows, hc, w.data(), w_stride, bias.data(),
+                    direct.data(), direct_stride, ov.data(), d);
+  ExpectBitIdentical(os, ov, "output_slice");
 }
 
 TEST(KernelParityTest, OutputSliceSmallDomainsBitIdenticalAndCorrect) {
@@ -224,26 +222,23 @@ TEST(KernelParityTest, OutputSliceSmallDomainsBitIdenticalAndCorrect) {
   const auto bias = RandomVec(&rng, 4);
   const auto direct = RandomVec(&rng, rows * direct_stride);
   for (size_t d : {1u, 2u, 3u, 4u}) {
-    for (const double* dir :
-         {direct.data(), static_cast<const double*>(nullptr)}) {
-      std::vector<double> os(rows * d), ov(rows * d);
-      Table(Backend::kScalar)
-          .output_slice(h.data(), rows, hc, w.data(), w_stride, bias.data(),
-                        dir, direct_stride, os.data(), d);
-      Table(Backend::kAvx2)
-          .output_slice(h.data(), rows, hc, w.data(), w_stride, bias.data(),
-                        dir, direct_stride, ov.data(), d);
-      ExpectBitIdentical(os, ov, "output_slice small d");
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t j = 0; j < d; ++j) {
-          // The small-d path has no zero-skip (see kernels_smalld.h).
-          double ref = bias[j];
-          for (size_t k = 0; k < hc; ++k) {
-            ref += h[r * hc + k] * w[k * w_stride + j];
-          }
-          if (dir != nullptr) ref += direct[r * direct_stride + j];
-          EXPECT_NEAR(os[r * d + j], ref, 1e-12) << "r=" << r << " j=" << j;
+    std::vector<double> os(rows * d), ov(rows * d);
+    Table(Backend::kScalar)
+        .output_slice(h.data(), rows, hc, w.data(), w_stride, bias.data(),
+                      direct.data(), direct_stride, os.data(), d);
+    Table(Backend::kAvx2)
+        .output_slice(h.data(), rows, hc, w.data(), w_stride, bias.data(),
+                      direct.data(), direct_stride, ov.data(), d);
+    ExpectBitIdentical(os, ov, "output_slice small d");
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t j = 0; j < d; ++j) {
+        // The small-d path has no zero-skip (see kernels_smalld.h).
+        double ref = bias[j];
+        for (size_t k = 0; k < hc; ++k) {
+          ref += h[r * hc + k] * w[k * w_stride + j];
         }
+        ref += direct[r * direct_stride + j];
+        EXPECT_NEAR(os[r * d + j], ref, 1e-12) << "r=" << r << " j=" << j;
       }
     }
   }
