@@ -136,14 +136,54 @@ size_t MadeModel::num_parameters() const {
   return total;
 }
 
+namespace {
+
+Matrix Masked(const Tensor& w, const Matrix& mask) {
+  Matrix m = w.value();
+  for (size_t i = 0; i < m.size(); ++i) m.data()[i] *= mask.data()[i];
+  return m;
+}
+
+/// param.grad += leaf.grad (* mask when given).
+void AddGrad(const Tensor& leaf, const Matrix* mask, Tensor* param) {
+  const Matrix& g = leaf.grad();
+  if (g.size() != leaf.value().size()) return;  // No gradient reached it.
+  ad::TensorNode& p = *param->node();
+  p.EnsureGrad();
+  double* dst = p.grad.data();
+  const double* src = g.data();
+  if (mask == nullptr) {
+    for (size_t i = 0; i < g.size(); ++i) dst[i] += src[i];
+  } else {
+    const double* m = mask->data();
+    for (size_t i = 0; i < g.size(); ++i) dst[i] += src[i] * m[i];
+  }
+}
+
+}  // namespace
+
 MadeModel::MaskedWeights MadeModel::BuildMaskedWeights() const {
   MaskedWeights mw;
   for (size_t l = 0; l < weights_.size(); ++l) {
-    mw.w.push_back(ad::Mul(weights_[l], Tensor::Constant(masks_[l])));
+    mw.w.push_back(Tensor::Param(Masked(weights_[l], masks_[l])));
+    mw.b.push_back(Tensor::Param(biases_[l].value()));
   }
-  mw.w_out = ad::Mul(w_out_, Tensor::Constant(mask_out_));
-  mw.w_direct = ad::Mul(w_direct_, Tensor::Constant(mask_direct_));
+  mw.w_out = Tensor::Param(Masked(w_out_, mask_out_));
+  mw.b_out = Tensor::Param(b_out_.value());
+  mw.w_direct = Tensor::Param(Masked(w_direct_, mask_direct_));
   return mw;
+}
+
+void MadeModel::AccumulateGrads(const MaskedWeights& mw) {
+  for (size_t l = 0; l < weights_.size(); ++l) {
+    AddGrad(mw.w[l], &masks_[l], &weights_[l]);
+  }
+  for (size_t l = 0; l < biases_.size(); ++l) {
+    AddGrad(mw.b[l], nullptr, &biases_[l]);
+  }
+  AddGrad(mw.w_out, &mask_out_, &w_out_);
+  AddGrad(mw.b_out, nullptr, &b_out_);
+  AddGrad(mw.w_direct, &mask_direct_, &w_direct_);
 }
 
 Tensor MadeModel::Hidden(const MaskedWeights& mw, const Tensor& input,
@@ -157,9 +197,9 @@ Tensor MadeModel::Hidden(const MaskedWeights& mw, const Tensor& input,
     // preserves the autoregressive masking. The fused op does
     // relu(pre + bias) (+ skip) in one pass over the activations.
     if (options_.residual && l > 0 && pre.cols() == h.cols()) {
-      h = ad::BiasReluSkip(pre, biases_[l], h);
+      h = ad::BiasReluSkip(pre, mw.b[l], h);
     } else {
-      h = ad::BiasRelu(pre, biases_[l]);
+      h = ad::BiasRelu(pre, mw.b[l]);
     }
   }
   return h;
@@ -172,7 +212,7 @@ Tensor MadeModel::ColumnLogits(const MaskedWeights& mw, const Tensor& hidden,
   const size_t e = c.offset + c.domain_size;
   Tensor logits = ad::AddRowBroadcast(
       ad::Matmul(hidden, ad::SliceColumns(mw.w_out, b, e)),
-      ad::SliceColumns(b_out_, b, e));
+      ad::SliceColumns(mw.b_out, b, e));
   return ad::Add(logits, ad::MatmulPrefix(
                              input, ad::SliceColumns(mw.w_direct, b, e), b));
 }
@@ -180,19 +220,10 @@ Tensor MadeModel::ColumnLogits(const MaskedWeights& mw, const Tensor& hidden,
 void MadeModel::SyncSamplerWeights() {
   cached_w_.clear();
   for (size_t l = 0; l < weights_.size(); ++l) {
-    Matrix m = weights_[l].value();
-    const Matrix& mask = masks_[l];
-    for (size_t i = 0; i < m.size(); ++i) m.data()[i] *= mask.data()[i];
-    cached_w_.push_back(std::move(m));
+    cached_w_.push_back(Masked(weights_[l], masks_[l]));
   }
-  cached_w_out_ = w_out_.value();
-  for (size_t i = 0; i < cached_w_out_.size(); ++i) {
-    cached_w_out_.data()[i] *= mask_out_.data()[i];
-  }
-  cached_w_direct_ = w_direct_.value();
-  for (size_t i = 0; i < cached_w_direct_.size(); ++i) {
-    cached_w_direct_.data()[i] *= mask_direct_.data()[i];
-  }
+  cached_w_out_ = Masked(w_out_, mask_out_);
+  cached_w_direct_ = Masked(w_direct_, mask_direct_);
   sampler_synced_ = true;
 }
 

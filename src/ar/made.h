@@ -50,14 +50,26 @@ class MadeModel {
 
   // --- Dense (training) path -------------------------------------------------
 
-  /// Masked weight tensors for one training step; build once per step and
-  /// reuse so gradients accumulate across the per-column passes.
+  /// One training shard's private trainable leaves: the masked weights and
+  /// the biases as of the current parameters. Build once per shard and step
+  /// so gradients accumulate across the per-column passes; shards running
+  /// concurrently never share a gradient buffer. `AccumulateGrads` hands
+  /// the gradients back to the parameters.
   struct MaskedWeights {
     std::vector<ad::Tensor> w;   ///< Per layer (first is input layer).
+    std::vector<ad::Tensor> b;   ///< Per-layer biases.
     ad::Tensor w_out;
+    ad::Tensor b_out;
     ad::Tensor w_direct;
   };
   MaskedWeights BuildMaskedWeights() const;
+
+  /// Adds the gradients accumulated in `mw` to the parameters' gradient
+  /// buffers, in `params()` order. Weight gradients pass through the
+  /// autoregressive mask (the chain rule of w * mask). A leaf with no
+  /// gradient adds nothing. Callers sum shards by calling this in shard
+  /// order, so the reduced gradient does not depend on the thread schedule.
+  void AccumulateGrads(const MaskedWeights& mw);
 
   /// Last hidden activations for `input` (B x total_domain). `input` must be
   /// zero in columns [live_cols, total_domain), and its gradient is produced

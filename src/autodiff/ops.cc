@@ -412,7 +412,8 @@ Tensor PadColumns(const Tensor& a, size_t offset, size_t total) {
                 "pad_cols");
 }
 
-Tensor GumbelSoftmaxST(const Tensor& logits, double tau, Rng* rng) {
+Tensor GumbelSoftmaxST(const Tensor& logits, double tau,
+                       const GumbelNoise& noise) {
   const size_t b = logits.rows();
   const size_t d = logits.cols();
   // Compute perturbed logits once; derive both the soft distribution (kept
@@ -424,7 +425,10 @@ Tensor GumbelSoftmaxST(const Tensor& logits, double tau, Rng* rng) {
     double* srow = soft.row(r);
     double mx = -std::numeric_limits<double>::infinity();
     for (size_t c = 0; c < d; ++c) {
-      srow[c] = (lg[c] + rng->Gumbel()) / tau;
+      const double u = CounterUniform(noise.seed, noise.stream,
+                                      noise.first_row + r,
+                                      (noise.column << 32) | c);
+      srow[c] = (lg[c] + GumbelFromUniform(u)) / tau;
       mx = std::max(mx, srow[c]);
     }
     size_t argmax = 0;

@@ -75,6 +75,19 @@ Tensor SliceRows(const Tensor& a, size_t begin, size_t end);
 /// zeros. The building block for progressively composing MADE inputs.
 Tensor PadColumns(const Tensor& a, size_t offset, size_t total);
 
+/// \brief Counter address of the Gumbel noise of one `GumbelSoftmaxST` call.
+///
+/// Unit c of logits row r draws its uniform from
+/// `CounterUniform(seed, stream, first_row + r, (column << 32) | c)`: a pure
+/// function of the coordinates, so a row's noise does not depend on which
+/// other rows share the call or on the thread that evaluates it.
+struct GumbelNoise {
+  uint64_t seed = 0;
+  uint64_t stream = 0;
+  uint64_t first_row = 0;  ///< Row key of logits row 0 (row r: first_row + r).
+  uint64_t column = 0;
+};
+
 /// \brief Straight-through Gumbel-Softmax sample (one sample per row).
 ///
 /// `logits` are *masked* log-probabilities (out-of-range entries at a large
@@ -83,7 +96,8 @@ Tensor PadColumns(const Tensor& a, size_t offset, size_t total);
 /// tempered softmax `y_soft = softmax((logits + g) / tau)` — the
 /// straight-through estimator used by the paper's Differentiable Progressive
 /// Sampling (§4.1).
-Tensor GumbelSoftmaxST(const Tensor& logits, double tau, Rng* rng);
+Tensor GumbelSoftmaxST(const Tensor& logits, double tau,
+                       const GumbelNoise& noise);
 
 /// Elementwise reciprocal 1 / max(a, eps).
 Tensor Reciprocal(const Tensor& a, double eps = 1e-30);

@@ -36,13 +36,6 @@ Status Rng::RestoreState(const std::string& state) {
   return Status::OK();
 }
 
-double Rng::Gumbel() {
-  // -log(-log(U)) with U in (0,1); clamp away from 0 to avoid inf.
-  double u = Uniform();
-  u = std::max(u, 1e-12);
-  return -std::log(-std::log(u));
-}
-
 int64_t Rng::Zipf(int64_t n, double s) {
   if (n <= 1) return 0;
   if (s <= 1.0) {
@@ -86,6 +79,12 @@ int64_t CategoricalFromUniform(const double* weights, size_t n, double u) {
   for (size_t i = 0; i < n; ++i) total += weights[i];
   if (total <= 0.0) return -1;
   return CategoricalScan(weights, n, u * total);
+}
+
+double GumbelFromUniform(double u) {
+  // -log(-log(U)) with U in (0,1); clamp away from 0 to avoid inf.
+  u = std::max(u, 1e-12);
+  return -std::log(-std::log(u));
 }
 
 }  // namespace sam

@@ -14,7 +14,7 @@ namespace sam {
 ///
 /// Wraps a fixed engine so that every experiment in the repo is reproducible
 /// from a single seed. All sampling utilities used by the paper's algorithms
-/// (uniform, categorical, Gumbel noise) live here.
+/// (uniform, normal, categorical, Zipf) live here.
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x5a4db00c) : engine_(seed) {}
@@ -48,9 +48,6 @@ class Rng {
     std::normal_distribution<double> d(mean, stddev);
     return d(engine_);
   }
-
-  /// Standard Gumbel(0,1) sample, used by the Gumbel-Softmax trick.
-  double Gumbel();
 
   /// Zipf-like skewed integer in [0, n) with exponent `s`.
   ///
@@ -137,5 +134,11 @@ inline double CounterUniform(uint64_t seed, uint64_t stream, uint64_t hi,
 /// but stateless — the counter streams' partner for order-independent
 /// sampling.
 int64_t CategoricalFromUniform(const double* weights, size_t n, double u);
+
+/// Standard Gumbel(0,1) sample -log(-log(u)) from a uniform `u` in [0, 1),
+/// clamped away from 0 so the result is finite: the noise of the
+/// Gumbel-Softmax trick, drawn from counter-addressed uniforms in DPS
+/// training.
+double GumbelFromUniform(double u);
 
 }  // namespace sam

@@ -366,7 +366,7 @@ std::string Hex(uint64_t v) {
 
 /// Census-like single relation: direct connections and residual hidden
 /// layers on, so every matmul of the training step is exercised.
-uint64_t TrainCensusGolden() {
+uint64_t TrainCensusGolden(size_t threads = 0, size_t batch_size = 32) {
   Database db = MakeCensusLike(600, 41);
   auto exec = Executor::Create(&db).MoveValue();
   SingleRelationWorkloadOptions wopts;
@@ -386,16 +386,17 @@ uint64_t TrainCensusGolden() {
   MadeModel model(&schema, mopts);
   DpsOptions dopts;
   dopts.epochs = 2;
-  dopts.batch_size = 32;
+  dopts.batch_size = batch_size;
   dopts.sample_paths = 2;
   dopts.seed = 29;
+  dopts.threads = threads;
   SAM_CHECK_OK(TrainDps(&model, train, dopts).status());
   return ParamsDigest(model);
 }
 
 /// Imdb-like snowflake: indicator and fanout columns, fanout scaling in the
 /// loss, direct connections on.
-uint64_t TrainImdbGolden() {
+uint64_t TrainImdbGolden(size_t threads = 0, size_t batch_size = 16) {
   Database db = MakeImdbLike(200, 19);
   auto exec = Executor::Create(&db).MoveValue();
   MultiRelationWorkloadOptions wopts;
@@ -412,9 +413,10 @@ uint64_t TrainImdbGolden() {
   MadeModel model(&schema, mopts);
   DpsOptions dopts;
   dopts.epochs = 2;
-  dopts.batch_size = 16;
+  dopts.batch_size = batch_size;
   dopts.sample_paths = 3;
   dopts.seed = 31;
+  dopts.threads = threads;
   SAM_CHECK_OK(TrainDps(&model, train, dopts).status());
   return ParamsDigest(model);
 }
@@ -425,8 +427,8 @@ TEST(DpsTrainerTest, GoldenParamsDigest) {
   // so a refactor of the training arithmetic (autodiff ops, kernels, MADE
   // passes) that changes any trained bit fails here. Both kernel backends
   // must reproduce the same constants.
-  constexpr uint64_t kCensus = 0x10b1f384cd1a2321ULL;
-  constexpr uint64_t kImdb = 0xdf8d5b1366f6ae9fULL;
+  constexpr uint64_t kCensus = 0x8e45966e80375b8fULL;
+  constexpr uint64_t kImdb = 0xa55c14fdee0c1364ULL;
   const kernels::Backend saved = kernels::ActiveBackend();
   std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
   if (kernels::Avx2Available()) backends.push_back(kernels::Backend::kAvx2);
@@ -435,6 +437,40 @@ TEST(DpsTrainerTest, GoldenParamsDigest) {
     const char* name = b == kernels::Backend::kScalar ? "scalar" : "avx2";
     EXPECT_EQ(Hex(TrainCensusGolden()), Hex(kCensus)) << name;
     EXPECT_EQ(Hex(TrainImdbGolden()), Hex(kImdb)) << name;
+  }
+  kernels::SetBackend(saved);
+}
+
+TEST(DpsTrainerTest, ParamsIdenticalAcrossThreadCounts) {
+  // The shard tapes of a step run on min(threads, kDpsShards) workers and
+  // their gradients are summed in shard order, so the trained bits depend
+  // on the shard count only. Batch sizes 31 and 15 end each epoch with a
+  // partial batch of 3 queries (96 = 3 * 31 + 3, 48 = 3 * 15 + 3): fewer
+  // queries than shards, so that step leaves a shard empty.
+  static_assert(96 % 31 < kDpsShards && 48 % 15 < kDpsShards);
+  struct Config {
+    const char* name;
+    uint64_t (*train)(size_t threads, size_t batch_size);
+    size_t batch_size;
+  };
+  const Config configs[] = {{"census", TrainCensusGolden, 32},
+                            {"census partial", TrainCensusGolden, 31},
+                            {"imdb", TrainImdbGolden, 16},
+                            {"imdb partial", TrainImdbGolden, 15}};
+  const kernels::Backend saved = kernels::ActiveBackend();
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::Avx2Available()) backends.push_back(kernels::Backend::kAvx2);
+  for (const Config& c : configs) {
+    ASSERT_TRUE(kernels::SetBackend(backends[0]));
+    const uint64_t reference = c.train(1, c.batch_size);
+    for (kernels::Backend b : backends) {
+      ASSERT_TRUE(kernels::SetBackend(b));
+      const char* backend = b == kernels::Backend::kScalar ? "scalar" : "avx2";
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
+        EXPECT_EQ(Hex(c.train(threads, c.batch_size)), Hex(reference))
+            << c.name << ", " << backend << ", threads=" << threads;
+      }
+    }
   }
   kernels::SetBackend(saved);
 }

@@ -195,7 +195,6 @@ TEST(OpsTest, SoftmaxRowsSumToOne) {
 }
 
 TEST(OpsTest, GumbelSoftmaxForwardIsOneHotWithinMask) {
-  Rng rng(11);
   // Mask out column 0 with a large negative logit.
   Matrix logits(8, 3);
   for (size_t r = 0; r < 8; ++r) {
@@ -204,7 +203,7 @@ TEST(OpsTest, GumbelSoftmaxForwardIsOneHotWithinMask) {
     logits(r, 2) = 1.0;
   }
   Tensor t = Tensor::Constant(std::move(logits));
-  Tensor sample = GumbelSoftmaxST(t, 1.0, &rng);
+  Tensor sample = GumbelSoftmaxST(t, 1.0, GumbelNoise{11, 0, 0, 0});
   for (size_t r = 0; r < 8; ++r) {
     double sum = 0;
     for (size_t c = 0; c < 3; ++c) {
@@ -217,16 +216,53 @@ TEST(OpsTest, GumbelSoftmaxForwardIsOneHotWithinMask) {
 }
 
 TEST(OpsTest, GumbelSoftmaxBackwardRoutesGradient) {
-  Rng rng(13);
   Tensor logits = Tensor::Param(Make(1, 3, {0.2, 0.5, 0.1}));
   Tensor weights = Tensor::Constant(Make(1, 3, {1.0, 2.0, 3.0}));
-  Tensor loss = SumAll(Mul(GumbelSoftmaxST(logits, 0.7, &rng), weights));
+  Tensor loss = SumAll(
+      Mul(GumbelSoftmaxST(logits, 0.7, GumbelNoise{13, 0, 0, 0}), weights));
   loss.Backward();
   // Gradient must be nonzero somewhere (soft path) even though the forward
   // value is a hard one-hot.
   double norm = 0;
   for (size_t i = 0; i < 3; ++i) norm += std::fabs(logits.grad().data()[i]);
   EXPECT_GT(norm, 0.0);
+}
+
+TEST(OpsTest, GumbelSoftmaxNoiseIsAddressedByRowKey) {
+  // A row's noise depends on its row key, not on the rows sharing the call:
+  // rows [3, 8) sampled alone from first_row 3 match the same rows of one
+  // 8-row call, in the hard sample and in the backward's soft weights.
+  Matrix logits(8, 5);
+  for (size_t r = 0; r < 8; ++r) {
+    for (size_t c = 0; c < 5; ++c) logits(r, c) = 0.1 * static_cast<double>(c);
+  }
+  Matrix tail(5, 5);
+  for (size_t r = 0; r < 5; ++r) {
+    for (size_t c = 0; c < 5; ++c) tail(r, c) = logits(r + 3, c);
+  }
+  Tensor full_in = Tensor::Param(logits);
+  Tensor tail_in = Tensor::Param(tail);
+  const GumbelNoise noise{21, 4, 0, 2};
+  GumbelNoise tail_noise = noise;
+  tail_noise.first_row = 3;
+  Tensor full = GumbelSoftmaxST(full_in, 0.5, noise);
+  Tensor part = GumbelSoftmaxST(tail_in, 0.5, tail_noise);
+  SumAll(Mul(full, full)).Backward();
+  SumAll(Mul(part, part)).Backward();
+  bool any_row_differs = false;
+  for (size_t r = 0; r < 5; ++r) {
+    for (size_t c = 0; c < 5; ++c) {
+      EXPECT_EQ(part.value()(r, c), full.value()(r + 3, c));
+      EXPECT_EQ(tail_in.grad()(r, c), full_in.grad()(r + 3, c));
+      any_row_differs |= full.value()(r + 3, c) != full.value()(3, c);
+    }
+  }
+  EXPECT_TRUE(any_row_differs) << "every row drew the same noise";
+  // Another column of the same rows draws different noise.
+  GumbelNoise other = noise;
+  other.column = 3;
+  Tensor again = GumbelSoftmaxST(Tensor::Constant(logits), 0.5, other);
+  EXPECT_FALSE(again.value() == full.value());
 }
 
 TEST(NoGradTest, GuardSuppressesGraph) {

@@ -250,6 +250,12 @@ TEST_F(CheckpointTest, FingerprintSeparatesConfigs) {
   other.checkpoint_keep = 9;
   other.resume = true;
   EXPECT_EQ(fp, TrainingFingerprint(other, model, env->train));
+  // Nor must the thread count: the bits depend on kDpsShards only.
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
+    other = base;
+    other.threads = threads;
+    EXPECT_EQ(fp, TrainingFingerprint(other, model, env->train)) << threads;
+  }
 
   MadeModel wider(&env->schema, SmallModelOptions(/*seed=*/5));
   EXPECT_NE(fp, TrainingFingerprint(base, wider, env->train));
@@ -327,6 +333,41 @@ TEST_F(CheckpointTest, ResumeAfterMidEpochStopIsBitIdentical) {
   // The resumed half-epoch accumulators must reproduce epoch 1's exact loss.
   ASSERT_EQ(stats.ValueOrDie().size(), golden_stats.size());
   EXPECT_EQ(stats.ValueOrDie()[1].mean_loss, golden_stats[1].mean_loss);
+}
+
+TEST_F(CheckpointTest, ResumeAcrossThreadCountsIsBitIdentical) {
+  // Interrupted on 4 workers, resumed inline: the shard-ordered reduction
+  // makes the thread count invisible in the bits, and it is not in the
+  // fingerprint, so the resume is accepted and matches the golden run.
+  Env* env = SharedEnv();
+  DpsOptions base = SmallTrainOptions();
+  base.threads = 1;
+  const std::vector<Matrix> golden = GoldenParams(base);
+
+  const std::string dir = TempDir("sam_resume_threads");
+  std::atomic<bool> stop{false};
+  DpsOptions o = base;
+  o.threads = 4;
+  o.checkpoint_dir = dir;
+  o.stop_flag = &stop;
+  o.step_hook = [&stop](size_t epoch, size_t step) {
+    if (epoch == 1 && step == 32) stop.store(true);
+  };
+  {
+    MadeModel model(&env->schema, SmallModelOptions());
+    auto stats = TrainDps(&model, env->train, o);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats.ValueOrDie().size(), 1u);
+  }
+
+  stop.store(false);
+  o.step_hook = nullptr;
+  o.threads = 1;
+  o.resume = true;
+  MadeModel resumed(&env->schema, SmallModelOptions());
+  auto stats = TrainDps(&resumed, env->train, o);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ExpectBitIdentical(resumed, golden);
 }
 
 TEST_F(CheckpointTest, ResumeOfCompletedRunRestoresWithoutTraining) {

@@ -135,8 +135,11 @@ TEST(RngTest, ZipfHandlesExponentBelowOne) {
 TEST(RngTest, GumbelIsFinite) {
   Rng rng(6);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(std::isfinite(rng.Gumbel()));
+    EXPECT_TRUE(std::isfinite(GumbelFromUniform(rng.Uniform())));
   }
+  // Both ends of [0, 1): 0 is clamped, the largest double below 1 is finite.
+  EXPECT_TRUE(std::isfinite(GumbelFromUniform(0.0)));
+  EXPECT_TRUE(std::isfinite(GumbelFromUniform(1.0 - 0x1.0p-53)));
 }
 
 TEST(StringUtilTest, SplitKeepsEmptyFields) {
