@@ -281,7 +281,7 @@ Result<Database> GenerateSamVariant(const SamModel& sam, bool group_and_merge) {
   if (group_and_merge) return sam.Generate();
   Rng rng(sam.options().generation_seed);
   const SamModel::FojSample foj =
-      sam.SampleFoj(sam.options().foj_samples, &rng);
+      sam.SampleFoj(sam.options().foj_samples, rng.engine()());
   return GenerateViewBaseline(sam, foj, &rng);
 }
 

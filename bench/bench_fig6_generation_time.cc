@@ -37,9 +37,8 @@ int main(int argc, char** argv) {
   const size_t max_k = config.paper_scale ? 400000 : 80000;
   for (size_t k = 5000; k <= max_k; k *= 2) {
     BenchPhase phase("generate_k" + std::to_string(k));
-    Rng rng(config.seed * 2027 + k);
     Stopwatch watch;
-    const SamModel::FojSample foj = model.SampleFoj(k, &rng);
+    const SamModel::FojSample foj = model.SampleFoj(k, config.seed * 2027 + k);
     auto gen = model.GenerateFromFoj(foj);
     const double secs = watch.ElapsedSeconds();
     SAM_CHECK(gen.ok()) << gen.status().ToString();

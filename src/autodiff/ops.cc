@@ -343,11 +343,6 @@ Tensor SumAll(const Tensor& a) {
                 "sum_all");
 }
 
-Tensor MeanAll(const Tensor& a) {
-  const double inv = 1.0 / static_cast<double>(a.value().size());
-  return Scale(SumAll(a), inv);
-}
-
 Tensor SliceColumns(const Tensor& a, size_t begin, size_t end) {
   SAM_CHECK(begin <= end && end <= a.cols());
   Matrix v(a.rows(), end - begin);

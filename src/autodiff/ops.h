@@ -62,9 +62,6 @@ Tensor RowSum(const Tensor& a);
 /// Sum of all elements -> 1 x 1.
 Tensor SumAll(const Tensor& a);
 
-/// Mean of all elements -> 1 x 1.
-Tensor MeanAll(const Tensor& a);
-
 /// Columns [begin, end) of `a`.
 Tensor SliceColumns(const Tensor& a, size_t begin, size_t end);
 

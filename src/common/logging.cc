@@ -24,8 +24,6 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetMinLogLevel() { return static_cast<LogLevel>(g_min_level.load()); }
-
 void SetMinLogLevel(LogLevel level) { g_min_level.store(static_cast<int>(level)); }
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)

@@ -12,8 +12,7 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kFatal = 4 }
 
 namespace internal {
 
-/// Minimum level that is emitted; settable via SetLogLevel.
-LogLevel GetMinLogLevel();
+/// Sets the minimum level that is emitted.
 void SetMinLogLevel(LogLevel level);
 
 /// \brief Stream-style log sink that flushes on destruction.

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "common/status.h"
 
 namespace sam {
@@ -114,6 +115,21 @@ constexpr uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+/// FNV-1a hash of the bytes of `s`: the generation pipeline's partition key
+/// hash and the tag hash of `DeriveSeed`.
+inline uint64_t HashKey(const std::string& s) {
+  Fnv1a f;
+  f.Mix(s.data(), s.size());
+  return f.hash();
+}
+
+/// Seed of the stream named `tag` in a generation run with base seed `base`.
+/// No RNG is threaded across steps, so a step replayed from a checkpoint,
+/// or decoded by in-RAM `SamModel::Generate`, reproduces its bytes exactly.
+inline uint64_t DeriveSeed(uint64_t base, const std::string& tag) {
+  return Mix64(base ^ HashKey(tag));
 }
 
 /// Uniform double in [0, 1) at coordinates (seed, stream, hi, lo): four

@@ -17,12 +17,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed milliseconds.
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
-  /// Elapsed microseconds.
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

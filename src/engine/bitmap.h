@@ -33,7 +33,6 @@ class Bitmap {
   const uint64_t* words() const { return words_.data(); }
 
   bool Test(size_t i) const { return (words_[i >> 6] >> (i & 63)) & 1; }
-  void Clear(size_t i) { words_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
 
   /// Number of set bits.
   uint64_t Count() const {

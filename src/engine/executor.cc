@@ -13,6 +13,47 @@
 
 namespace sam {
 
+namespace {
+
+/// Runs `eval_range` over contiguous static shards of [0, n), one per
+/// `pool` thread (inline when `pool` is null or one shard suffices), bumps
+/// `sam.exec.queries` per finished shard, and returns the first error in
+/// shard order.
+Status RunShards(size_t n, ThreadPool* pool,
+                 const std::function<Status(size_t, size_t)>& eval_range) {
+  // Instrumentation stays per-shard, not per-query: the per-query loop is
+  // the hot path the <1% disabled-overhead budget protects.
+  static obs::Counter* queries =
+      obs::MetricsRegistry::Global().GetCounter("sam.exec.queries");
+  auto run = [&](size_t begin, size_t end) {
+    Status st = eval_range(begin, end);
+    if (st.ok()) queries->Add(end - begin);
+    return st;
+  };
+  const size_t shards =
+      pool == nullptr ? 1 : std::min(n, pool->num_threads());
+  if (shards <= 1) return run(0, n);
+
+  // Contiguous static shards: each worker owns one scratch and one slice of
+  // the output, so no synchronisation is needed beyond the joins.
+  std::vector<Status> shard_status(shards, Status::OK());
+  std::vector<std::future<void>> futs;
+  futs.reserve(shards);
+  for (size_t s = 0; s < shards; ++s) {
+    const size_t begin = n * s / shards;
+    const size_t end = n * (s + 1) / shards;
+    futs.push_back(pool->Submit(
+        [&, s, begin, end] { shard_status[s] = run(begin, end); }));
+  }
+  for (auto& f : futs) f.get();
+  for (const Status& st : shard_status) {
+    SAM_RETURN_NOT_OK(st);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::unique_ptr<Executor>> Executor::Create(const Database* db) {
   auto exec = std::unique_ptr<Executor>(new Executor(db));
   SAM_RETURN_NOT_OK(exec->Init());
@@ -41,10 +82,8 @@ Status Executor::Init() {
                               "'");
     }
 
-    // Decode both join columns exactly once: the hash row index feeds the FOJ
-    // materialiser, the dense slot arrays feed every cardinality evaluation.
-    FkIndex index;
-    index.rows_by_key.reserve(fk->dict_size());
+    // Decode both join columns exactly once into dense slot arrays: they
+    // feed every cardinality evaluation and the FOJ materialiser.
     EdgeArrays arrays;
     arrays.child_slots.resize(fk->num_rows());
     std::unordered_map<int64_t, int32_t> slot_of;
@@ -55,10 +94,8 @@ Status Executor::Init() {
         arrays.child_slots[r] = -1;
         continue;
       }
-      const int64_t key = v.AsInt();
-      index.rows_by_key[key].push_back(static_cast<uint32_t>(r));
-      const auto [it, inserted] =
-          slot_of.try_emplace(key, static_cast<int32_t>(slot_of.size()));
+      const auto [it, inserted] = slot_of.try_emplace(
+          v.AsInt(), static_cast<int32_t>(slot_of.size()));
       arrays.child_slots[r] = it->second;
     }
     arrays.num_slots = slot_of.size();
@@ -72,7 +109,6 @@ Status Executor::Init() {
       const auto it = slot_of.find(v.AsInt());
       arrays.parent_slots[r] = it == slot_of.end() ? -1 : it->second;
     }
-    fk_indexes_.emplace(e.parent + "->" + e.child, std::move(index));
     edge_arrays_.emplace(e.child, std::move(arrays));
   }
   return Status::OK();
@@ -153,46 +189,19 @@ Result<std::vector<int64_t>> Executor::ParallelCardinality(
   obs::TraceSpan span("exec/parallel_cardinality");
   std::vector<int64_t> out(workload.size(), 0);
   if (workload.empty()) return out;
-
-  // Instrumentation stays per-shard, not per-query: the per-query loop is
-  // the hot path the <1% disabled-overhead budget protects.
-  auto eval_range = [&](size_t begin, size_t end) -> Status {
-    obs::TraceSpan shard_span("exec/shard");
-    engine::EvalScratch scratch;
-    for (size_t i = begin; i < end; ++i) {
-      SAM_ASSIGN_OR_RETURN(
-          engine::CompiledQuery cq,
-          engine::CompiledQuery::Compile(*db_, graph_, workload[i]));
-      SAM_ASSIGN_OR_RETURN(out[i], Cardinality(cq, &scratch));
-    }
-    static obs::Counter* queries =
-        obs::MetricsRegistry::Global().GetCounter("sam.exec.queries");
-    queries->Add(end - begin);
-    return Status::OK();
-  };
-
   ThreadPool pool(num_threads);
-  const size_t shards = std::min(workload.size(), pool.num_threads());
-  if (shards <= 1) {
-    SAM_RETURN_NOT_OK(eval_range(0, workload.size()));
-    return out;
-  }
-
-  // Contiguous static shards: each worker owns one scratch and one slice of
-  // the output, so no synchronisation is needed beyond the joins.
-  std::vector<Status> shard_status(shards, Status::OK());
-  std::vector<std::future<void>> futs;
-  futs.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t begin = workload.size() * s / shards;
-    const size_t end = workload.size() * (s + 1) / shards;
-    futs.push_back(pool.Submit(
-        [&, s, begin, end] { shard_status[s] = eval_range(begin, end); }));
-  }
-  for (auto& f : futs) f.get();
-  for (const Status& st : shard_status) {
-    SAM_RETURN_NOT_OK(st);
-  }
+  SAM_RETURN_NOT_OK(RunShards(
+      workload.size(), &pool, [&](size_t begin, size_t end) -> Status {
+        obs::TraceSpan shard_span("exec/shard");
+        engine::EvalScratch scratch;
+        for (size_t i = begin; i < end; ++i) {
+          SAM_ASSIGN_OR_RETURN(
+              engine::CompiledQuery cq,
+              engine::CompiledQuery::Compile(*db_, graph_, workload[i]));
+          SAM_ASSIGN_OR_RETURN(out[i], Cardinality(cq, &scratch));
+        }
+        return Status::OK();
+      }));
   return out;
 }
 
@@ -208,38 +217,14 @@ Result<std::vector<int64_t>> Executor::ParallelCardinalityCompiled(
           "ParallelCardinalityCompiled: null compiled query");
     }
   }
-
-  auto eval_range = [&](size_t begin, size_t end) -> Status {
-    engine::EvalScratch scratch;
-    for (size_t i = begin; i < end; ++i) {
-      SAM_ASSIGN_OR_RETURN(out[i], Cardinality(*queries[i], &scratch));
-    }
-    static obs::Counter* served =
-        obs::MetricsRegistry::Global().GetCounter("sam.exec.queries");
-    served->Add(end - begin);
-    return Status::OK();
-  };
-
-  const size_t shards =
-      pool == nullptr ? 1 : std::min(queries.size(), pool->num_threads());
-  if (shards <= 1) {
-    SAM_RETURN_NOT_OK(eval_range(0, queries.size()));
-    return out;
-  }
-
-  std::vector<Status> shard_status(shards, Status::OK());
-  std::vector<std::future<void>> futs;
-  futs.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t begin = queries.size() * s / shards;
-    const size_t end = queries.size() * (s + 1) / shards;
-    futs.push_back(pool->Submit(
-        [&, s, begin, end] { shard_status[s] = eval_range(begin, end); }));
-  }
-  for (auto& f : futs) f.get();
-  for (const Status& st : shard_status) {
-    SAM_RETURN_NOT_OK(st);
-  }
+  SAM_RETURN_NOT_OK(RunShards(
+      queries.size(), pool, [&](size_t begin, size_t end) -> Status {
+        engine::EvalScratch scratch;
+        for (size_t i = begin; i < end; ++i) {
+          SAM_ASSIGN_OR_RETURN(out[i], Cardinality(*queries[i], &scratch));
+        }
+        return Status::OK();
+      }));
   return out;
 }
 
@@ -283,6 +268,18 @@ Result<Table> Executor::MaterializeFullOuterJoin(size_t max_rows) const {
   const size_t width = content_cols.size() + 2 * fk_rels.size();
   std::vector<std::vector<Value>> rows;
 
+  // Per FK relation: its rows grouped by join-key slot, in row order.
+  std::unordered_map<std::string, std::vector<std::vector<uint32_t>>>
+      rows_by_slot;
+  for (const auto& rel : fk_rels) {
+    const EdgeArrays& edge = edge_arrays_.at(rel);
+    auto& groups = rows_by_slot[rel];
+    groups.resize(edge.num_slots);
+    for (uint32_t r = 0; r < edge.child_slots.size(); ++r) {
+      if (edge.child_slots[r] >= 0) groups[edge.child_slots[r]].push_back(r);
+    }
+  }
+
   // chosen[rel] = row id or -1 (null-extended).
   std::unordered_map<std::string, int64_t> chosen;
 
@@ -310,13 +307,11 @@ Result<Table> Executor::MaterializeFullOuterJoin(size_t max_rows) const {
         const int64_t r = chosen.at(rel);
         row[content_cols.size() + i] = Value(static_cast<int64_t>(r >= 0 ? 1 : 0));
         int64_t fanout = 1;
-        if (r >= 0) {
-          const JoinGraph::Edge* e = graph_.ParentEdge(rel);
-          const Column* fk =
-              db_->FindTable(rel)->FindColumn(e->child_column);
-          const auto& index = fk_indexes_.at(e->parent + "->" + rel).rows_by_key;
-          auto it = index.find(fk->ValueAt(static_cast<size_t>(r)).AsInt());
-          fanout = (it == index.end()) ? 1 : static_cast<int64_t>(it->second.size());
+        if (r >= 0) {  // Reached through its key slot, so it has one.
+          const int32_t slot =
+              edge_arrays_.at(rel).child_slots[static_cast<size_t>(r)];
+          fanout = static_cast<int64_t>(
+              rows_by_slot.at(rel)[static_cast<size_t>(slot)].size());
         }
         row[content_cols.size() + fk_rels.size() + i] = Value(fanout);
       }
@@ -340,16 +335,14 @@ Result<Table> Executor::MaterializeFullOuterJoin(size_t max_rows) const {
       expand(pos + 1);
       return;
     }
-    const JoinGraph::Edge* e = graph_.ParentEdge(rel);
-    const Column* pk = db_->FindTable(parent)->FindColumn(e->parent_column);
-    const auto& index = fk_indexes_.at(parent + "->" + rel).rows_by_key;
-    auto it = index.find(pk->ValueAt(static_cast<size_t>(parent_row)).AsInt());
-    if (it == index.end() || it->second.empty()) {
+    const int32_t slot =
+        edge_arrays_.at(rel).parent_slots[static_cast<size_t>(parent_row)];
+    if (slot < 0) {
       chosen[rel] = -1;
       expand(pos + 1);
       return;
     }
-    for (uint32_t r : it->second) {
+    for (uint32_t r : rows_by_slot.at(rel)[static_cast<size_t>(slot)]) {
       if (!status.ok()) return;
       chosen[rel] = static_cast<int64_t>(r);
       expand(pos + 1);

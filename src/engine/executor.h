@@ -100,13 +100,6 @@ class Executor {
   const Database* db_;
   JoinGraph graph_;
 
-  /// For each edge (keyed "parent->child"): child rows grouped by FK value.
-  /// Used by the FOJ materialiser, which needs the actual row lists.
-  struct FkIndex {
-    std::unordered_map<int64_t, std::vector<uint32_t>> rows_by_key;
-  };
-  std::unordered_map<std::string, FkIndex> fk_indexes_;
-
   /// \brief Per-edge join columns decoded once into flat arrays (keyed by the
   /// child relation; tree join graphs give every child exactly one parent).
   ///

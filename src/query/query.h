@@ -39,8 +39,6 @@ struct Query {
   /// Observed Card(q) on the target database (the training label).
   int64_t cardinality = -1;
 
-  bool IsSingleRelation() const { return relations.size() == 1; }
-
   /// True when `table` participates in the join.
   bool InvolvesRelation(const std::string& table) const;
 

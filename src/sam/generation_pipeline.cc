@@ -35,22 +35,6 @@ namespace {
 constexpr double kLeafCarryThreshold = 0.5;
 
 // ---------------------------------------------------------------------------
-// Deterministic hashing / seeding. Every RNG the pipeline uses is derived
-// from (base_seed, step identity), never threaded across steps, so replaying
-// a step from a checkpoint reproduces its bytes exactly.
-// ---------------------------------------------------------------------------
-
-uint64_t HashKey(const std::string& s) {
-  Fnv1a f;
-  f.Mix(s.data(), s.size());
-  return f.hash();
-}
-
-uint64_t DeriveSeed(uint64_t base, const std::string& tag) {
-  return Mix64(base ^ HashKey(tag));
-}
-
-// ---------------------------------------------------------------------------
 // Spill-chunk naming. Zero-padded sequence numbers make lexicographic order
 // equal production order; names are relative to the work directory and are
 // the keys of the checkpoint manifest.
@@ -531,8 +515,7 @@ struct GenerationPipeline::Impl {
     }
     state = GenerationCheckpoint{};
     state.fingerprint = fingerprint;
-    Rng rng(o.generation_seed);
-    state.base_seed = rng.engine()();
+    state.base_seed = sam->GenerationBaseSeed();
     for (const auto& rel : topo) {
       GenerationCheckpoint::RelationState rs;
       rs.name = rel;
@@ -1049,36 +1032,12 @@ struct GenerationPipeline::Impl {
     }
     // Single relation (Alg 1): decode the batch straight to one CSV row
     // chunk; no weighting or key assignment applies.
-    return DecodeSingleRelationBatch(batch_index, rows, foj);
-  }
-
-  Status DecodeSingleRelationBatch(size_t batch_index, size_t rows,
-                                   const SamModel::FojSample& foj) {
-    const SamModel::TableLayout& layout = sam->layouts()[0];
-    Rng rng(DeriveSeed(state.base_seed, "decode|" + layout.name + "|batch|" +
-                                            std::to_string(batch_index)));
-    std::vector<const ModelColumn*> cols;
-    std::vector<size_t> col_idx;
-    for (const auto& cname : layout.column_names) {
-      const int col =
-          schema().FindColumn(ModelColumnKind::kContent, layout.name, cname);
-      if (col < 0) {
-        return Status::Internal("generated column missing from model: " +
-                                cname);
-      }
-      cols.push_back(&schema().columns()[static_cast<size_t>(col)]);
-      col_idx.push_back(static_cast<size_t>(col));
-    }
-    std::vector<Value> row(cols.size(), Value::Null());
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t c = 0; c < cols.size(); ++c) {
-        row[c] =
-            schema().DecodeContent(*cols[c], foj.codes[col_idx[c]][r], &rng);
-      }
-      SAM_RETURN_NOT_OK(AppendRow(layout.name, row));
-    }
+    const std::string& rel = sam->layouts()[0].name;
+    SAM_RETURN_NOT_OK(sam->DecodeSingleRelationBatch(
+        state.base_seed, batch_index, foj, 0, rows,
+        [&](std::vector<Value>&& row) { return AppendRow(rel, row); }));
     // One durable row chunk per sample batch.
-    return FlushRowChunk(layout.name);
+    return FlushRowChunk(rel);
   }
 
   // -- Partition steps (Group-and-Merge) ------------------------------------

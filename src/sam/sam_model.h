@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -7,6 +8,7 @@
 #include "ar/dps_trainer.h"
 #include "ar/made.h"
 #include "ar/model_schema.h"
+#include "common/random.h"
 #include "common/result.h"
 #include "storage/database.h"
 
@@ -90,7 +92,8 @@ class SamModel {
 
   /// Generates a synthetic database: Alg 1 in RAM for single-relation
   /// schemas, else Alg 2 + Alg 3 via `GenerationPipeline` in a private
-  /// temporary directory (bounded by `memory_cap_bytes`).
+  /// temporary directory (bounded by `memory_cap_bytes`). Either way it
+  /// equals `LoadDatabase` of what the pipeline publishes, cell for cell.
   Result<Database> Generate() const;
 
   const ModelSchema& schema() const { return schema_; }
@@ -121,29 +124,46 @@ class SamModel {
     size_t count = 0;
   };
 
-  /// Samples `k` FOJ tuples from the model (step 1 of Alg 2).
-  FojSample SampleFoj(size_t k, Rng* rng) const;
+  /// Samples `k` FOJ tuples from the model (step 1 of Alg 2), in batches
+  /// seeded `FojBatchSeed(base_seed, batch)`.
+  FojSample SampleFoj(size_t k, uint64_t base_seed) const;
 
-  /// RNG seed of sample batch `batch_index` for a run whose caller RNG
-  /// produced `base_seed`. `SampleFoj` derives every batch seed through this
+  /// RNG seed of sample batch `batch_index` of a run with base seed
+  /// `base_seed`. `SampleFoj` derives every batch seed through this
   /// function, so external batch-at-a-time samplers (the generation
   /// pipeline) draw bit-identical batches.
   static uint64_t FojBatchSeed(uint64_t base_seed, size_t batch_index) {
     return base_seed ^ (0x9e3779b97f4a7c15ULL * (batch_index + 1));
   }
 
+  /// Base seed of a generation run: every sample batch and decode stream of
+  /// `Generate` and of the generation pipeline derives from it.
+  uint64_t GenerationBaseSeed() const {
+    return Rng(options_.generation_seed).engine()();
+  }
+
   /// Progressive-samples generation batch `batch_index` (`rows` FOJ tuples,
   /// batch RNG `FojBatchSeed(base_seed, batch_index)`) into
   /// `out->codes[*][start, start + rows)`, which must already be sized. The
   /// codes are bit-identical to rows [batch_index * generation_batch, ...
-  /// + rows) of a `SampleFoj` call whose caller RNG produced the same
-  /// `base_seed`. `state` is caller-owned sampler scratch from
-  /// `model()->InitState(n)` with n >= rows, re-entered via ResetState; a
-  /// parallel caller gives each worker its own. The one batch sampler of
+  /// + rows) of a `SampleFoj` call with the same `base_seed`. `state` is
+  /// caller-owned sampler scratch from `model()->InitState(n)` with
+  /// n >= rows, re-entered via ResetState; a parallel caller gives each
+  /// worker its own. The one batch sampler of
   /// both `SampleFoj` and the generation pipeline's sample steps.
   void SampleFojBatchInto(uint64_t base_seed, size_t batch_index,
                           FojSample* out, size_t start, size_t rows,
                           MadeModel::SamplerState* state) const;
+
+  /// Alg 1's one decoder, of single-relation `Generate` and the pipeline's
+  /// sample steps: decodes rows [start, start + rows) of `foj`, sample batch
+  /// `batch_index` of the run, into `layouts()[0]`'s column order with the
+  /// batch's stream DeriveSeed(base_seed, "decode|<T>|batch|<b>"), and
+  /// moves each row into `sink`. Returns the first error of `sink`.
+  Status DecodeSingleRelationBatch(
+      uint64_t base_seed, size_t batch_index, const FojSample& foj,
+      size_t start, size_t rows,
+      const std::function<Status(std::vector<Value>&&)>& sink) const;
 
   /// Inverse-probability weight of relation `table` for sample `s` (Eq. 4);
   /// 0 when the relation is absent (indicator 0).
@@ -158,8 +178,6 @@ class SamModel {
  private:
   SamModel(ModelSchema schema, SamOptions options)
       : schema_(std::move(schema)), options_(options) {}
-
-  Result<Database> GenerateSingleRelation(Rng* rng) const;
 
   ModelSchema schema_;
   SamOptions options_;

@@ -27,7 +27,12 @@ Result<int64_t> MemberInt(const obs::JsonValue& obj, const std::string& key,
   if (m->type != obs::JsonValue::Type::kNumber) {
     return Status::InvalidArgument("field '" + key + "' must be a number");
   }
-  return static_cast<int64_t>(m->number_value);
+  // Converting a double outside int64's range is undefined behaviour.
+  const double v = m->number_value;
+  if (!(v >= -0x1p63 && v < 0x1p63)) {
+    return Status::InvalidArgument("field '" + key + "' is out of range");
+  }
+  return static_cast<int64_t>(v);
 }
 
 Result<std::string> MemberString(const obs::JsonValue& obj,
@@ -80,6 +85,19 @@ Status FillEstimatorFields(const obs::JsonValue& root, Request* req) {
 }
 
 }  // namespace
+
+Status CheckModelEstimateWork(const Request& req) {
+  if (req.paths < 1 || req.paths > kMaxPathsPerQuery) {
+    return Status::InvalidArgument("field 'paths' must be in [1, " +
+                                   std::to_string(kMaxPathsPerQuery) + "]");
+  }
+  if (static_cast<int64_t>(req.queries.size()) >
+      kMaxPathsPerRequest / req.paths) {
+    return Status::InvalidArgument("queries x paths must be at most " +
+                                   std::to_string(kMaxPathsPerRequest));
+  }
+  return Status::OK();
+}
 
 Result<Request> ParseRequest(const std::string& line, int64_t* id_out) {
   if (id_out != nullptr) *id_out = -1;

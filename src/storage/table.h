@@ -32,7 +32,6 @@ class Table {
   Status AddColumn(Column column);
 
   const Column& column(size_t i) const { return columns_[i]; }
-  Column& mutable_column(size_t i) { return columns_[i]; }
   const std::vector<Column>& columns() const { return columns_; }
 
   /// Index of a column by name, or error.

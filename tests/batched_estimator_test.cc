@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -229,6 +230,25 @@ TEST(BatchedEstimatorTest, RejectsZeroPathsAndNullQueries) {
 
   // An empty batch is not an error — it just has no answers.
   EXPECT_TRUE(batched.EstimateBatch({}, 8).MoveValue().empty());
+}
+
+TEST(BatchedEstimatorTest, RejectsPathSumsThatOverflow) {
+  auto& f = Census();
+  BatchedProgressiveEstimator batched(f.model.get());
+  const CompiledQuery cq = f.schema->Compile(f.train[0]).MoveValue();
+  // Two halves of 2^64 wrap to a zero-row batch: without the check the
+  // per-query means would read past the (empty) selectivity array.
+  const size_t half = (SIZE_MAX >> 1) + 1;
+  EXPECT_EQ(batched.EstimateCompiledBatch({{&cq, half}, {&cq, half}})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(batched.EstimateCompiledBatch({{&cq, 3}, {&cq, SIZE_MAX - 2}})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // The estimator stays usable afterwards.
+  EXPECT_TRUE(batched.EstimateCompiledBatch({{&cq, 8}}).ok());
 }
 
 TEST(BatchedEstimatorTest, QErrorOnModelEstimatesMatchesSerialSweep) {

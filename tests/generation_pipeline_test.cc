@@ -639,8 +639,10 @@ TEST(GenerationPipelineTest, DoubleColumnsPublishFullPrecision) {
   EXPECT_GT(beyond_six_digits, fields / 2);
 }
 
-TEST(GenerationPipelineTest, SingleRelationResumeSweepIsByteIdentical) {
-  Database db = MakeCensusLike(600, 71);
+/// Untrained census-like single-relation model with numeric (bucketed)
+/// columns, whose decode draws from the RNG.
+std::unique_ptr<SamModel> MakeCensusModel(const Database& db,
+                                          const SamOptions& options) {
   auto exec = Executor::Create(&db).MoveValue();
   SingleRelationWorkloadOptions wopts;
   wopts.num_queries = 60;
@@ -657,14 +659,22 @@ TEST(GenerationPipelineTest, SingleRelationResumeSweepIsByteIdentical) {
   hints.numeric_bounds["census.capital_gain"] = {0, 61000};
   hints.numeric_bounds["census.capital_loss"] = {0, 10000};
   hints.numeric_bounds["census.hours_per_week"] = {1, 99};
+  auto sam = SamModel::Create(db, train, hints,
+                              static_cast<int64_t>(db.tables()[0].num_rows()),
+                              options);
+  SAM_CHECK_OK(sam.status());
+  sam.ValueOrDie()->model()->SyncSamplerWeights();
+  return sam.MoveValue();
+}
+
+TEST(GenerationPipelineTest, SingleRelationResumeSweepIsByteIdentical) {
+  Database db = MakeCensusLike(600, 71);
   SamOptions options;
   options.generation_batch = 200;  // 600 rows -> 3 sample steps.
-  auto sam = SamModel::Create(db, train, hints, 600, options);
-  ASSERT_TRUE(sam.ok()) << sam.status().ToString();
-  sam.ValueOrDie()->model()->SyncSamplerWeights();
+  auto sam = MakeCensusModel(db, options);
 
   const std::string root = TempDir("sam_pipe_single");
-  auto golden_run = RunPipeline(*sam.ValueOrDie(), root + "/golden",
+  auto golden_run = RunPipeline(*sam, root + "/golden",
                                 root + "/gwork", false);
   ASSERT_TRUE(golden_run.ok()) << golden_run.status().ToString();
   const auto golden = ReadTree(root + "/golden");
@@ -678,13 +688,61 @@ TEST(GenerationPipelineTest, SingleRelationResumeSweepIsByteIdentical) {
   for (uint64_t s = 1; s < steps; ++s) {
     std::filesystem::remove_all(root + "/out");
     auto part =
-        RunPipeline(*sam.ValueOrDie(), root + "/out", root + "/work", false, s);
+        RunPipeline(*sam, root + "/out", root + "/work", false, s);
     ASSERT_TRUE(part.ok()) << "stop=" << s << ": " << part.status().ToString();
     ASSERT_FALSE(part.ValueOrDie().completed) << "stop=" << s;
     auto rest =
-        RunPipeline(*sam.ValueOrDie(), root + "/out", root + "/work", true);
+        RunPipeline(*sam, root + "/out", root + "/work", true);
     ASSERT_TRUE(rest.ok()) << "stop=" << s << ": " << rest.status().ToString();
     EXPECT_EQ(ReadTree(root + "/out"), golden) << "stop=" << s;
+  }
+}
+
+// Alg 1 has one decoder: in-RAM single-relation `Generate` must equal the
+// database the pipeline publishes, cell for cell, for every thread count —
+// also when a cap this tight flushes row chunks in the middle of a batch.
+TEST(GenerationPipelineTest, InRamSingleRelationGenerateEqualsPublished) {
+  Database db = MakeCensusLike(6000, 71);
+  const std::string root = TempDir("sam_pipe_inram");
+  for (size_t threads : {size_t{1}, size_t{0}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SamOptions options;
+    options.generation_threads = threads;
+    options.generation_batch = 2000;       // About 88 KB of CSV per batch,
+    options.memory_cap_bytes = 1ll << 20;  // but row chunks flush at 64 KiB.
+    auto sam = MakeCensusModel(db, options);
+    auto in_ram = sam->Generate();
+    ASSERT_TRUE(in_ram.ok()) << in_ram.status().ToString();
+
+    const std::string out = root + "/out" + std::to_string(threads);
+    auto run = RunPipeline(*sam, out, root + "/work", false, 0, nullptr,
+                           threads);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const size_t batches = 6000 / options.generation_batch;
+    ASSERT_GT(std::filesystem::file_size(out + "/census.csv"),
+              batches * (64u << 10))
+        << "a batch must outgrow the row-chunk flush threshold";
+    auto published = LoadDatabase(out);
+    ASSERT_TRUE(published.ok()) << published.status().ToString();
+
+    const Table* a = in_ram.ValueOrDie().FindTable("census");
+    const Table* b = published.ValueOrDie().FindTable("census");
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    ASSERT_EQ(a->num_rows(), 6000u);
+    ASSERT_EQ(b->num_rows(), a->num_rows());
+    ASSERT_EQ(b->columns().size(), a->columns().size());
+    for (size_t c = 0; c < a->columns().size(); ++c) {
+      const Column& ca = a->columns()[c];
+      const Column& cb = b->columns()[c];
+      ASSERT_EQ(ca.name(), cb.name());
+      ASSERT_EQ(ca.type(), cb.type()) << ca.name();
+      for (size_t r = 0; r < ca.num_rows(); ++r) {
+        ASSERT_EQ(ca.ValueAt(r), cb.ValueAt(r))
+            << ca.name() << " row " << r << ": " << ca.ValueAt(r).ToString()
+            << " vs " << cb.ValueAt(r).ToString();
+      }
+    }
   }
 }
 

@@ -150,9 +150,8 @@ TEST(SamOptionsValidationTest, RejectsDegenerateKnobs) {
   ASSERT_TRUE(one.ok()) << one.status().ToString();
   zero.ValueOrDie()->model()->SyncSamplerWeights();
   one.ValueOrDie()->model()->SyncSamplerWeights();
-  Rng r0(3), r1(3);
-  EXPECT_EQ(zero.ValueOrDie()->SampleFoj(100, &r0).codes,
-            one.ValueOrDie()->SampleFoj(100, &r1).codes);
+  EXPECT_EQ(zero.ValueOrDie()->SampleFoj(100, 3).codes,
+            one.ValueOrDie()->SampleFoj(100, 3).codes);
 }
 
 TEST(SamOptionsValidationTest, CreateFailsFastOnZeroGenerationBatch) {

@@ -42,9 +42,8 @@ TEST(ParallelSamplingTest, ShardedSamplerIsDeterministicPerThreadCount) {
   options.generation_batch = 128;
   auto sam = MakeModel(db, *exec, options);
 
-  Rng rng1(42), rng2(42);
-  const auto a = sam->SampleFoj(1000, &rng1);
-  const auto b = sam->SampleFoj(1000, &rng2);
+  const auto a = sam->SampleFoj(1000, 42);
+  const auto b = sam->SampleFoj(1000, 42);
   ASSERT_EQ(a.count, b.count);
   for (size_t c = 0; c < a.codes.size(); ++c) {
     EXPECT_EQ(a.codes[c], b.codes[c]) << "column " << c;
@@ -59,8 +58,7 @@ TEST(ParallelSamplingTest, ParallelIsBitIdenticalToSequential) {
   seq_opts.generation_batch = 256;
   auto seq_model = MakeModel(db, *exec, seq_opts);
 
-  Rng r1(7);
-  const auto seq = seq_model->SampleFoj(4000, &r1);
+  const auto seq = seq_model->SampleFoj(4000, 7);
 
   // Every batch derives its RNG from the caller seed and the batch index, so
   // the sampled codes are bit-identical for every thread count.
@@ -68,8 +66,7 @@ TEST(ParallelSamplingTest, ParallelIsBitIdenticalToSequential) {
     SamOptions par_opts = seq_opts;
     par_opts.generation_threads = threads;
     auto par_model = MakeModel(db, *exec, par_opts);
-    Rng r2(7);
-    const auto par = par_model->SampleFoj(4000, &r2);
+    const auto par = par_model->SampleFoj(4000, 7);
     ASSERT_EQ(seq.count, par.count);
     for (size_t c = 0; c < seq.codes.size(); ++c) {
       EXPECT_EQ(seq.codes[c], par.codes[c])

@@ -192,8 +192,7 @@ TEST_F(Figure3SamTest, SampledFojRespectsNullConsistency) {
   // Even untrained, sampling must never produce content for an absent
   // relation when enforce_null_consistency is on.
   sam_->model()->SyncSamplerWeights();
-  Rng rng(99);
-  const auto foj = sam_->SampleFoj(256, &rng);
+  const auto foj = sam_->SampleFoj(256, 99);
   const ModelSchema& schema = sam_->schema();
   const int ib = schema.FindColumn(ModelColumnKind::kIndicator, "B", "B");
   const int bb = schema.FindColumn(ModelColumnKind::kContent, "B", "b");

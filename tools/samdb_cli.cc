@@ -566,6 +566,7 @@ int CmdEstimate(const Flags& flags) {
   int64_t paths = 0;
   int64_t limit_i = 0;
   SAM_CLI_ASSIGN(paths, flags.GetInt("paths", 400));
+  if (paths < 1) return Fail("estimate: --paths must be >= 1");
   SAM_CLI_ASSIGN(limit_i, flags.GetInt(
       "limit", static_cast<int64_t>(in.workload.size())));
   // The whole workload sweeps through the cross-query batched estimator as
@@ -650,7 +651,10 @@ int CmdServe(const Flags& flags) {
   if (v < 0) return Fail("serve: --timeout-ms must be >= 0");
   sopts.request_timeout_ms = v;
   SAM_CLI_ASSIGN(v, flags.GetInt("paths", 400));
-  if (v < 1) return Fail("serve: --paths must be >= 1");
+  if (v < 1 || v > serve::kMaxPathsPerQuery) {
+    return Fail("serve: --paths must be in [1, " +
+                std::to_string(serve::kMaxPathsPerQuery) + "]");
+  }
   sopts.estimate_paths_default = static_cast<size_t>(v);
   SAM_CLI_ASSIGN(v, flags.GetInt("watch-ms", 0));
   if (v < 0) return Fail("serve: --watch-ms must be >= 0");
