@@ -46,9 +46,12 @@ struct BatchedEstimateItem {
 ///  * each query's mean sums its path selectivities sequentially in path
 ///    order, never via block-partial sums (FP addition is not associative).
 ///
-/// Block scratch (SamplerState + code/weight buffers) is retained across
-/// calls, so a serve dispatcher estimating every round reuses the same
-/// allocations instead of building a fresh estimator and state per request.
+/// Block scratch (SamplerState + code/weight buffers) is kept per pool
+/// worker, not per block, so it stays bounded by the thread count however
+/// many paths a call carries; it is retained across calls, so a serve
+/// dispatcher estimating every round reuses the same allocations instead of
+/// building a fresh estimator and state per request. A call still allocates
+/// one double per path for the per-path selectivities.
 ///
 /// Not thread-safe: concurrent Estimate* calls on one instance would race on
 /// the block scratch. The intended parallelism is the `pool` argument, which
@@ -97,9 +100,10 @@ class BatchedProgressiveEstimator {
   const MadeModel* model_;
   uint64_t seed_;
   size_t rows_per_block_;
-  /// Block i of every call uses blocks_[i]; grown on demand, reused across
-  /// calls (ParallelFor runs each index exactly once, so no block is shared
-  /// within a call either).
+  /// Scratch slot s serves every block that slot s of a call pulls off the
+  /// shared block counter; one slot per concurrently running block (at most
+  /// the pool's thread count), grown on demand and reused across calls.
+  /// ParallelFor runs each slot index exactly once, so no slot is shared.
   std::vector<std::unique_ptr<BlockScratch>> blocks_;
 };
 

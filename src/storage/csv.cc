@@ -70,7 +70,12 @@ Result<Table> ReadCsv(const std::string& name, const std::string& path,
                                    " columns, expected " +
                                    std::to_string(types.size()));
   }
-  std::vector<std::vector<Value>> cols(header.size());
+  // Cells are dictionary-coded as they are parsed, so a load holds codes and
+  // distinct values, never a whole table of Values.
+  std::vector<ColumnBuilder> cols;
+  for (size_t c = 0; c < header.size(); ++c) {
+    cols.emplace_back(header[c], types[c]);
+  }
   size_t line_no = 1;
   while (std::getline(in, line)) {
     ++line_no;
@@ -84,7 +89,7 @@ Result<Table> ReadCsv(const std::string& name, const std::string& path,
     for (size_t c = 0; c < fields.size(); ++c) {
       const std::string field(Trim(fields[c]));
       if (field.empty()) {
-        cols[c].push_back(Value::Null());
+        cols[c].Append(Value::Null());
         continue;
       }
       switch (types[c]) {
@@ -96,7 +101,7 @@ Result<Table> ReadCsv(const std::string& name, const std::string& path,
                                            std::to_string(line_no) +
                                            ": bad int '" + field + "'");
           }
-          cols[c].push_back(Value(static_cast<int64_t>(v)));
+          cols[c].Append(Value(static_cast<int64_t>(v)));
           break;
         }
         case ColumnType::kDouble: {
@@ -107,19 +112,18 @@ Result<Table> ReadCsv(const std::string& name, const std::string& path,
                                            std::to_string(line_no) +
                                            ": bad double '" + field + "'");
           }
-          cols[c].push_back(Value(v));
+          cols[c].Append(Value(v));
           break;
         }
         case ColumnType::kString:
-          cols[c].push_back(Value(field));
+          cols[c].Append(Value(field));
           break;
       }
     }
   }
   Table table(name);
-  for (size_t c = 0; c < header.size(); ++c) {
-    SAM_RETURN_NOT_OK(
-        table.AddColumn(Column::FromValues(header[c], types[c], cols[c])));
+  for (ColumnBuilder& col : cols) {
+    SAM_RETURN_NOT_OK(table.AddColumn(std::move(col).Finish()));
   }
   return table;
 }
