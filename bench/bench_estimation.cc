@@ -2,12 +2,12 @@
 //
 // Builds a census-like database and workload in process, then measures the
 // model-estimation path two ways over the same queries:
-//   baseline   one ProgressiveEstimator::EstimateCardinality call per query,
-//              serially — what serve, QErrorOnDatabase-style sweeps and the
-//              CLI did before cross-query batching;
-//   batched    the workload swept through BatchedProgressiveEstimator in
-//              groups of K coalesced queries, path-blocks sharded over the
-//              thread pool.
+//   baseline   one K = 1 BatchedProgressiveEstimator::EstimateBatch call per
+//              query, serially and with no pool — one CondProbs per column
+//              over `paths` rows, the shape of a per-query sweep loop;
+//   batched    the workload swept through the same estimator in groups of
+//              K coalesced queries, path-blocks sharded over the thread
+//              pool.
 // Before timing anything it asserts the two paths agree bit-for-bit on every
 // query (the batched estimator's determinism contract), so the speedup can
 // never come from answering a different question.
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "ar/batched_estimator.h"
-#include "ar/estimator.h"
 #include "ar/made.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -138,19 +137,19 @@ int Run(int argc, char** argv) {
               "backend=%s, threads=%zu\n",
               queries.size(), args.paths, args.rows, backend, threads);
 
-  // Baseline: the pre-batching caller shape — one estimator call per query,
-  // serial (a per-request serve dispatch or a per-query sweep loop).
-  ProgressiveEstimator baseline(&model, args.paths);
+  // Baseline: one K = 1 call per query, serial and with no pool (a
+  // per-query sweep loop).
+  BatchedProgressiveEstimator batched(&model);
   std::vector<double> expected(queries.size());
   const auto tb = std::chrono::steady_clock::now();
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto est = baseline.EstimateCardinality(queries[i]);
+    auto est = batched.EstimateBatch({queries[i]}, args.paths);
     SAM_CHECK(est.ok()) << est.status().ToString();
-    expected[i] = est.ValueOrDie();
+    expected[i] = est.ValueOrDie()[0];
   }
   const double baseline_s = SecondsSince(tb);
   const double baseline_qps = static_cast<double>(queries.size()) / baseline_s;
-  std::printf("%-26s %9.1f queries/s\n", "baseline (per-query)", baseline_qps);
+  std::printf("%-26s %9.1f queries/s\n", "baseline (K=1, no pool)", baseline_qps);
 
   struct Config {
     size_t coalesced;
@@ -158,7 +157,6 @@ int Run(int argc, char** argv) {
     double speedup;
   };
   std::vector<Config> configs;
-  BatchedProgressiveEstimator batched(&model);
   double gated_speedup = 0;  // Best ratio at >= 8 coalesced queries.
   for (size_t k : {size_t{1}, size_t{8}, size_t{64}}) {
     if (k > queries.size()) continue;

@@ -9,7 +9,6 @@
 
 #include "ar/batched_estimator.h"
 #include "ar/dps_trainer.h"
-#include "ar/estimator.h"
 #include "ar/made.h"
 #include "bench_common.h"
 #include "common/logging.h"
@@ -167,22 +166,10 @@ void BenchMadeObserve(const BenchConfig& config, size_t batch) {
            [&] { f.model->Observe(&s, 0, codes); }, static_cast<double>(batch));
 }
 
-void BenchProgressiveEstimate(const BenchConfig& config, size_t paths) {
-  auto& f = Fixture();
-  ProgressiveEstimator est(f.model.get(), paths);
-  size_t q = 0;
-  RunMicro(config, "ProgressiveEstimate/" + std::to_string(paths), [&] {
-    auto card = est.EstimateCardinality(f.train[q % f.train.size()]);
-    SAM_CHECK(card.ok());
-    KeepAlive(card.ValueOrDie());
-    ++q;
-  });
-}
-
 // K queries coalesced into one batched call; items/s is queries/s. Compare
-// against ProgressiveEstimate at the same path count for the fusion win;
-// bench_estimation --threads gives the pool-sharded numbers, so this one
-// stays single-threaded.
+// against K = 1 at the same path count for the fusion win; bench_estimation
+// --threads gives the pool-sharded numbers, so this one stays
+// single-threaded.
 void BenchBatchedProgressiveEstimate(const BenchConfig& config,
                                      size_t coalesced, size_t paths) {
   auto& f = Fixture();
@@ -248,7 +235,6 @@ int main(int argc, char** argv) {
     BenchEvalPredicates(config, b);
   }
   BenchMadeObserve(config, 512);
-  for (size_t paths : {64, 256}) BenchProgressiveEstimate(config, paths);
   BenchBatchedProgressiveEstimate(config, 1, 64);
   BenchBatchedProgressiveEstimate(config, 8, 64);
   BenchBatchedProgressiveEstimate(config, 64, 64);

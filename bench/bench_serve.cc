@@ -1,11 +1,14 @@
 // bench_serve — load generator for the `samdb serve` daemon.
 //
 // Self-hosted mode (default): builds a census-like database in process,
-// starts two in-process servers — cross-client batching ON (--batch-max
-// requests coalesced into one parallel executor call) and OFF (the
-// one-request-per-call baseline) — and drives both with the same closed-loop
-// client fleet, reporting the throughput ratio plus p50/p99 latency and peak
-// queue depth per config.
+// starts an in-process server and drives it with a closed-loop client fleet
+// (requests coalesced across clients into one parallel executor call on a
+// persistent pool, plans cached), reporting p50/p99 latency. Its throughput
+// is compared against a client-side baseline that answers the same
+// clients x requests queries with one in-process
+// `Executor::ParallelCardinality` call each, one call at a time: per-call
+// pool construction and query compilation, no coalescing, no plan cache and
+// no socket I/O.
 //
 // External mode (--port=N [--host=A] --workload=FILE): drives an already
 // running daemon with queries from a workload file; used by the CI smoke.
@@ -16,7 +19,7 @@
 //   --requests=N    requests per client             (default 200; smoke 40)
 //   --pipeline=N    outstanding requests per client (default 4)
 //   --rows=N        census rows, self-hosted mode   (default 40000)
-//   --min-speedup=X fail (exit 1) when the batched/baseline throughput
+//   --min-speedup=X fail (exit 1) when the serve/baseline throughput
 //                   ratio lands below X (default 0 = report only); the CI
 //                   gate uses a conservative threshold so a regression to
 //                   per-request dispatch fails the build
@@ -254,55 +257,52 @@ int RunSelfHosted(const Args& args) {
     lines.push_back(EstimateRequest(id++, EncodeWorkloadQuery(q)));
   }
 
-  auto run_config = [&](const char* label, bool per_request_executor,
-                        LoadResult* out) -> int {
-    obs::MetricsRegistry::Global().Reset();
-    serve::ServeOptions sopts;
-    sopts.per_request_executor = per_request_executor;
-    if (per_request_executor) {
-      sopts.batch_max = 1;
-      sopts.plan_cache_capacity = 0;
-    }
-    sopts.queue_capacity = args.clients * args.pipeline + 16;
-    serve::SamServer server(&db, exec.ValueOrDie().get(), model, sopts);
-    const Status st = server.Start();
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    auto result = RunLoad(args, "127.0.0.1", server.port(), lines);
-    if (!result.ok()) {
-      std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
-      return 1;
-    }
-    server.Stop();
-    *out = result.MoveValue();
-    Report(label, args, *out);
-    return 0;
-  };
-
   std::printf("bench_serve: %zu clients x %zu requests (pipeline %zu), "
               "census rows=%zu\n",
               args.clients, args.requests, args.pipeline, args.rows);
-  // Baseline = one `Executor::ParallelCardinality` call per request: per-call
-  // pool construction and query compilation, no coalescing, no plan cache —
-  // what a daemon wrapping the pre-existing batch API would do. The serve
-  // fast path coalesces requests across clients into single
-  // `ParallelCardinalityCompiled` calls on a persistent pool with cached
-  // plans.
-  LoadResult baseline, batched;
-  if (run_config("baseline (1 call/request)", true, &baseline) != 0) return 1;
-  if (run_config("serve (batched + cached)", false, &batched) != 0) return 1;
+  const uint64_t expected = args.clients * args.requests;
 
-  const double total =
-      static_cast<double>(args.clients) * static_cast<double>(args.requests);
-  const double speedup =
-      (total / batched.seconds) / (total / baseline.seconds);
+  // Baseline: one `Executor::ParallelCardinality` call per request, one call
+  // at a time, in process.
+  LoadResult baseline;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (uint64_t r = 0; r < expected; ++r) {
+    auto cards = exec.ValueOrDie()->ParallelCardinality(
+        {workload.ValueOrDie()[r % workload.ValueOrDie().size()]});
+    if (!cards.ok()) {
+      std::fprintf(stderr, "error: %s\n", cards.status().ToString().c_str());
+      return 1;
+    }
+  }
+  baseline.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  baseline.ok_responses = expected;
+  Report("baseline (1 call/request)", args, baseline);
+
+  obs::MetricsRegistry::Global().Reset();
+  serve::ServeOptions sopts;
+  sopts.queue_capacity = args.clients * args.pipeline + 16;
+  serve::SamServer server(&db, exec.ValueOrDie().get(), model, sopts);
+  const Status st = server.Start();
+  if (!st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  auto result = RunLoad(args, "127.0.0.1", server.port(), lines);
+  if (!result.ok()) {
+    std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
+    return 1;
+  }
+  server.Stop();
+  const LoadResult batched = result.MoveValue();
+  Report("serve (batched + cached)", args, batched);
+
+  const double speedup = baseline.seconds / batched.seconds;
   std::printf("cross-client batching speedup: %.2fx\n", speedup);
 
-  const uint64_t expected = args.clients * args.requests;
-  if (baseline.ok_responses != expected || batched.ok_responses != expected) {
-    std::fprintf(stderr, "error: lost responses (want %llu per config)\n",
+  if (batched.ok_responses != expected) {
+    std::fprintf(stderr, "error: lost responses (want %llu)\n",
                  static_cast<unsigned long long>(expected));
     return 1;
   }

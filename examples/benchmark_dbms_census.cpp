@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "ar/estimator.h"
+#include "ar/batched_estimator.h"
 #include "common/logging.h"
 #include "datasets/datasets.h"
 #include "engine/executor.h"
@@ -59,10 +59,16 @@ int main() {
   // Before generating, sanity-check the learned distribution with the
   // progressive-sampling estimator on a few held-out constraints.
   std::printf("[4/5] Spot-checking learned cardinalities:\n");
-  ProgressiveEstimator estimator(service->model(), /*paths=*/400);
+  Workload spot_checks;
   for (size_t i = 0; i < 5; ++i) {
-    const Query& q = loaded[i * 97 % loaded.size()];
-    const double est = estimator.EstimateCardinality(q).MoveValue();
+    spot_checks.push_back(loaded[i * 97 % loaded.size()]);
+  }
+  BatchedProgressiveEstimator estimator(service->model());
+  const std::vector<double> ests =
+      estimator.EstimateBatch(spot_checks, /*paths=*/400).MoveValue();
+  for (size_t i = 0; i < spot_checks.size(); ++i) {
+    const Query& q = spot_checks[i];
+    const double est = ests[i];
     std::printf("      est=%10.0f true=%10lld  q-error=%5.2f   %s\n", est,
                 static_cast<long long>(q.cardinality),
                 QError(est, static_cast<double>(q.cardinality)),

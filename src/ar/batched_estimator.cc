@@ -4,12 +4,89 @@
 #include <atomic>
 #include <cstdint>
 
+#include "common/fnv1a.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
 
 namespace sam {
+namespace {
+
+/// RNG-stream key of a compiled query: FNV-1a over its per-column allow
+/// masks and fanout-scaling flags (the cardinality label is excluded, like
+/// the serve plan-cache key). Batch position, call order and coalescing
+/// never enter the hash.
+uint64_t ProgressiveStreamKey(const CompiledQuery& cq) {
+  Fnv1a h;
+  for (const auto& allow : cq.allow) {
+    // Length-prefix each mask so (empty, 0b1) and (0b1, empty) differ.
+    h.MixU64(allow.size());
+    h.Mix(allow.data(), allow.size());
+  }
+  h.Mix(cq.scale_fanout.data(), cq.scale_fanout.size());
+  return h.hash();
+}
+
+/// Advances one Monte-Carlo trajectory through column `mc`: accumulates the
+/// in-range probability mass into `*sel` when the column is constrained
+/// (`allow` non-empty), samples the next code from the (masked) probability
+/// row `pr` using the uniform `u`, and applies NeuroCard fanout inverse
+/// scaling when `scale_fanout` (a non-positive fanout kills the path and
+/// counts in `dead_fanout`). `weights` must hold `mc.domain_size` doubles
+/// when the column is constrained (unused otherwise). Returns the sampled
+/// code.
+int32_t SampleTrajectoryStep(const ModelColumn& mc,
+                             const std::vector<uint8_t>& allow,
+                             bool scale_fanout, const double* pr, double u,
+                             double* weights, double* sel,
+                             obs::Counter* dead_fanout) {
+  int64_t pick;
+  if (!allow.empty()) {
+    // One pass builds the masked sampling weights while accumulating the
+    // in-range mass; if that mass is zero the path is dead (selectivity 0)
+    // and any in-range value keeps the trajectory well-defined.
+    double p_in = 0.0;
+    bool any = false;
+    for (size_t j = 0; j < mc.domain_size; ++j) {
+      if (allow[j]) {
+        p_in += pr[j];
+        weights[j] = pr[j];
+        any = any || pr[j] > 0.0;
+      } else {
+        weights[j] = 0.0;
+      }
+    }
+    *sel *= p_in;
+    if (!any) {
+      for (size_t j = 0; j < mc.domain_size; ++j) {
+        weights[j] = allow[j] ? 1.0 : 0.0;
+      }
+    }
+    pick = CategoricalFromUniform(weights, mc.domain_size, u);
+    if (pick < 0) pick = 0;  // Fully-empty mask: arbitrary placeholder.
+  } else {
+    // Unconstrained: sample straight from the probability row.
+    pick = CategoricalFromUniform(pr, mc.domain_size, u);
+    if (pick < 0) pick = 0;
+  }
+  const int32_t code = static_cast<int32_t>(pick);
+  if (mc.kind == ModelColumnKind::kFanout && scale_fanout) {
+    // Guard the division: FanoutValueOf is code+1 > 0 for every valid code
+    // today, but a corrupt or future re-mapped code must not turn the whole
+    // estimate into inf/NaN — kill just this path and count it.
+    const int64_t fv = mc.FanoutValueOf(code);
+    if (fv <= 0) {
+      dead_fanout->Add(1);
+      *sel = 0.0;
+    } else {
+      *sel /= static_cast<double>(fv);
+    }
+  }
+  return code;
+}
+
+}  // namespace
 
 struct BatchedProgressiveEstimator::BlockScratch {
   MadeModel::SamplerState state;
@@ -54,9 +131,9 @@ Result<std::vector<double>> BatchedProgressiveEstimator::EstimateCompiledBatch(
       return Status::InvalidArgument("null query in estimation batch");
     }
     if (item.paths == 0) {
-      // Mirrors ProgressiveEstimator: a zero-path mean is 0/0.
+      // A zero-path mean is 0/0.
       return Status::InvalidArgument(
-          "ProgressiveEstimator needs at least one sample path");
+          "progressive estimation needs at least one sample path");
     }
   }
   std::vector<double> estimates(items.size(), 0.0);
@@ -106,8 +183,8 @@ Result<std::vector<double>> BatchedProgressiveEstimator::EstimateCompiledBatch(
     run_slot(0);
   }
 
-  // Per-query mean over its paths in path order — the exact reduction
-  // ProgressiveEstimator performs, independent of how rows were blocked.
+  // Per-query mean over its paths in path order, independent of how rows
+  // were blocked.
   const double foj = static_cast<double>(model_->schema().foj_size());
   for (size_t i = 0; i < items.size(); ++i) {
     double mean_sel = 0.0;

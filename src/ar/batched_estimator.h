@@ -4,7 +4,8 @@
 #include <memory>
 #include <vector>
 
-#include "ar/estimator.h"
+#include "ar/made.h"
+#include "ar/model_schema.h"
 #include "common/result.h"
 
 namespace sam {
@@ -18,31 +19,36 @@ struct BatchedEstimateItem {
   size_t paths = 0;
 };
 
-/// \brief Cross-query batched progressive sampling: interleaves K queries ×
-/// `paths` Monte-Carlo trajectories into shared per-column MADE forwards.
+/// \brief Progressive-sampling cardinality estimator over a trained MADE
+/// model (Yang et al.'s progressive sampling with NeuroCard fanout scaling,
+/// as used by SAM at inference; §4.1), batched across queries.
 ///
-/// Every pre-existing caller ran `ProgressiveEstimator` one query at a time,
-/// so each estimate was its own sequence of `CondProbs` forwards at
-/// batch = paths (~hundreds of rows) — far below where the SIMD kernels and
-/// the thread pool pay off. This estimator flattens all trajectories of a
-/// call into one query-major row space, shards it into contiguous
-/// `rows_per_block` blocks, and runs each block's full column sweep as one
-/// task on the pool: one `CondProbs` call per (block, column) with per-row
-/// query-interval masks driving selectivity accumulation and value sampling.
+/// Each query runs `paths` Monte-Carlo trajectories: at each constrained
+/// column the in-range probability multiplies the path's selectivity and an
+/// in-range value is sampled; fanout columns of relations outside the query
+/// divide by the sampled fanout. The estimate is |FOJ| times the mean path
+/// selectivity. A call flattens the trajectories of all its queries into one
+/// query-major row space, shards it into contiguous `rows_per_block` blocks,
+/// and runs each block's full column sweep as one task on the pool: one
+/// `CondProbs` call per (block, column) with per-row query-interval masks
+/// driving selectivity accumulation and value sampling. A single query is a
+/// call with K = 1; with no pool and `paths <= rows_per_block` it is one
+/// `CondProbs` per column over `paths` rows.
 ///
 /// ## Determinism contract
 ///
-/// Estimates are **bit-identical** to `ProgressiveEstimator` with the same
-/// (model, seed, paths) for every batch composition, ordering, block size,
-/// thread count and kernel backend:
-///  * uniforms come from counter streams addressed by
-///    (seed, ProgressiveStreamKey(query), path, column) — nothing
-///    sequential, so a trajectory's draws cannot depend on its neighbours;
+/// An estimate is a **pure function of (model, seed, paths, query)**: it is
+/// bit-identical for every batch composition, ordering, block size, thread
+/// count, kernel backend and call history of the instance:
+///  * uniforms come from counter streams addressed by (seed, stream key of
+///    the query, path, column) — nothing sequential, so a trajectory's draws
+///    cannot depend on its neighbours or on earlier calls. The stream key
+///    hashes the query's per-column allow masks and fanout flags, so two
+///    structurally identical queries share a stream;
 ///  * the kernel layer guarantees per-row forward results are
 ///    batch-size-invariant (element-wise vectorisation, fixed accumulator
 ///    association, no FMA — see src/linalg/kernels.h), so fusing K queries
 ///    into one forward changes no row;
-///  * every sampling step goes through the shared `SampleTrajectoryStep`;
 ///  * each query's mean sums its path selectivities sequentially in path
 ///    order, never via block-partial sums (FP addition is not associative).
 ///
@@ -70,10 +76,10 @@ class BatchedProgressiveEstimator {
   BatchedProgressiveEstimator& operator=(const BatchedProgressiveEstimator&) =
       delete;
 
-  /// Compiles and estimates `queries` with `paths` trajectories each.
-  /// Element i equals
-  /// `ProgressiveEstimator(model, paths, seed).EstimateCardinality(q_i)`
-  /// bit-for-bit. Fails with InvalidArgument when `paths == 0`.
+  /// Compiles and estimates `queries` with `paths` trajectories each; the
+  /// model's sampler weights must be synced. Element i equals the K = 1
+  /// call on query i bit for bit. Fails with InvalidArgument when
+  /// `paths == 0` (a zero-path mean is 0/0).
   Result<std::vector<double>> EstimateBatch(const std::vector<Query>& queries,
                                             size_t paths,
                                             ThreadPool* pool = nullptr);

@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <thread>
 
-#include "ar/estimator.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
@@ -74,12 +73,6 @@ Result<std::unique_ptr<SamModel>> SamModel::Train(
                        TrainDps(sam->model_.get(), train, options.training,
                                 callback));
   return sam;
-}
-
-Result<double> SamModel::EstimateCardinality(const Query& q, size_t paths) const {
-  ProgressiveEstimator estimator(model_.get(), paths,
-                                 options_.generation_seed ^ 0xe57u);
-  return estimator.EstimateCardinality(q);
 }
 
 void SamModel::SampleFojBatchInto(uint64_t base_seed, size_t batch_index,

@@ -86,10 +86,6 @@ class SamModel {
       int64_t foj_size, const SamOptions& options,
       const DpsCallback& callback = {});
 
-  /// Cardinality estimate for `q` via progressive sampling (diagnostic; the
-  /// generated database itself is the product).
-  Result<double> EstimateCardinality(const Query& q, size_t paths = 200) const;
-
   /// Generates a synthetic database: Alg 1 in RAM for single-relation
   /// schemas, else Alg 2 + Alg 3 via `GenerationPipeline` in a private
   /// temporary directory (bounded by `memory_cap_bytes`). Either way it

@@ -15,7 +15,6 @@
 #include <cstring>
 
 #include "ar/batched_estimator.h"
-#include "ar/estimator.h"
 #include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
 #include "sam/generation_pipeline.h"
@@ -499,23 +498,6 @@ void SamServer::DispatchBatch(std::vector<Pending>* batch) {
     live.push_back(&p);
   }
 
-  if (options_.per_request_executor) {
-    // Benchmark baseline: the pre-daemon batch API, one call per request.
-    for (Pending* p : live) {
-      if (p->request.use_model) continue;
-      Workload wl(p->request.queries.begin(), p->request.queries.end());
-      auto result = exec_->ParallelCardinality(wl, options_.worker_threads);
-      if (!result.ok()) {
-        Respond(p, ErrorResponse(p->request.id, result.status()),
-                /*is_error=*/true);
-      } else {
-        Respond(p, CardsResponse(p->request.id, result.ValueOrDie()),
-                /*is_error=*/false);
-      }
-      p->conn = nullptr;
-    }
-  }
-
   // True-cardinality work across every live request is coalesced into one
   // executor call; plans come from the LRU cache.
   struct Slot {
@@ -526,11 +508,7 @@ void SamServer::DispatchBatch(std::vector<Pending>* batch) {
   std::vector<std::shared_ptr<const engine::CompiledQuery>> plans;
 
   for (Pending* p : live) {
-    // Skip requests already answered above (per-request-executor baseline
-    // and compile failures mark themselves with conn == nullptr) — without
-    // this guard the baseline mode executed every request a second time
-    // through the coalesced path, discarding the results.
-    if (p->conn == nullptr || p->request.use_model) continue;
+    if (p->request.use_model) continue;
     bool failed = false;
     const size_t first_slot = slots.size();
     for (size_t qi = 0; qi < p->request.queries.size() && !failed; ++qi) {
@@ -613,44 +591,14 @@ void SamServer::DispatchModelEstimates(ResponseSink* sink,
   }
   if (wants.empty()) return;
 
-  if (options_.per_request_executor) {
-    // Benchmark baseline: the pre-batching serve path — a fresh estimator
-    // (and sampler state) per request, queries estimated serially.
-    for (Pending* p : wants) {
-      const std::shared_ptr<const SamModel> model = ModelSnapshot();
-      ProgressiveEstimator estimator(model->model(),
-                                     static_cast<size_t>(p->request.paths));
-      std::vector<double> estimates;
-      estimates.reserve(p->request.queries.size());
-      Status st = Status::OK();
-      for (const Query& q : p->request.queries) {
-        auto est = estimator.EstimateCardinality(q);
-        if (!est.ok()) {
-          st = est.status();
-          break;
-        }
-        estimates.push_back(est.ValueOrDie());
-      }
-      if (!st.ok()) {
-        RespondBatched(sink, p, ErrorResponse(p->request.id, st),
-                       /*is_error=*/true);
-      } else {
-        RespondBatched(sink, p, EstimatesResponse(p->request.id, estimates),
-                       /*is_error=*/false);
-      }
-      p->conn = nullptr;
-    }
-    return;
-  }
-
   // One model snapshot for the whole round. The cached batched estimator is
   // rebuilt only when a hot-swap changed the snapshot; otherwise its block
   // scratch carries over, so steady-state estimation allocates nothing per
   // request. (The dispatcher is single-threaded — no lock needed.) Answers
-  // remain bit-identical to a fresh per-request ProgressiveEstimator with
-  // the same paths: the counter-RNG streams and the kernel layer's
-  // batch-size invariance make an estimate independent of what other
-  // requests were coalesced with it.
+  // are bit-identical to a fresh K = 1 estimate of each query with the same
+  // paths: the counter-RNG streams and the kernel layer's batch-size
+  // invariance make an estimate independent of what other requests were
+  // coalesced with it.
   const std::shared_ptr<const SamModel> model = ModelSnapshot();
   if (model_estimator_ == nullptr || model_estimator_for_ != model) {
     model_estimator_ =

@@ -40,8 +40,9 @@ struct ServeOptions {
   /// stalling the connection.
   size_t queue_capacity = 256;
   /// Max requests the dispatcher coalesces into one executor call. 1 turns
-  /// cross-client batching off (the one-request-per-call baseline that
-  /// `bench_serve` compares against).
+  /// cross-client batching off; the persistent pool and plan cache still
+  /// apply, so this is not `bench_serve`'s baseline (that is one in-process
+  /// `Executor::ParallelCardinality` call per request).
   size_t batch_max = 64;
   /// Executor worker threads for coalesced cardinality batches (0 =
   /// hardware concurrency).
@@ -63,12 +64,6 @@ struct ServeOptions {
   /// not specify `paths` (matches the CLI estimate default). Bounded by
   /// `kMaxPathsPerQuery` like an explicit `paths`.
   size_t estimate_paths_default = 400;
-  /// Benchmark baseline: answer each true-cardinality request with its own
-  /// `Executor::ParallelCardinality` call (per-call pool construction and
-  /// query compilation, no coalescing, no plan cache) — the pre-daemon batch
-  /// API invoked once per request. `bench_serve` measures the serve fast
-  /// path against this.
-  bool per_request_executor = false;
 
   /// Model artifact to watch for hot-swap. When set together with
   /// `watch_interval_ms` and `reload_model`, a watcher thread polls the
@@ -176,9 +171,7 @@ class SamServer {
   void DispatchBatch(std::vector<Pending>* batch);
   /// Coalesces every still-unanswered model-estimate request in `live` into
   /// `BatchedProgressiveEstimator` calls on the persistent pool, each over
-  /// consecutive requests totalling at most `kMaxPathsPerRequest` paths (or
-  /// runs the pre-batching per-request baseline under
-  /// `per_request_executor`).
+  /// consecutive requests totalling at most `kMaxPathsPerRequest` paths.
   void DispatchModelEstimates(ResponseSink* sink,
                               const std::vector<Pending*>& live);
   /// Answers `group` with one batched estimation call against `model`.

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "ar/batched_estimator.h"
 #include "ar/dps_trainer.h"
-#include "ar/estimator.h"
 #include "ar/made.h"
 #include "ar/model_schema.h"
 #include "autodiff/ops.h"
@@ -333,11 +333,13 @@ TEST(DpsTrainerTest, LearnsTinyDistribution) {
   EXPECT_LT(stats.back().mean_loss, stats.front().mean_loss * 0.5);
 
   // Estimates should be in the right ballpark on the training constraints.
-  ProgressiveEstimator est(&model, 400);
+  const Workload queries(train.begin(), train.begin() + 50);
+  BatchedProgressiveEstimator est(&model);
+  const std::vector<double> ests = est.EstimateBatch(queries, 400).MoveValue();
   std::vector<double> qerrors;
-  for (size_t i = 0; i < 50; ++i) {
-    const double e = est.EstimateCardinality(train[i]).MoveValue();
-    qerrors.push_back(QError(e, static_cast<double>(train[i].cardinality)));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    qerrors.push_back(
+        QError(ests[i], static_cast<double>(queries[i].cardinality)));
   }
   const MetricSummary summary = Summarize(qerrors);
   EXPECT_LT(summary.median, 2.0) << "median q-error too high after training";

@@ -1,19 +1,20 @@
-// Bit-identity and regression coverage for cross-query batched estimation:
-// BatchedProgressiveEstimator must agree with ProgressiveEstimator to the
-// last bit for every batch composition, path budget, block size, thread
-// count and kernel backend — and ProgressiveEstimator itself must be
-// call-order independent (its pre-counter-RNG implementation was not).
+// Bit-identity and regression coverage for progressive-sampling estimation:
+// a query's estimate must not change by one bit across batch composition,
+// path budgets, block size, thread count, kernel backend or call history —
+// and must equal digests recorded from the single-query reference estimator
+// this batched one replaced.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ar/batched_estimator.h"
-#include "ar/estimator.h"
 #include "ar/made.h"
 #include "ar/model_schema.h"
+#include "common/fnv1a.h"
 #include "common/thread_pool.h"
 #include "datasets/datasets.h"
 #include "engine/executor.h"
@@ -54,6 +55,39 @@ CensusFixture& Census() {
   return *fixture;
 }
 
+struct ImdbFixture {
+  ImdbFixture() {
+    db = std::make_unique<Database>(MakeImdbLike(300, 9));
+    auto exec = Executor::Create(db.get()).MoveValue();
+    MultiRelationWorkloadOptions wopts;
+    wopts.num_queries = 40;
+    train = GenerateMultiRelationWorkload(*db, *exec, wopts).MoveValue();
+    SchemaHints hints;
+    hints.fanout_cap = 25;
+    schema = std::make_unique<ModelSchema>(
+        ModelSchema::Build(*db, train, hints, exec->FullOuterJoinSize())
+            .MoveValue());
+    model = std::make_unique<MadeModel>(schema.get(), MadeModel::Options{});
+    model->SyncSamplerWeights();
+  }
+
+  std::unique_ptr<Database> db;
+  Workload train;
+  std::unique_ptr<ModelSchema> schema;
+  std::unique_ptr<MadeModel> model;
+};
+
+ImdbFixture& Imdb() {
+  static ImdbFixture* fixture = new ImdbFixture();
+  return *fixture;
+}
+
+uint64_t EstimateDigest(const std::vector<double>& estimates) {
+  Fnv1a h;
+  for (double e : estimates) h.MixDouble(e);
+  return h.hash();
+}
+
 std::vector<Query> FirstQueries(const Workload& pool, size_t n) {
   std::vector<Query> queries;
   for (size_t i = 0; i < n; ++i) queries.push_back(pool[i % pool.size()]);
@@ -65,12 +99,64 @@ std::vector<double> SingleQueryEstimates(const MadeModel& model,
                                          size_t paths, uint64_t seed = 4242) {
   std::vector<double> out;
   for (const Query& q : queries) {
-    // A fresh estimator per query: the reference answer by construction
-    // cannot depend on any other query.
-    ProgressiveEstimator est(&model, paths, seed);
-    out.push_back(est.EstimateCardinality(q).MoveValue());
+    // A fresh K = 1 call on a single block with no pool per query: one
+    // CondProbs per column over `paths` rows, so the reference answer by
+    // construction cannot depend on any other query or on blocking.
+    BatchedProgressiveEstimator est(&model, seed, /*rows_per_block=*/paths);
+    out.push_back(est.EstimateBatch({q}, paths).MoveValue()[0]);
   }
   return out;
+}
+
+// FNV-1a digests of the estimates' raw double bits, recorded from the
+// single-query reference estimator (one CondProbs per column over `paths`
+// rows, then the path-order mean) before it was folded into the batched
+// one: census queries 0..15 at 33 paths, imdb queries 0..16 at 31 paths.
+constexpr uint64_t kCensusGoldenDigest = 0x11e1154581932961ull;
+constexpr uint64_t kImdbGoldenDigest = 0xa4f3f4a02fdabf0cull;
+
+TEST(BatchedEstimatorTest, GoldenDigestsForEveryCallShapeAndBackend) {
+  struct Case {
+    const char* name;
+    const MadeModel* model;
+    std::vector<Query> queries;
+    size_t paths;
+    uint64_t digest;
+  };
+  const std::vector<Case> cases = {
+      {"census", Census().model.get(), FirstQueries(Census().train, 16), 33,
+       kCensusGoldenDigest},
+      {"imdb", Imdb().model.get(), FirstQueries(Imdb().train, 17), 31,
+       kImdbGoldenDigest},
+  };
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::Avx2Available()) backends.push_back(kernels::Backend::kAvx2);
+  const kernels::Backend saved = kernels::ActiveBackend();
+  ThreadPool pool(3);
+  for (kernels::Backend backend : backends) {
+    ASSERT_TRUE(kernels::SetBackend(backend));
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " backend=" +
+                   std::to_string(static_cast<int>(backend)));
+      EXPECT_EQ(EstimateDigest(SingleQueryEstimates(*c.model, c.queries,
+                                                    c.paths)),
+                c.digest);
+
+      BatchedProgressiveEstimator all(c.model, 4242, /*rows_per_block=*/64);
+      EXPECT_EQ(EstimateDigest(
+                    all.EstimateBatch(c.queries, c.paths, &pool).MoveValue()),
+                c.digest);
+
+      // One instance answering K = 1 calls in turn, after a full batch has
+      // left its block scratch behind.
+      std::vector<double> reused;
+      for (const Query& q : c.queries) {
+        reused.push_back(all.EstimateBatch({q}, c.paths).MoveValue()[0]);
+      }
+      EXPECT_EQ(EstimateDigest(reused), c.digest);
+    }
+  }
+  kernels::SetBackend(saved);
 }
 
 TEST(BatchedEstimatorTest, MatchesSingleQueryAcrossBatchCompositions) {
@@ -150,43 +236,33 @@ TEST(BatchedEstimatorTest, BitIdenticalAcrossKernelBackends) {
 }
 
 TEST(BatchedEstimatorTest, SingleEstimatorIsCallOrderIndependent) {
-  // Regression: ProgressiveEstimator used to advance one mutable RNG across
-  // calls, so query B's estimate depended on whether query A ran first. The
-  // counter-based streams make every estimate a pure function of
-  // (model, seed, paths, query).
+  // Regression: the single-query estimator once advanced one mutable RNG
+  // across calls, so query B's estimate depended on whether query A ran
+  // first. The counter-based streams make every estimate a pure function of
+  // (model, seed, paths, query) — including on a reused instance, whose
+  // block scratch persists across calls.
   auto& f = Census();
-  ProgressiveEstimator fresh(f.model.get(), 50);
-  const double b_alone = fresh.EstimateCardinality(f.train[1]).MoveValue();
+  BatchedProgressiveEstimator fresh(f.model.get());
+  const double b_alone = fresh.EstimateBatch({f.train[1]}, 50).MoveValue()[0];
 
-  ProgressiveEstimator reused(f.model.get(), 50);
-  (void)reused.EstimateCardinality(f.train[0]).MoveValue();
-  EXPECT_EQ(reused.EstimateCardinality(f.train[1]).MoveValue(), b_alone);
+  BatchedProgressiveEstimator reused(f.model.get());
+  (void)reused.EstimateBatch({f.train[0]}, 50).MoveValue();
+  EXPECT_EQ(reused.EstimateBatch({f.train[1]}, 50).MoveValue()[0], b_alone);
   // Same estimator, same query, third call: still the same bits.
-  EXPECT_EQ(reused.EstimateCardinality(f.train[1]).MoveValue(), b_alone);
+  EXPECT_EQ(reused.EstimateBatch({f.train[1]}, 50).MoveValue()[0], b_alone);
 }
 
 TEST(BatchedEstimatorTest, MultiRelationFanoutMatchesSingleQuery) {
   // Join queries exercise indicator columns and NeuroCard fanout
-  // inverse-scaling (dead-path kills included) — the batched trajectory
-  // step must track the single-query one through all of it.
-  Database db = MakeImdbLike(300, 9);
-  auto exec = Executor::Create(&db).MoveValue();
-  MultiRelationWorkloadOptions wopts;
-  wopts.num_queries = 40;
-  Workload train = GenerateMultiRelationWorkload(db, *exec, wopts).MoveValue();
-  SchemaHints hints;
-  hints.fanout_cap = 25;
-  ModelSchema schema =
-      ModelSchema::Build(db, train, hints, exec->FullOuterJoinSize())
-          .MoveValue();
-  MadeModel model(&schema, MadeModel::Options{});
-  model.SyncSamplerWeights();
-
-  const std::vector<Query> queries = FirstQueries(train, 17);
+  // inverse-scaling (dead-path kills included) — the batched trajectories
+  // must track the single-query ones through all of it.
+  auto& f = Imdb();
+  const std::vector<Query> queries = FirstQueries(f.train, 17);
   const std::vector<double> expected =
-      SingleQueryEstimates(model, queries, 31);
+      SingleQueryEstimates(*f.model, queries, 31);
   ThreadPool pool(3);
-  BatchedProgressiveEstimator batched(&model, 4242, /*rows_per_block=*/64);
+  BatchedProgressiveEstimator batched(f.model.get(), 4242,
+                                      /*rows_per_block=*/64);
   const std::vector<double> got =
       batched.EstimateBatch(queries, 31, &pool).MoveValue();
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -210,8 +286,11 @@ TEST(BatchedEstimatorTest, MixedPathBudgetsMatchSingles) {
   const std::vector<double> got =
       batched.EstimateCompiledBatch(items).MoveValue();
   for (size_t i = 0; i < budgets.size(); ++i) {
-    ProgressiveEstimator single(f.model.get(), budgets[i]);
-    EXPECT_EQ(got[i], single.EstimateCompiled(compiled[i]))
+    BatchedProgressiveEstimator single(f.model.get(), 4242,
+                                       /*rows_per_block=*/budgets[i]);
+    EXPECT_EQ(got[i],
+              single.EstimateCompiledBatch({{&compiled[i], budgets[i]}})
+                  .MoveValue()[0])
         << "item " << i << " paths=" << budgets[i];
   }
 }
@@ -257,11 +336,12 @@ TEST(BatchedEstimatorTest, QErrorOnModelEstimatesMatchesSerialSweep) {
   const MetricSummary batched =
       QErrorOnModelEstimates(*f.model, f.train, 21, &pool).MoveValue();
 
+  const std::vector<double> singles =
+      SingleQueryEstimates(*f.model, f.train, 21);
   std::vector<double> errors;
-  for (const Query& q : f.train) {
-    ProgressiveEstimator est(f.model.get(), 21);
-    errors.push_back(QError(est.EstimateCardinality(q).MoveValue(),
-                            static_cast<double>(q.cardinality)));
+  for (size_t i = 0; i < f.train.size(); ++i) {
+    errors.push_back(
+        QError(singles[i], static_cast<double>(f.train[i].cardinality)));
   }
   const MetricSummary serial = Summarize(std::move(errors));
   EXPECT_EQ(batched.count, serial.count);

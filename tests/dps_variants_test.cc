@@ -5,7 +5,7 @@
 
 #include "ar/dps_trainer.h"
 #include "common/logging.h"
-#include "ar/estimator.h"
+#include "ar/batched_estimator.h"
 #include "autodiff/ops.h"
 #include "ar/made.h"
 #include "datasets/datasets.h"
@@ -120,11 +120,14 @@ TEST(DpsVariantsTest, VariantsReachComparableQuality) {
   auto train_and_eval = [&](MadeModel::Options mopts, DpsOptions dopts) {
     MadeModel model(&s.schema, mopts);
     SAM_CHECK(TrainDps(&model, s.train, dopts).ok());
-    ProgressiveEstimator est(&model, 300);
+    const Workload queries(s.train.begin(), s.train.begin() + 60);
+    BatchedProgressiveEstimator est(&model);
+    const std::vector<double> ests =
+        est.EstimateBatch(queries, 300).MoveValue();
     std::vector<double> qerrors;
-    for (size_t i = 0; i < 60; ++i) {
-      const double e = est.EstimateCardinality(s.train[i]).MoveValue();
-      qerrors.push_back(QError(e, static_cast<double>(s.train[i].cardinality)));
+    for (size_t i = 0; i < queries.size(); ++i) {
+      qerrors.push_back(
+          QError(ests[i], static_cast<double>(queries[i].cardinality)));
     }
     return Summarize(std::move(qerrors)).median;
   };

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "ar/estimator.h"
+#include <cmath>
+
+#include "ar/batched_estimator.h"
 #include "ar/made.h"
 #include "ar/model_schema.h"
 #include "datasets/datasets.h"
@@ -10,6 +12,13 @@
 
 namespace sam {
 namespace {
+
+/// One K = 1 progressive-sampling estimate of `q`.
+double EstimateOne(const MadeModel& model, const Query& q, size_t paths,
+                   uint64_t seed = 4242) {
+  BatchedProgressiveEstimator est(&model, seed);
+  return est.EstimateBatch({q}, paths).MoveValue()[0];
+}
 
 TEST(EstimatorTest, UnconstrainedQueryEstimatesTableSize) {
   // With no predicates every per-column in-range probability is 1, so the
@@ -24,10 +33,9 @@ TEST(EstimatorTest, UnconstrainedQueryEstimatesTableSize) {
   MadeModel model(&schema, MadeModel::Options{});
   model.SyncSamplerWeights();
 
-  ProgressiveEstimator est(&model, 32);
   Query q;
   q.relations = {"census"};
-  EXPECT_DOUBLE_EQ(est.EstimateCardinality(q).MoveValue(), 500.0);
+  EXPECT_DOUBLE_EQ(EstimateOne(model, q, 32), 500.0);
 }
 
 TEST(EstimatorTest, EmptyMaskGivesZeroEstimate) {
@@ -40,7 +48,6 @@ TEST(EstimatorTest, EmptyMaskGivesZeroEstimate) {
   ModelSchema schema = ModelSchema::Build(db, train, SchemaHints{}, 500).MoveValue();
   MadeModel model(&schema, MadeModel::Options{});
   model.SyncSamplerWeights();
-  ProgressiveEstimator est(&model, 32);
 
   // Equality on a literal that is not in the (categorical) training domain:
   // the compiled mask is empty, so the estimate must be 0.
@@ -48,7 +55,7 @@ TEST(EstimatorTest, EmptyMaskGivesZeroEstimate) {
   q.relations = {"census"};
   q.predicates = {Predicate{"census", "occupation", PredOp::kEq,
                             Value(int64_t{987654}), {}}};
-  EXPECT_DOUBLE_EQ(est.EstimateCardinality(q).MoveValue(), 0.0);
+  EXPECT_DOUBLE_EQ(EstimateOne(model, q, 32), 0.0);
 }
 
 TEST(EstimatorTest, MonotoneInRangeWidth) {
@@ -71,12 +78,11 @@ TEST(EstimatorTest, MonotoneInRangeWidth) {
   model.SyncSamplerWeights();
 
   auto estimate = [&](int64_t age_limit) {
-    ProgressiveEstimator est(&model, 512, /*seed=*/11);
     Query q;
     q.relations = {"census"};
     q.predicates = {
         Predicate{"census", "age", PredOp::kLe, Value(age_limit), {}}};
-    return est.EstimateCardinality(q).MoveValue();
+    return EstimateOne(model, q, 512, /*seed=*/11);
   };
   const double narrow = estimate(30);
   const double wide = estimate(60);
@@ -96,14 +102,13 @@ TEST(EstimatorTest, JoinQueryIndicatorConstraintReducesEstimate) {
       ModelSchema::Build(db, train, hints, exec->FullOuterJoinSize()).MoveValue();
   MadeModel model(&schema, MadeModel::Options{});
   model.SyncSamplerWeights();
-  ProgressiveEstimator est(&model, 256, 13);
 
   // An untrained model still satisfies basic structure: a join estimate is
   // finite and non-negative, and conditioning on an additional predicate can
   // only shrink the in-range mass for the same trajectory seed.
   Query join;
   join.relations = {"title", "cast_info"};
-  const double card_join = est.EstimateCardinality(join).MoveValue();
+  const double card_join = EstimateOne(model, join, 256, 13);
   EXPECT_GE(card_join, 0.0);
   EXPECT_TRUE(std::isfinite(card_join));
 
@@ -115,9 +120,7 @@ TEST(EstimatorTest, JoinQueryIndicatorConstraintReducesEstimate) {
       {}}};
   // Not strictly comparable (different predicate columns across seeds), so
   // only assert well-formedness.
-  const double card_filtered =
-      ProgressiveEstimator(&model, 256, 13).EstimateCardinality(join_filtered)
-          .MoveValue();
+  const double card_filtered = EstimateOne(model, join_filtered, 256, 13);
   EXPECT_GE(card_filtered, 0.0);
   EXPECT_TRUE(std::isfinite(card_filtered));
 }
@@ -132,9 +135,14 @@ TEST(EstimatorTest, SamModelEstimateMatchesStandaloneEstimator) {
   SamOptions options;
   options.training.epochs = 2;
   auto sam = SamModel::Train(db, train, SchemaHints{}, 400, options).MoveValue();
-  auto e1 = sam->EstimateCardinality(train[0], 200);
-  ASSERT_TRUE(e1.ok());
-  EXPECT_GE(e1.ValueOrDie(), 0.0);
+  // A trained SamModel is estimated through the same standalone estimator
+  // the CLI and serve use: a query's answer alone equals its answer inside
+  // a whole-workload batch.
+  const double alone = EstimateOne(*sam->model(), train[0], 200);
+  EXPECT_GE(alone, 0.0);
+  EXPECT_TRUE(std::isfinite(alone));
+  BatchedProgressiveEstimator sweep(sam->model());
+  EXPECT_EQ(sweep.EstimateBatch(train, 200).MoveValue()[0], alone);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "ar/estimator.h"
+#include "ar/batched_estimator.h"
 #include "datasets/datasets.h"
 #include "engine/executor.h"
 #include "sam/sam_model.h"
@@ -212,11 +212,11 @@ TEST(EstimatorPathsTest, FiniteEstimatesForPositivePathCounts) {
   q.relations = {"A", "B", "C"};
   q.predicates = {Eq("C", "c", "u")};
   for (const size_t paths : {size_t{1}, size_t{64}}) {
-    ProgressiveEstimator est(sam.ValueOrDie()->model(), paths);
-    auto card = est.EstimateCardinality(q);
+    BatchedProgressiveEstimator est(sam.ValueOrDie()->model());
+    auto card = est.EstimateBatch({q}, paths);
     ASSERT_TRUE(card.ok()) << card.status().ToString();
-    EXPECT_TRUE(std::isfinite(card.ValueOrDie())) << "paths=" << paths;
-    EXPECT_GE(card.ValueOrDie(), 0.0);
+    EXPECT_TRUE(std::isfinite(card.ValueOrDie()[0])) << "paths=" << paths;
+    EXPECT_GE(card.ValueOrDie()[0], 0.0);
   }
 }
 
@@ -229,13 +229,10 @@ TEST(EstimatorPathsTest, ZeroPathsIsRejectedNotNaN) {
   Query q;
   q.relations = {"A"};
   q.predicates = {Eq("A", "a", "m")};
-  ProgressiveEstimator est(sam.ValueOrDie()->model(), 0);
-  auto direct = est.EstimateCardinality(q);
+  BatchedProgressiveEstimator est(sam.ValueOrDie()->model());
+  auto direct = est.EstimateBatch({q}, 0);
   ASSERT_FALSE(direct.ok());
   EXPECT_TRUE(direct.status().code() == StatusCode::kInvalidArgument) << direct.status().ToString();
-
-  auto via_model = sam.ValueOrDie()->EstimateCardinality(q, 0);
-  EXPECT_FALSE(via_model.ok());
 }
 
 }  // namespace

@@ -20,7 +20,7 @@
 #include <thread>
 #include <vector>
 
-#include "ar/estimator.h"
+#include "ar/batched_estimator.h"
 #include "datasets/datasets.h"
 #include "engine/executor.h"
 #include "obs/json.h"
@@ -517,65 +517,6 @@ TEST(ServeTest, OverlongLineGetsErrorAndDisconnect) {
   server.Stop();
 }
 
-TEST(ServeTest, BaselineModeSurvivesCompileFailure) {
-  // Regression: in per_request_executor (baseline) mode the coalescing plan
-  // loop used to re-process requests the baseline had already answered; a
-  // query that fails compilation then called Respond on a null connection
-  // and crashed the dispatcher.
-  ServeFixture f = MakeFixture();
-  ServeOptions sopts;
-  sopts.per_request_executor = true;
-  SamServer server(f.db.get(), f.exec.get(), f.model, sopts);
-  ASSERT_TRUE(server.Start().ok());
-  ServeClient client = Connect(server);
-
-  auto v = client.Call("{\"id\": 1, \"type\": \"estimate\", "
-                       "\"query\": \"martians\\t\\t-1\"}");
-  ASSERT_TRUE(v.ok());
-  EXPECT_FALSE(v.ValueOrDie().Find("ok")->bool_value);
-
-  // The dispatcher survived and still answers work.
-  auto good = client.Call(EstimateLine(2, f.workload[0], "true"));
-  ASSERT_TRUE(good.ok());
-  EXPECT_TRUE(good.ValueOrDie().Find("ok")->bool_value);
-  server.Stop();
-}
-
-TEST(ServeTest, BaselineModeDoesNotDoubleExecute) {
-  // Regression: baseline mode used to run every answered request a second
-  // time through the coalesced path (compiling plans, executing, discarding
-  // the results), inflating the measured batching speedup. With the plan
-  // cache left on, any compilation by the coalesced loop is visible as a
-  // cache miss — there must be none.
-  ServeFixture f = MakeFixture();
-  ServeOptions sopts;
-  sopts.per_request_executor = true;
-  SamServer server(f.db.get(), f.exec.get(), f.model, sopts);
-  ASSERT_TRUE(server.Start().ok());
-  ServeClient client = Connect(server);
-
-  const std::vector<int64_t> want =
-      f.exec->ParallelCardinality(f.workload).MoveValue();
-  for (size_t i = 0; i < 4; ++i) {
-    auto v = client.Call(EstimateLine(static_cast<int64_t>(i), f.workload[i],
-                                      "true"));
-    ASSERT_TRUE(v.ok());
-    const obs::JsonValue* cards = v.ValueOrDie().Find("cards");
-    ASSERT_NE(cards, nullptr);
-    EXPECT_EQ(static_cast<int64_t>(cards->array_items[0].number_value),
-              want[i]);
-  }
-
-  auto stats = client.Call("{\"id\": 0, \"type\": \"stats\"}");
-  ASSERT_TRUE(stats.ok());
-  const obs::JsonValue* cache =
-      stats.ValueOrDie().Find("stats")->Find("plan_cache");
-  ASSERT_NE(cache, nullptr);
-  EXPECT_EQ(cache->Find("misses")->number_value, 0.0);
-  EXPECT_EQ(cache->Find("hits")->number_value, 0.0);
-  server.Stop();
-}
-
 TEST(ServeTest, GenerateErrorsCountAsErrors) {
   // Regression: generate/generate_status error responses were reported with
   // is_error=false, so the errors counter undercounted.
@@ -837,8 +778,9 @@ TEST(ServeTest, ModelEstimatesAreDeterministicPerRequest) {
   ASSERT_TRUE(server.Start().ok());
   ServeClient client = Connect(server);
 
-  // A fresh estimator per request means repeating a request repeats its
-  // answer bit-for-bit, regardless of interleaved traffic.
+  // An estimate is a pure function of (model, seed, paths, query), so
+  // repeating a request repeats its answer bit-for-bit, regardless of
+  // interleaved traffic through the dispatcher's reused estimator.
   auto ask = [&] {
     auto v = client.Call(EstimateLine(1, f.workload[0], "model"));
     SAM_CHECK_OK(v.status());
@@ -853,8 +795,8 @@ TEST(ServeTest, ModelEstimatesAreDeterministicPerRequest) {
 TEST(ServeTest, CoalescedModelEstimatesMatchPerRequestAnswers) {
   // Concurrent clients hammering "model" estimates get coalesced by the
   // dispatcher into shared batched forwards. Whatever the batch composition
-  // each round happens to be, every answer must equal a fresh per-request
-  // ProgressiveEstimator at the same seed and path budget, bit for bit
+  // each round happens to be, every answer must equal a fresh K = 1 estimate
+  // on a single block at the same seed and path budget, bit for bit
   // (responses serialise doubles with %.17g, so the comparison is exact).
   ServeFixture f = MakeFixture();
   ServeOptions sopts;
@@ -864,8 +806,9 @@ TEST(ServeTest, CoalescedModelEstimatesMatchPerRequestAnswers) {
 
   std::vector<double> expected(f.workload.size());
   for (size_t i = 0; i < f.workload.size(); ++i) {
-    ProgressiveEstimator reference(f.model->model(), /*paths=*/64);
-    expected[i] = reference.EstimateCardinality(f.workload[i]).MoveValue();
+    BatchedProgressiveEstimator reference(f.model->model(), 4242,
+                                          /*rows_per_block=*/64);
+    expected[i] = reference.EstimateBatch({f.workload[i]}, 64).MoveValue()[0];
   }
 
   constexpr int kClients = 4;

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "ar/batched_estimator.h"
-#include "ar/estimator.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/string_util.h"
@@ -100,6 +99,19 @@ class Flags {
       return Status::InvalidArgument("--" + key + ": " + v.status().message());
     }
     return v;
+  }
+
+  /// Checked count flag: a value below `min` (a negative one above all)
+  /// fails naming the flag instead of wrapping around to a huge size_t.
+  Result<size_t> GetSize(const std::string& key, size_t fallback,
+                         size_t min = 0) const {
+    SAM_ASSIGN_OR_RETURN(int64_t v,
+                         GetInt(key, static_cast<int64_t>(fallback)));
+    if (v < static_cast<int64_t>(min)) {
+      return Status::InvalidArgument("--" + key + " must be >= " +
+                                     std::to_string(min));
+    }
+    return static_cast<size_t>(v);
   }
 
   Result<double> GetDouble(const std::string& key, double fallback) const {
@@ -191,25 +203,25 @@ Status ApplyNumericSpecs(const std::string& spec, SchemaHints* hints) {
 
 Result<SamOptions> OptionsFromFlags(const Flags& flags) {
   SamOptions options;
-  int64_t v = 0;
-  SAM_ASSIGN_OR_RETURN(v, flags.GetInt("epochs", 10));
-  options.training.epochs = static_cast<size_t>(v);
-  SAM_ASSIGN_OR_RETURN(v, flags.GetInt("batch", 64));
-  options.training.batch_size = static_cast<size_t>(v);
+  SAM_ASSIGN_OR_RETURN(options.training.epochs,
+                       flags.GetSize("epochs", 10, 1));
+  SAM_ASSIGN_OR_RETURN(options.training.batch_size,
+                       flags.GetSize("batch", 64, 1));
   SAM_ASSIGN_OR_RETURN(options.training.learning_rate,
                        flags.GetDouble("lr", 3e-3));
-  SAM_ASSIGN_OR_RETURN(v, flags.GetInt("paths", 2));
-  options.training.sample_paths = static_cast<size_t>(v);
+  SAM_ASSIGN_OR_RETURN(options.training.sample_paths,
+                       flags.GetSize("paths", 2, 1));
   SAM_ASSIGN_OR_RETURN(options.training.time_budget_seconds,
                        flags.GetDouble("time-budget", 0));
+  // Seeds take any 64-bit pattern, negative literals included.
+  int64_t v = 0;
   SAM_ASSIGN_OR_RETURN(v, flags.GetInt("seed", 777));
   options.training.seed = static_cast<uint64_t>(v);
-  int64_t hidden = 0;
-  SAM_ASSIGN_OR_RETURN(hidden, flags.GetInt("hidden", 48));
-  options.model.hidden_sizes = {static_cast<size_t>(hidden),
-                                static_cast<size_t>(hidden)};
-  SAM_ASSIGN_OR_RETURN(v, flags.GetInt("foj-samples", 60000));
-  options.foj_samples = static_cast<size_t>(v);
+  size_t hidden = 0;
+  SAM_ASSIGN_OR_RETURN(hidden, flags.GetSize("hidden", 48));
+  options.model.hidden_sizes = {hidden, hidden};
+  SAM_ASSIGN_OR_RETURN(options.foj_samples,
+                       flags.GetSize("foj-samples", 60000, 1));
   SAM_ASSIGN_OR_RETURN(v, flags.GetInt("gen-seed", 999));
   options.generation_seed = static_cast<uint64_t>(v);
   return options;
@@ -220,11 +232,10 @@ int CmdDataset(const Flags& flags) {
   const std::string out = flags.Get("out");
   if (out.empty()) return Fail("dataset: --out=DIR is required");
   int64_t seed_i = 0;
-  int64_t rows_i = 0;
+  size_t rows = 0;
   SAM_CLI_ASSIGN(seed_i, flags.GetInt("seed", 1));
-  SAM_CLI_ASSIGN(rows_i, flags.GetInt("rows", 8000));
+  SAM_CLI_ASSIGN(rows, flags.GetSize("rows", 8000));
   const uint64_t seed = static_cast<uint64_t>(seed_i);
-  const size_t rows = static_cast<size_t>(rows_i);
   Database db;
   if (kind == "census") {
     db = MakeCensusLike(rows, seed);
@@ -257,11 +268,10 @@ int CmdWorkload(const Flags& flags) {
   if (!exec.ok()) return FailStatus(exec.status());
 
   Result<Workload> workload = Status::Internal("unset");
-  int64_t n_i = 0;
+  size_t n = 0;
   int64_t seed_i = 0;
-  SAM_CLI_ASSIGN(n_i, flags.GetInt("queries", 1000));
+  SAM_CLI_ASSIGN(n, flags.GetSize("queries", 1000));
   SAM_CLI_ASSIGN(seed_i, flags.GetInt("seed", 100));
-  const size_t n = static_cast<size_t>(n_i);
   const uint64_t seed = static_cast<uint64_t>(seed_i);
   if (flags.GetBool("joblight")) {
     JobLightWorkloadOptions opts;
@@ -272,9 +282,7 @@ int CmdWorkload(const Flags& flags) {
     MultiRelationWorkloadOptions opts;
     opts.num_queries = n;
     opts.seed = seed;
-    int64_t max_joins = 0;
-    SAM_CLI_ASSIGN(max_joins, flags.GetInt("max-joins", 2));
-    opts.max_joins = static_cast<size_t>(max_joins);
+    SAM_CLI_ASSIGN(opts.max_joins, flags.GetSize("max-joins", 2));
     workload =
         GenerateMultiRelationWorkload(db.ValueOrDie(), *exec.ValueOrDie(), opts);
   } else {
@@ -282,9 +290,7 @@ int CmdWorkload(const Flags& flags) {
     opts.num_queries = n;
     opts.seed = seed;
     SAM_CLI_ASSIGN(opts.coverage_ratio, flags.GetDouble("coverage", 1.0));
-    int64_t max_filters = 0;
-    SAM_CLI_ASSIGN(max_filters, flags.GetInt("max-filters", 5));
-    opts.max_filters = static_cast<size_t>(max_filters);
+    SAM_CLI_ASSIGN(opts.max_filters, flags.GetSize("max-filters", 5));
     const std::string table =
         flags.Get("table", db.ValueOrDie().tables()[0].name());
     workload = GenerateSingleRelationWorkload(db.ValueOrDie(), table,
@@ -346,10 +352,10 @@ int CmdLabel(const Flags& flags) {
   if (!exec.ok()) return FailStatus(exec.status());
   auto workload = LoadWorkload(wl_path);
   if (!workload.ok()) return FailStatus(workload.status());
-  int64_t threads_i = 0;
-  SAM_CLI_ASSIGN(threads_i, flags.GetInt("threads", 0));
-  auto cards = exec.ValueOrDie()->ParallelCardinality(
-      workload.ValueOrDie(), static_cast<size_t>(threads_i));
+  size_t threads = 0;
+  SAM_CLI_ASSIGN(threads, flags.GetSize("threads", 0));
+  auto cards =
+      exec.ValueOrDie()->ParallelCardinality(workload.ValueOrDie(), threads);
   if (!cards.ok()) return FailStatus(cards.status());
   for (size_t i = 0; i < workload.ValueOrDie().size(); ++i) {
     workload.ValueOrDie()[i].cardinality = cards.ValueOrDie()[i];
@@ -365,10 +371,7 @@ int CmdTrain(const Flags& flags) {
   // Validate flags before the input load, so a bad value fails fast.
   SamOptions options;
   SAM_CLI_ASSIGN(options, OptionsFromFlags(flags));
-  int64_t threads = 0;
-  SAM_CLI_ASSIGN(threads, flags.GetInt("threads", 0));
-  if (threads < 0) return Fail("train: --threads must be >= 0");
-  options.training.threads = static_cast<size_t>(threads);
+  SAM_CLI_ASSIGN(options.training.threads, flags.GetSize("threads", 0));
 
   auto inputs = LoadPipelineInputs(flags);
   if (!inputs.ok()) return FailStatus(inputs.status());
@@ -377,12 +380,10 @@ int CmdTrain(const Flags& flags) {
   if (model_out.empty()) return Fail("train: --model-out=FILE is required");
 
   options.training.checkpoint_dir = flags.Get("checkpoint-dir");
-  int64_t ckpt_every = 0;
-  int64_t ckpt_keep = 0;
-  SAM_CLI_ASSIGN(ckpt_every, flags.GetInt("checkpoint-every", 1));
-  SAM_CLI_ASSIGN(ckpt_keep, flags.GetInt("checkpoint-keep", 2));
-  options.training.checkpoint_every_epochs = static_cast<size_t>(ckpt_every);
-  options.training.checkpoint_keep = static_cast<size_t>(ckpt_keep);
+  SAM_CLI_ASSIGN(options.training.checkpoint_every_epochs,
+                 flags.GetSize("checkpoint-every", 1));
+  SAM_CLI_ASSIGN(options.training.checkpoint_keep,
+                 flags.GetSize("checkpoint-keep", 2));
   options.training.resume = flags.GetBool("resume");
   options.training.stop_flag = &g_stop_requested;
   std::signal(SIGINT, HandleStopSignal);
@@ -391,13 +392,13 @@ int CmdTrain(const Flags& flags) {
   // --stop-after-epochs=N requests a cooperative stop once N epochs have
   // completed *in total* (including epochs replayed from a checkpoint). Used
   // by tests/CI to exercise the interrupt/resume path deterministically.
-  int64_t stop_after = 0;
-  SAM_CLI_ASSIGN(stop_after, flags.GetInt("stop-after-epochs", 0));
+  size_t stop_after = 0;
+  SAM_CLI_ASSIGN(stop_after, flags.GetSize("stop-after-epochs", 0));
   auto on_epoch = [stop_after](const DpsEpochStats& s) {
     std::printf("epoch %zu: loss=%.4f (%.1fs)\n", s.epoch, s.mean_loss,
                 s.seconds_elapsed);
     std::fflush(stdout);
-    if (stop_after > 0 && s.epoch + 1 >= static_cast<size_t>(stop_after)) {
+    if (stop_after > 0 && s.epoch + 1 >= stop_after) {
       g_stop_requested.store(true);
     }
   };
@@ -422,10 +423,8 @@ int CmdGenerate(const Flags& flags) {
   // --memory-cap=garbage fails immediately, naming the flag.
   SamOptions options;
   SAM_CLI_ASSIGN(options, OptionsFromFlags(flags));
-  int64_t gen_batch = 0;
-  SAM_CLI_ASSIGN(gen_batch, flags.GetInt(
-      "gen-batch", static_cast<int64_t>(options.generation_batch)));
-  options.generation_batch = static_cast<size_t>(gen_batch);
+  SAM_CLI_ASSIGN(options.generation_batch,
+                 flags.GetSize("gen-batch", options.generation_batch, 1));
   if (flags.Has("memory-cap")) {
     int64_t cap_mib = 0;
     SAM_CLI_ASSIGN(cap_mib, flags.GetInt("memory-cap", 0));
@@ -435,9 +434,8 @@ int CmdGenerate(const Flags& flags) {
   SAM_CLI_ASSIGN(options.generation_checkpoint_every,
                  flags.GetInt("checkpoint-every",
                               options.generation_checkpoint_every));
-  int64_t threads = 0;
-  SAM_CLI_ASSIGN(threads, flags.GetInt("threads", 0));
-  if (threads < 0) return Fail("generate: --threads must be >= 0");
+  size_t threads = 0;
+  SAM_CLI_ASSIGN(threads, flags.GetSize("threads", 0));
 
   auto inputs = LoadPipelineInputs(flags);
   if (!inputs.ok()) return FailStatus(inputs.status());
@@ -462,13 +460,9 @@ int CmdGenerate(const Flags& flags) {
   popts.work_dir = flags.Get("checkpoint-dir", out + ".work");
   popts.resume = flags.GetBool("resume");
   popts.stop_flag = &g_stop_requested;
-  int64_t stop_after_steps = 0;
-  int64_t ckpt_keep = 0;
-  SAM_CLI_ASSIGN(stop_after_steps, flags.GetInt("stop-after-steps", 0));
-  SAM_CLI_ASSIGN(ckpt_keep, flags.GetInt("checkpoint-keep", 3));
-  popts.stop_after_steps = static_cast<uint64_t>(stop_after_steps);
-  popts.checkpoint_keep = static_cast<size_t>(ckpt_keep);
-  popts.threads = static_cast<size_t>(threads);
+  SAM_CLI_ASSIGN(popts.stop_after_steps, flags.GetSize("stop-after-steps", 0));
+  SAM_CLI_ASSIGN(popts.checkpoint_keep, flags.GetSize("checkpoint-keep", 3));
+  popts.threads = threads;
   popts.keep_work_dir = flags.GetBool("keep-work");
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
@@ -563,23 +557,19 @@ int CmdEstimate(const Flags& flags) {
   if (!st.ok()) return FailStatus(st);
   sam.ValueOrDie()->model()->SyncSamplerWeights();
 
-  int64_t paths = 0;
-  int64_t limit_i = 0;
-  SAM_CLI_ASSIGN(paths, flags.GetInt("paths", 400));
-  if (paths < 1) return Fail("estimate: --paths must be >= 1");
-  SAM_CLI_ASSIGN(limit_i, flags.GetInt(
-      "limit", static_cast<int64_t>(in.workload.size())));
-  // The whole workload sweeps through the cross-query batched estimator as
-  // one call sharded over the pool (bit-identical to the old per-query loop;
-  // see BatchedProgressiveEstimator's determinism contract).
-  const size_t limit =
-      std::min(static_cast<size_t>(limit_i), in.workload.size());
+  size_t paths = 0;
+  size_t limit = 0;
+  SAM_CLI_ASSIGN(paths, flags.GetSize("paths", 400, 1));
+  SAM_CLI_ASSIGN(limit, flags.GetSize("limit", in.workload.size()));
+  // The whole workload sweeps through the batched estimator as one call
+  // sharded over the pool (each estimate equals its own K = 1 call; see
+  // BatchedProgressiveEstimator's determinism contract).
+  limit = std::min(limit, in.workload.size());
   const Workload subset(in.workload.begin(),
                         in.workload.begin() + static_cast<ptrdiff_t>(limit));
   BatchedProgressiveEstimator estimator(sam.ValueOrDie()->model());
   ThreadPool pool;
-  auto ests = estimator.EstimateBatch(subset, static_cast<size_t>(paths),
-                                      &pool);
+  auto ests = estimator.EstimateBatch(subset, paths, &pool);
   if (!ests.ok()) return FailStatus(ests.status());
   std::vector<double> qerrors;
   for (size_t i = 0; i < limit; ++i) {
@@ -635,18 +625,10 @@ int CmdServe(const Flags& flags) {
   SAM_CLI_ASSIGN(v, flags.GetInt("port", 0));
   if (v < 0 || v > 65535) return Fail("serve: --port must be in [0, 65535]");
   sopts.port = static_cast<int>(v);
-  SAM_CLI_ASSIGN(v, flags.GetInt("queue-cap", 256));
-  if (v < 1) return Fail("serve: --queue-cap must be >= 1");
-  sopts.queue_capacity = static_cast<size_t>(v);
-  SAM_CLI_ASSIGN(v, flags.GetInt("batch-max", 64));
-  if (v < 1) return Fail("serve: --batch-max must be >= 1");
-  sopts.batch_max = static_cast<size_t>(v);
-  SAM_CLI_ASSIGN(v, flags.GetInt("threads", 0));
-  if (v < 0) return Fail("serve: --threads must be >= 0");
-  sopts.worker_threads = static_cast<size_t>(v);
-  SAM_CLI_ASSIGN(v, flags.GetInt("plan-cache", 256));
-  if (v < 0) return Fail("serve: --plan-cache must be >= 0");
-  sopts.plan_cache_capacity = static_cast<size_t>(v);
+  SAM_CLI_ASSIGN(sopts.queue_capacity, flags.GetSize("queue-cap", 256, 1));
+  SAM_CLI_ASSIGN(sopts.batch_max, flags.GetSize("batch-max", 64, 1));
+  SAM_CLI_ASSIGN(sopts.worker_threads, flags.GetSize("threads", 0));
+  SAM_CLI_ASSIGN(sopts.plan_cache_capacity, flags.GetSize("plan-cache", 256));
   SAM_CLI_ASSIGN(v, flags.GetInt("timeout-ms", 30000));
   if (v < 0) return Fail("serve: --timeout-ms must be >= 0");
   sopts.request_timeout_ms = v;
