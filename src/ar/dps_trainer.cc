@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <span>
 #include <thread>
 
 #include "ar/training_checkpoint.h"
@@ -32,7 +33,7 @@ struct ColumnMasks {
   Matrix log_mask;  ///< 0 or kMaskedLogit, B x D.
 };
 
-ColumnMasks BuildColumnMasks(const std::vector<const CompiledQuery*>& queries,
+ColumnMasks BuildColumnMasks(std::span<const CompiledQuery* const> queries,
                              const std::vector<size_t>& rows, size_t col,
                              size_t domain) {
   ColumnMasks out;
@@ -68,59 +69,71 @@ ColumnMasks BuildColumnMasks(const std::vector<const CompiledQuery*>& queries,
   return out;
 }
 
-/// The step-invariant inputs of a shard tape.
-struct ShardContext {
-  const MadeModel* model;
-  size_t sample_paths;
-  uint64_t seed;
-  double log_total;
-};
-
-/// One shard of a step: queries [begin, end) of the minibatch. `first_row`
-/// is the row key of its first batch row (see `RunShardTape`).
+/// One shard of a step: queries [begin, end) of the minibatch, the key of
+/// its first batch row (see `RunDpsShardTape`) and its tape's loss.
 struct Shard {
   size_t begin = 0;
   size_t end = 0;
   uint64_t first_row = 0;
-  MadeModel::MaskedWeights leaves;
   double loss = 0;
 };
 
-/// Runs one shard's forward and backward pass into its private leaves:
-/// progressive sampling with straight-through samples over the shard's
-/// queries (each replicated `sample_paths` times as rows), and the loss
-/// sum(diff^2) / `batch_rows`, so the shard losses of a step sum to the
-/// minibatch mean. Gumbel noise is addressed by (epoch, row key, column,
-/// unit); a row's key is its query's position in the epoch order times
-/// `sample_paths` plus its path, whichever shard or thread runs it.
-void RunShardTape(const ShardContext& ctx,
-                  const std::vector<const CompiledQuery*>& batch_queries,
-                  size_t epoch, double tau, size_t batch_rows, Shard* shard) {
-  const MadeModel& model = *ctx.model;
+/// A fixed element range of a step's tail: rows [begin, end) of parameter
+/// `param`, which has `cols` columns.
+struct RowRange {
+  size_t param;
+  size_t begin;
+  size_t end;
+  size_t cols;
+};
+
+/// Splits every parameter into row ranges of about `kTailGrain` elements.
+/// The split depends on the shapes only, never on the thread count.
+std::vector<RowRange> SplitRows(const std::vector<Tensor>& params) {
+  constexpr size_t kTailGrain = 4096;
+  std::vector<RowRange> ranges;
+  for (size_t k = 0; k < params.size(); ++k) {
+    const size_t rows = params[k].rows();
+    const size_t cols = params[k].cols();
+    const size_t step = std::max<size_t>(1, kTailGrain / cols);
+    for (size_t r = 0; r < rows; r += step) {
+      ranges.push_back({k, r, std::min(rows, r + step), cols});
+    }
+  }
+  return ranges;
+}
+
+}  // namespace
+
+double RunDpsShardTape(const MadeModel& model,
+                       std::span<const CompiledQuery* const> queries,
+                       const DpsOptions& options, size_t epoch, double tau,
+                       uint64_t first_row, size_t batch_rows,
+                       MadeModel::MaskedWeights* leaves) {
   const ModelSchema& schema = model.schema();
-  const std::vector<const CompiledQuery*> queries(
-      batch_queries.begin() + static_cast<std::ptrdiff_t>(shard->begin),
-      batch_queries.begin() + static_cast<std::ptrdiff_t>(shard->end));
-  const size_t batch = queries.size() * ctx.sample_paths;
+  const size_t paths = options.sample_paths;
+  const size_t batch = queries.size() * paths;
   std::vector<size_t> row_query(batch);
-  for (size_t r = 0; r < batch; ++r) row_query[r] = r / ctx.sample_paths;
+  for (size_t r = 0; r < batch; ++r) row_query[r] = r / paths;
 
   // ---- Forward: progressive sampling with straight-through samples.
-  shard->leaves = model.BuildMaskedWeights();
-  const MadeModel::MaskedWeights& mw = shard->leaves;
+  *leaves = model.BuildMaskedWeights();
+  const MadeModel::MaskedWeights& mw = *leaves;
+  MadeModel::Sweep sweep;
   Tensor input = Tensor::Zeros(batch, schema.total_domain());
-  Tensor log_est = Tensor::Constant(Matrix(batch, 1, ctx.log_total));
+  const double log_total = std::log(
+      static_cast<double>(std::max<int64_t>(schema.foj_size(), 1)));
+  Tensor log_est = Tensor::Constant(Matrix(batch, 1, log_total));
   ad::GumbelNoise noise;
-  noise.seed = ctx.seed;
+  noise.seed = options.seed;
   noise.stream = epoch;
-  noise.first_row = shard->first_row;
+  noise.first_row = first_row;
 
   for (size_t col = 0; col < schema.num_columns(); ++col) {
     const ModelColumn& mc = schema.columns()[col];
     // Columns >= offset are unfilled, and their input gradient is never
     // read: a sample's gradient is sliced out of its own columns only.
-    Tensor hidden = model.Hidden(mw, input, mc.offset);
-    Tensor logits = model.ColumnLogits(mw, hidden, input, col);
+    Tensor logits = model.ColumnPass(mw, input, &sweep);
     const ColumnMasks masks =
         BuildColumnMasks(queries, row_query, col, mc.domain_size);
 
@@ -167,10 +180,8 @@ void RunShardTape(const ShardContext& ctx,
   Tensor loss = ad::Scale(ad::SumAll(ad::Mul(diff, diff)),
                           1.0 / static_cast<double>(batch_rows));
   loss.Backward();
-  shard->loss = loss.value()(0, 0);
+  return loss.value()(0, 0);
 }
-
-}  // namespace
 
 Status ValidateDpsOptions(const DpsOptions& o) {
   if (o.epochs == 0) {
@@ -235,6 +246,9 @@ uint64_t TrainingFingerprint(const DpsOptions& options, const MadeModel& model,
   // noise shape the arithmetic. `threads` does not, and is left out.
   h.MixU64(kDpsShards);
   h.MixString("counter-gumbel");
+  // The causal column sweep sums hidden units in degree order, so its
+  // trained bits differ from the per-column full recompute's by rounding.
+  h.MixString("causal-sweep");
   // Model architecture.
   const MadeModel::Options& mo = model.options();
   h.MixU64(mo.hidden_sizes.size());
@@ -286,11 +300,15 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
   ad::AdamOptimizer adam(model->params(), adam_opts);
 
   Rng rng(options.seed);
-  const double log_total = std::log(static_cast<double>(
-      std::max<int64_t>(schema.foj_size(), 1)));
 
-  const ShardContext ctx{model, options.sample_paths, options.seed, log_total};
   std::vector<Shard> shards(kDpsShards);
+  // Each shard tape's private leaves, in shard order.
+  std::vector<MadeModel::MaskedWeights> leaves(kDpsShards);
+  // The step's tail (gradient reduction and Adam update) runs over these
+  // fixed ranges on the team; the gradient buffers they write live as
+  // long as the optimiser.
+  const std::vector<RowRange> tail = SplitRows(model->params());
+  adam.ZeroGrad();
   // A step waits for its slowest shard. With a shard on every hardware
   // thread, a preemption of any one of them (by another process or, on a
   // virtual machine, by the hypervisor) stalls the whole step, so the
@@ -501,21 +519,35 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
         ++live;
       }
       const size_t batch_rows = q_in_batch * options.sample_paths;
-      auto run_shard = [&](size_t s) {
-        RunShardTape(ctx, queries, epoch, tau, batch_rows, &shards[s]);
-      };
-      team.Run(live, run_shard);
+      team.Run(live, [&](size_t s) {
+        Shard& shard = shards[s];
+        shard.loss = RunDpsShardTape(
+            *model,
+            std::span(queries).subspan(shard.begin, shard.end - shard.begin),
+            options, epoch, tau, shard.first_row, batch_rows, &leaves[s]);
+      });
 
-      // Shard-ordered reduction, then one clipped Adam step.
-      adam.ZeroGrad();
+      // Shard-ordered reduction, then one clipped Adam step. Each element
+      // sums the shards in shard order and updates on its own, so running
+      // both over fixed ranges on the team moves no bit; the clip norm in
+      // between is one serial sum.
+      const std::span<const MadeModel::MaskedWeights> live_leaves(
+          leaves.data(), live);
+      team.Run(tail.size(), [&](size_t i) {
+        const RowRange& r = tail[i];
+        model->ReduceGrads(live_leaves, r.param, r.begin, r.end);
+      });
       double step_loss = 0;
       for (size_t s = 0; s < live; ++s) {
-        model->AccumulateGrads(shards[s].leaves);
         step_loss += shards[s].loss;
         // Free the shard's leaves and gradients before the next step.
-        shards[s].leaves = MadeModel::MaskedWeights();
+        leaves[s] = MadeModel::MaskedWeights();
       }
-      adam.Step();
+      adam.BeginStep();
+      team.Run(tail.size(), [&](size_t i) {
+        const RowRange& r = tail[i];
+        adam.UpdateRange(r.param, r.begin * r.cols, r.end * r.cols);
+      });
 
       epoch_loss_sum += step_loss;
       ++epoch_loss_count;

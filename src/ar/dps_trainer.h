@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <functional>
+#include <span>
 #include <string>
 
 #include "ar/made.h"
@@ -100,6 +101,21 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
                                             const Workload& train,
                                             const DpsOptions& options,
                                             const DpsCallback& callback = {});
+
+/// One shard tape of a DPS step, the arithmetic `TrainDps` runs per shard:
+/// progressive sampling with straight-through samples over `queries`, each
+/// replicated `options.sample_paths` times as rows, through one causal
+/// column sweep (`MadeModel::ColumnPass`); then the backward of the loss
+/// sum(diff^2) / `batch_rows` into `leaves`, which it builds from the
+/// model's current parameters. Returns that loss, so the shard losses of a
+/// step sum to the minibatch mean. Gumbel noise is addressed by (`epoch`,
+/// row key, column, unit); row r's key is `first_row + r`, whichever shard
+/// or thread runs it.
+double RunDpsShardTape(const MadeModel& model,
+                       std::span<const CompiledQuery* const> queries,
+                       const DpsOptions& options, size_t epoch, double tau,
+                       uint64_t first_row, size_t batch_rows,
+                       MadeModel::MaskedWeights* leaves);
 
 /// Validates `options` (zero batch/epoch/path counts, non-finite rates or
 /// temperatures, negative budgets, inconsistent checkpoint settings).

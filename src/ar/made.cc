@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 
 #include "autodiff/ops.h"
 #include "common/logging.h"
@@ -43,6 +44,24 @@ void MadeModel::BuildMasks() {
     std::vector<size_t> deg(hs);
     for (size_t k = 0; k < hs; ++k) deg[k] = 1 + (k % max_deg);
     hidden_degrees_.push_back(std::move(deg));
+  }
+
+  // The training layout: units sorted stably by degree. Degrees depend on
+  // the layer width only, so equal-width layers get the same order.
+  unit_order_.clear();
+  degree_end_.clear();
+  for (const auto& deg : hidden_degrees_) {
+    std::vector<size_t> order(deg.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return deg[a] < deg[b]; });
+    unit_order_.push_back(std::move(order));
+    std::vector<size_t> end(n, 0);
+    for (size_t d : deg) {
+      if (d < n) ++end[d];
+    }
+    for (size_t c = 1; c < n; ++c) end[c] += end[c - 1];
+    degree_end_.push_back(std::move(end));
   }
 
   masks_.clear();
@@ -144,74 +163,147 @@ Matrix Masked(const Tensor& w, const Matrix& mask) {
   return m;
 }
 
-/// param.grad += leaf.grad (* mask when given).
-void AddGrad(const Tensor& leaf, const Matrix* mask, Tensor* param) {
-  const Matrix& g = leaf.grad();
-  if (g.size() != leaf.value().size()) return;  // No gradient reached it.
-  ad::TensorNode& p = *param->node();
-  p.EnsureGrad();
-  double* dst = p.grad.data();
-  const double* src = g.data();
-  if (mask == nullptr) {
-    for (size_t i = 0; i < g.size(); ++i) dst[i] += src[i];
-  } else {
-    const double* m = mask->data();
-    for (size_t i = 0; i < g.size(); ++i) dst[i] += src[i] * m[i];
+}  // namespace
+
+MadeModel::ParamLayout MadeModel::Layout(size_t param) const {
+  const size_t layers = weights_.size();
+  if (param < layers) {
+    return {&weights_[param], &masks_[param],
+            param == 0 ? nullptr : &unit_order_[param - 1],
+            &unit_order_[param]};
   }
+  if (param < 2 * layers) {
+    return {&biases_[param - layers], nullptr, nullptr,
+            &unit_order_[param - layers]};
+  }
+  if (param == 2 * layers) {
+    return {&w_out_, &mask_out_, &unit_order_.back(), nullptr};
+  }
+  if (param == 2 * layers + 1) return {&b_out_, nullptr, nullptr, nullptr};
+  SAM_CHECK_EQ(param, 2 * layers + 2);
+  return {&w_direct_, &mask_direct_, nullptr, nullptr};
+}
+
+namespace {
+
+/// The leaf of parameter `param` (`params()` order) in `mw`.
+const Tensor& Leaf(const MadeModel::MaskedWeights& mw, size_t param) {
+  const size_t layers = mw.w.size();
+  if (param < layers) return mw.w[param];
+  if (param < 2 * layers) return mw.b[param - layers];
+  if (param == 2 * layers) return mw.w_out;
+  if (param == 2 * layers + 1) return mw.b_out;
+  return mw.w_direct;
 }
 
 }  // namespace
 
 MadeModel::MaskedWeights MadeModel::BuildMaskedWeights() const {
+  const size_t layers = weights_.size();
+  // Permutes as it masks: one pass over every weight, as a plain masked
+  // copy would take.
+  auto leaf = [&](size_t param) {
+    const ParamLayout p = Layout(param);
+    const Matrix& w = p.param->value();
+    Matrix out(w.rows(), w.cols());
+    for (size_t i = 0; i < w.rows(); ++i) {
+      const size_t r = p.rows != nullptr ? (*p.rows)[i] : i;
+      const double* src = w.row(r);
+      const double* m = p.mask != nullptr ? p.mask->row(r) : nullptr;
+      double* dst = out.row(i);
+      for (size_t j = 0; j < w.cols(); ++j) {
+        const size_t c = p.cols != nullptr ? (*p.cols)[j] : j;
+        dst[j] = m != nullptr ? src[c] * m[c] : src[c];
+      }
+    }
+    return Tensor::Param(std::move(out));
+  };
   MaskedWeights mw;
-  for (size_t l = 0; l < weights_.size(); ++l) {
-    mw.w.push_back(Tensor::Param(Masked(weights_[l], masks_[l])));
-    mw.b.push_back(Tensor::Param(biases_[l].value()));
-  }
-  mw.w_out = Tensor::Param(Masked(w_out_, mask_out_));
-  mw.b_out = Tensor::Param(b_out_.value());
-  mw.w_direct = Tensor::Param(Masked(w_direct_, mask_direct_));
+  for (size_t l = 0; l < layers; ++l) mw.w.push_back(leaf(l));
+  for (size_t l = 0; l < layers; ++l) mw.b.push_back(leaf(layers + l));
+  mw.w_out = leaf(2 * layers);
+  mw.b_out = leaf(2 * layers + 1);
+  mw.w_direct = leaf(2 * layers + 2);
   return mw;
 }
 
-void MadeModel::AccumulateGrads(const MaskedWeights& mw) {
-  for (size_t l = 0; l < weights_.size(); ++l) {
-    AddGrad(mw.w[l], &masks_[l], &weights_[l]);
-  }
-  for (size_t l = 0; l < biases_.size(); ++l) {
-    AddGrad(mw.b[l], nullptr, &biases_[l]);
-  }
-  AddGrad(mw.w_out, &mask_out_, &w_out_);
-  AddGrad(mw.b_out, nullptr, &b_out_);
-  AddGrad(mw.w_direct, &mask_direct_, &w_direct_);
-}
-
-Tensor MadeModel::Hidden(const MaskedWeights& mw, const Tensor& input,
-                         size_t live_cols) const {
-  Tensor h = input;
-  for (size_t l = 0; l < mw.w.size(); ++l) {
-    Tensor pre = l == 0 ? ad::MatmulPrefix(h, mw.w[0], live_cols)
-                        : ad::Matmul(h, mw.w[l]);
-    // Residual connections between equal-width hidden layers (ResMADE). The
-    // hidden-degree assignment is identical across layers, so the skip path
-    // preserves the autoregressive masking. The fused op does
-    // relu(pre + bias) (+ skip) in one pass over the activations.
-    if (options_.residual && l > 0 && pre.cols() == h.cols()) {
-      h = ad::BiasReluSkip(pre, mw.b[l], h);
-    } else {
-      h = ad::BiasRelu(pre, mw.b[l]);
+void MadeModel::ReduceGrads(std::span<const MaskedWeights> shards,
+                            size_t param, size_t row_begin, size_t row_end) {
+  const ParamLayout p = Layout(param);
+  ad::TensorNode& node = *p.param->node();
+  SAM_CHECK_EQ(node.grad.size(), node.value.size())
+      << "ReduceGrads needs an allocated gradient buffer";
+  SAM_CHECK_LE(row_end, node.value.rows());
+  const size_t cols = node.value.cols();
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const size_t r = p.rows != nullptr ? (*p.rows)[i] : i;
+    double* dst = node.grad.row(r);
+    const double* m = p.mask != nullptr ? p.mask->row(r) : nullptr;
+    std::fill(dst, dst + cols, 0.0);
+    for (const MaskedWeights& mw : shards) {
+      const Matrix& g = Leaf(mw, param).grad();
+      if (g.size() != node.value.size()) continue;  // No gradient reached it.
+      const double* src = g.row(i);
+      if (p.cols == nullptr && m == nullptr) {
+        for (size_t j = 0; j < cols; ++j) dst[j] += src[j];
+      } else if (p.cols == nullptr) {
+        for (size_t j = 0; j < cols; ++j) dst[j] += src[j] * m[j];
+      } else if (m == nullptr) {
+        for (size_t j = 0; j < cols; ++j) dst[(*p.cols)[j]] += src[j];
+      } else {
+        for (size_t j = 0; j < cols; ++j) {
+          const size_t c = (*p.cols)[j];
+          dst[c] += src[j] * m[c];
+        }
+      }
     }
   }
-  return h;
 }
 
-Tensor MadeModel::ColumnLogits(const MaskedWeights& mw, const Tensor& hidden,
-                               const Tensor& input, size_t col) const {
-  const ModelColumn& c = schema_->columns()[col];
-  const size_t b = c.offset;
-  const size_t e = c.offset + c.domain_size;
+Tensor MadeModel::ColumnPass(const MaskedWeights& mw, const Tensor& input,
+                             Sweep* sweep) const {
+  const size_t col = sweep->col++;
+  SAM_CHECK_LT(col, schema_->num_columns());
+  const ModelColumn& mc = schema_->columns()[col];
+  if (sweep->hidden.empty()) {
+    for (size_t hs : options_.hidden_sizes) {
+      sweep->hidden.push_back(Tensor::Zeros(input.rows(), hs));
+    }
+  }
+  // The degree-`col` units of each layer, bottom up. `group` holds the
+  // layer below's, the skip input of a residual layer.
+  Tensor group;
+  for (size_t l = 0; l < mw.w.size(); ++l) {
+    const size_t begin = col == 0 ? 0 : degree_end_[l][col - 1];
+    const size_t end = degree_end_[l][col];
+    if (begin == end) continue;
+    // Layer 1 reads the input of columns < col; a deeper layer reads the
+    // units of degree <= col below it, which are the ones computed so far.
+    const Tensor& below = l == 0 ? input : sweep->hidden[l - 1];
+    const size_t live = l == 0 ? mc.offset : degree_end_[l - 1][col];
+    Tensor pre = ad::MatmulPrefix(below, ad::SliceColumns(mw.w[l], begin, end),
+                                  live);
+    Tensor bias = ad::SliceColumns(mw.b[l], begin, end);
+    const size_t width = options_.hidden_sizes[l];
+    // Residual connections between equal-width hidden layers (ResMADE).
+    // Equal widths have equal degrees and so the same unit order: the skip
+    // is the layer below's group. The fused op does relu(pre + bias)
+    // (+ skip) in one pass over the activations.
+    if (options_.residual && l > 0 && width == options_.hidden_sizes[l - 1]) {
+      group = ad::BiasReluSkip(pre, bias, group);
+    } else {
+      group = ad::BiasRelu(pre, bias);
+    }
+    sweep->hidden[l] =
+        ad::Add(sweep->hidden[l], ad::PadColumns(group, begin, width));
+  }
+  // Column `col` reads the last layer's units of degree <= col and the
+  // direct connections of the input columns before it.
+  const size_t b = mc.offset;
+  const size_t e = mc.offset + mc.domain_size;
   Tensor logits = ad::AddRowBroadcast(
-      ad::Matmul(hidden, ad::SliceColumns(mw.w_out, b, e)),
+      ad::MatmulPrefix(sweep->hidden.back(), ad::SliceColumns(mw.w_out, b, e),
+                       degree_end_.back()[col]),
       ad::SliceColumns(mw.b_out, b, e));
   return ad::Add(logits, ad::MatmulPrefix(
                              input, ad::SliceColumns(mw.w_direct, b, e), b));

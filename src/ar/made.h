@@ -21,8 +21,8 @@ namespace sam {
 /// cited by the paper as a SAM instantiation).
 ///
 /// Two forward paths are provided:
-///  * a tape-recorded dense path (`MaskedWeights` + `Hidden` + `ColumnLogits`)
-///    used by the DPS trainer, and
+///  * a tape-recorded causal column sweep (`MaskedWeights` + `Sweep` +
+///    `ColumnPass`) used by the DPS trainer, and
 ///  * an allocation-light sampler path (`InitState`/`CondProbs`/`Observe`)
 ///    that exploits one-hot inputs (first layer and direct connections become
 ///    row gathers) for progressive sampling, estimation and generation.
@@ -48,13 +48,15 @@ class MadeModel {
   /// Number of scalar parameters (reported by the harnesses).
   size_t num_parameters() const;
 
-  // --- Dense (training) path -------------------------------------------------
+  // --- Causal (training) path -----------------------------------------------
 
   /// One training shard's private trainable leaves: the masked weights and
-  /// the biases as of the current parameters. Build once per shard and step
-  /// so gradients accumulate across the per-column passes; shards running
-  /// concurrently never share a gradient buffer. `AccumulateGrads` hands
-  /// the gradients back to the parameters.
+  /// the biases as of the current parameters, with every hidden layer's
+  /// units sorted stably by degree (equal-width layers get the same order,
+  /// so residual skips still line up). Build once per shard and step so
+  /// gradients accumulate across the column passes; shards running
+  /// concurrently never share a gradient buffer. `ReduceGrads` hands the
+  /// gradients back to the parameters in their stored order.
   struct MaskedWeights {
     std::vector<ad::Tensor> w;   ///< Per layer (first is input layer).
     std::vector<ad::Tensor> b;   ///< Per-layer biases.
@@ -64,27 +66,38 @@ class MadeModel {
   };
   MaskedWeights BuildMaskedWeights() const;
 
-  /// Adds the gradients accumulated in `mw` to the parameters' gradient
-  /// buffers, in `params()` order. Weight gradients pass through the
+  /// Sets rows [row_begin, row_end) of the gradient of parameter `param`
+  /// (`params()` order) to the sum of the `shards`' leaf gradients, summed in
+  /// shard order from +0.0, un-permuted and passed through the
   /// autoregressive mask (the chain rule of w * mask). A leaf with no
-  /// gradient adds nothing. Callers sum shards by calling this in shard
-  /// order, so the reduced gradient does not depend on the thread schedule.
-  void AccumulateGrads(const MaskedWeights& mw);
+  /// gradient adds nothing. Rows count in the leaves' (degree-sorted) order:
+  /// disjoint ranges write disjoint parameter rows, so they may run
+  /// concurrently, and the sum never depends on the thread schedule. The
+  /// parameter's gradient buffer must be allocated (`ad::Tensor::ZeroGrad`).
+  void ReduceGrads(std::span<const MaskedWeights> shards, size_t param,
+                   size_t row_begin, size_t row_end);
 
-  /// Last hidden activations for `input` (B x total_domain). `input` must be
-  /// zero in columns [live_cols, total_domain), and its gradient is produced
-  /// for columns [0, live_cols) only (see `ad::MatmulPrefix`). A DPS column-i
-  /// pass passes offset(i): later columns are not sampled yet. Pass
-  /// total_domain for the ordinary dense backward.
-  ad::Tensor Hidden(const MaskedWeights& mw, const ad::Tensor& input,
-                    size_t live_cols) const;
+  /// Running hidden activations of one causal sweep: per layer a B x H_l
+  /// tensor in the `MaskedWeights` unit order, filled for the units of
+  /// degree <= the last column passed and zero past them. A
+  /// default-constructed sweep starts at column 0.
+  struct Sweep {
+    std::vector<ad::Tensor> hidden;  ///< Empty until the first pass.
+    size_t col = 0;  ///< The column the next `ColumnPass` computes.
+  };
 
-  /// Logits of model column `col` (B x domain(col)) given the last hidden
-  /// layer and the (same) input used for direct connections. The direct
-  /// weights of `col` are masked to zero for inputs at or past offset(col),
-  /// so the input's gradient is produced for columns [0, offset(col)) only.
-  ad::Tensor ColumnLogits(const MaskedWeights& mw, const ad::Tensor& hidden,
-                          const ad::Tensor& input, size_t col) const;
+  /// Logits of column `sweep->col` (B x domain(col)); advances the sweep.
+  /// `input` (B x total_domain) is the progressive one-hot input: filled for
+  /// the columns before `col`, zero from offset(col) on, and its gradient is
+  /// produced for columns [0, offset(col)) only (see `ad::MatmulPrefix`).
+  ///
+  /// A hidden unit of degree k reads only columns < k, so its value is final
+  /// from pass k on, and the logits of column c read only units of degree
+  /// <= c. Each pass therefore computes just the units of degree `col` in
+  /// every layer, once per sweep, and adds them to the running activations:
+  /// a sweep over all columns costs one forward of the hidden stack.
+  ad::Tensor ColumnPass(const MaskedWeights& mw, const ad::Tensor& input,
+                        Sweep* sweep) const;
 
   // --- Sampler (no-grad) path ------------------------------------------------
 
@@ -150,6 +163,17 @@ class MadeModel {
   Status Load(const std::string& path);
 
  private:
+  /// Parameter `param` (`params()` order) as its `MaskedWeights` leaf sees
+  /// it: leaf entry (i, j) is the parameter's entry (rows[i], cols[j]) times
+  /// the mask there. A null order is the identity, a null mask all ones.
+  struct ParamLayout {
+    const ad::Tensor* param = nullptr;
+    const Matrix* mask = nullptr;
+    const std::vector<size_t>* rows = nullptr;
+    const std::vector<size_t>* cols = nullptr;
+  };
+  ParamLayout Layout(size_t param) const;
+
   void BuildMasks();
   void InitParams();
 
@@ -158,6 +182,13 @@ class MadeModel {
 
   /// Per-unit autoregressive degree of each hidden layer.
   std::vector<std::vector<size_t>> hidden_degrees_;
+  /// Per hidden layer, the stored unit at each position of the
+  /// degree-sorted `MaskedWeights` order.
+  std::vector<std::vector<size_t>> unit_order_;
+  /// degree_end_[l][c]: the number of layer-l units of degree <= c, for
+  /// columns c in [0, num_columns); the degree-c units sit at positions
+  /// [degree_end_[l][c - 1], degree_end_[l][c]) of the sorted order.
+  std::vector<std::vector<size_t>> degree_end_;
 
   // Parameters. weights_[0] is input->hidden1; weights_[k] hidden_k->k+1.
   std::vector<ad::Tensor> weights_;

@@ -18,8 +18,16 @@ AdamOptimizer::AdamOptimizer(std::vector<Tensor> params, Options options)
 }
 
 void AdamOptimizer::Step() {
+  BeginStep();
+  for (size_t k = 0; k < params_.size(); ++k) {
+    UpdateRange(k, 0, params_[k].value().size());
+  }
+}
+
+void AdamOptimizer::BeginStep() {
   ++t_;
   // Optional global norm clipping across all parameters.
+  clip_scale_ = 1.0;
   if (options_.clip_norm > 0.0) {
     double sq = 0.0;
     for (auto& p : params_) {
@@ -28,32 +36,28 @@ void AdamOptimizer::Step() {
       for (size_t i = 0; i < p.grad().size(); ++i) sq += g[i] * g[i];
     }
     const double norm = std::sqrt(sq);
-    if (norm > options_.clip_norm) {
-      const double scale = options_.clip_norm / norm;
-      for (auto& p : params_) {
-        if (p.grad().size() != p.value().size()) continue;
-        double* g = p.node()->grad.data();
-        for (size_t i = 0; i < p.grad().size(); ++i) g[i] *= scale;
-      }
-    }
+    if (norm > options_.clip_norm) clip_scale_ = options_.clip_norm / norm;
   }
+  bc1_ = 1.0 - std::pow(options_.beta1, static_cast<double>(t_));
+  bc2_ = 1.0 - std::pow(options_.beta2, static_cast<double>(t_));
+}
 
-  const double bc1 = 1.0 - std::pow(options_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(options_.beta2, static_cast<double>(t_));
-  for (size_t k = 0; k < params_.size(); ++k) {
-    Tensor& p = params_[k];
-    if (p.grad().size() != p.value().size()) continue;  // Never touched.
-    double* w = p.mutable_value().data();
-    const double* g = p.grad().data();
-    double* m = m_[k].data();
-    double* v = v_[k].data();
-    for (size_t i = 0; i < p.value().size(); ++i) {
-      m[i] = options_.beta1 * m[i] + (1.0 - options_.beta1) * g[i];
-      v[i] = options_.beta2 * v[i] + (1.0 - options_.beta2) * g[i] * g[i];
-      const double mhat = m[i] / bc1;
-      const double vhat = v[i] / bc2;
-      w[i] -= options_.lr * mhat / (std::sqrt(vhat) + options_.eps);
-    }
+void AdamOptimizer::UpdateRange(size_t param, size_t begin, size_t end) {
+  Tensor& p = params_[param];
+  if (p.grad().size() != p.value().size()) return;  // Never touched.
+  SAM_CHECK_LE(end, p.value().size());
+  double* w = p.mutable_value().data();
+  double* g = p.node()->grad.data();
+  double* m = m_[param].data();
+  double* v = v_[param].data();
+  const bool clip = clip_scale_ != 1.0;
+  for (size_t i = begin; i < end; ++i) {
+    if (clip) g[i] *= clip_scale_;
+    m[i] = options_.beta1 * m[i] + (1.0 - options_.beta1) * g[i];
+    v[i] = options_.beta2 * v[i] + (1.0 - options_.beta2) * g[i] * g[i];
+    const double mhat = m[i] / bc1_;
+    const double vhat = v[i] / bc2_;
+    w[i] -= options_.lr * mhat / (std::sqrt(vhat) + options_.eps);
   }
 }
 

@@ -25,8 +25,20 @@ class AdamOptimizer {
 
   AdamOptimizer(std::vector<Tensor> params, Options options);
 
-  /// Applies one update from the accumulated gradients.
+  /// Applies one update from the accumulated gradients: `BeginStep()`, then
+  /// `UpdateRange` over every element.
   void Step();
+
+  /// The serial half of a step: advances the step count and computes the
+  /// global-norm clip factor, summing the squared gradients in parameter and
+  /// element order.
+  void BeginStep();
+
+  /// The element-wise half of the step begun by `BeginStep()`: clips and
+  /// applies the update to elements [begin, end) of parameter `param`.
+  /// Elements are independent, so disjoint ranges may run concurrently and
+  /// the result does not depend on how the elements are split.
+  void UpdateRange(size_t param, size_t begin, size_t end);
 
   /// Clears every parameter's gradient buffer.
   void ZeroGrad();
@@ -55,6 +67,11 @@ class AdamOptimizer {
   std::vector<Matrix> v_;
   Options options_;
   int64_t t_ = 0;
+  /// Of the step in flight: the clip factor (1 when no clipping applies) and
+  /// the bias corrections.
+  double clip_scale_ = 1.0;
+  double bc1_ = 1.0;
+  double bc2_ = 1.0;
 };
 
 }  // namespace sam::ad

@@ -25,8 +25,10 @@ namespace sam {
 /// wake-up is both slow and unsteady. Helpers live as long as the team.
 class SpinTeam {
  public:
-  /// Longer than the serial work between two DPS steps (the gradient
-  /// reduction and the Adam step, about 1.5 ms for census_inram).
+  /// Longer than the serial work between two loops of a DPS step: the
+  /// gradient clip norm and the step's bookkeeping, well under 1 ms for
+  /// census_inram (the gradient reduction and the Adam update run on the
+  /// team).
   static constexpr std::chrono::milliseconds kSpin{10};
 
   /// `threads` >= 1 counts the caller; 1 runs every loop inline.

@@ -304,5 +304,41 @@ TEST(AdamTest, ClipNormBoundsUpdates) {
   EXPECT_TRUE(std::isfinite(w.value()(0, 0)));
 }
 
+TEST(AdamTest, RangedUpdateIsBitIdenticalToStep) {
+  // BeginStep + UpdateRange over any split of the elements, in any order,
+  // is the serial Step: the clip factor is one serial sum and each element
+  // updates on its own. Gradients large enough to clip.
+  auto run = [](bool ranged) {
+    Tensor a = Tensor::Param(Make(2, 3, {0.5, -1.0, 2.0, 0.0, 3.0, -4.0}));
+    Tensor b = Tensor::Param(Make(1, 2, {1.0, -2.0}));
+    AdamOptimizer::Options opts;
+    opts.clip_norm = 0.5;
+    AdamOptimizer adam({a, b}, opts);
+    for (int step = 0; step < 3; ++step) {
+      adam.ZeroGrad();
+      SumAll(Add(SumAll(Mul(a, Scale(a, 7.0))), SumAll(Mul(b, b)))).Backward();
+      if (!ranged) {
+        adam.Step();
+        continue;
+      }
+      adam.BeginStep();
+      adam.UpdateRange(1, 1, 2);
+      adam.UpdateRange(0, 4, 6);
+      adam.UpdateRange(0, 0, 4);
+      adam.UpdateRange(1, 0, 1);
+    }
+    std::vector<double> out(a.value().data(), a.value().data() + 6);
+    out.push_back(b.value()(0, 0));
+    out.push_back(b.value()(0, 1));
+    return out;
+  };
+  const std::vector<double> serial = run(false);
+  const std::vector<double> ranged = run(true);
+  ASSERT_EQ(serial.size(), ranged.size());
+  EXPECT_EQ(std::memcmp(serial.data(), ranged.data(),
+                        serial.size() * sizeof(double)),
+            0);
+}
+
 }  // namespace
 }  // namespace sam::ad

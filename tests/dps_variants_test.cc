@@ -73,20 +73,24 @@ TEST(ResMadeTest, DensePathMatchesSamplerPathWithResiduals) {
   MadeModel model(&s.schema, opts);
   model.SyncSamplerWeights();
 
+  // Observe codes for the first columns through both paths; every
+  // conditional on the way must agree.
   ad::NoGradGuard guard;
   const auto mw = model.BuildMaskedWeights();
-  Matrix in(1, s.schema.total_domain());
-  in(0, s.schema.columns()[0].offset) = 1.0;  // Column 0 = code 0.
-  ad::Tensor t = ad::Tensor::Constant(in);
-  ad::Tensor logits =
-      model.ColumnLogits(mw, model.Hidden(mw, t, t.cols()), t, 1);
-  ad::Tensor dense = ad::Softmax(logits);
-
+  MadeModel::Sweep sweep;
   MadeModel::SamplerState st = model.InitState(1);
-  model.Observe(&st, 0, std::vector<int32_t>{0});
-  const Matrix fast = model.CondProbs(st, 1);
-  for (size_t j = 0; j < fast.cols(); ++j) {
-    EXPECT_NEAR(dense.value()(0, j), fast(0, j), 1e-10);
+  Matrix in(1, s.schema.total_domain());
+  for (size_t col = 0; col < 4; ++col) {
+    const ad::Tensor dense = ad::Softmax(
+        model.ColumnPass(mw, ad::Tensor::Constant(in), &sweep));
+    const Matrix fast = model.CondProbs(st, col);
+    for (size_t j = 0; j < fast.cols(); ++j) {
+      EXPECT_NEAR(dense.value()(0, j), fast(0, j), 1e-10) << "column " << col;
+    }
+    const int32_t code =
+        static_cast<int32_t>(col % s.schema.columns()[col].domain_size);
+    in(0, s.schema.columns()[col].offset + static_cast<size_t>(code)) = 1.0;
+    model.Observe(&st, col, std::vector<int32_t>{code});
   }
 }
 

@@ -277,7 +277,7 @@ TEST(GenerationPipelineTest, FingerprintsMatchRecordedValues) {
   // a checkpoint written by an earlier build resumes only while both stay
   // value-identical. Constants recorded for an untrained default-option
   // chain model; a change to either hash is a checkpoint format break.
-  constexpr uint64_t kTraining = 0xf4b01cab05821d7dULL;
+  constexpr uint64_t kTraining = 0x00a45fc1238224ddULL;
   constexpr uint64_t kGeneration = 0xa2f260ce01ba7d00ULL;
   const Database db = MakeChainDatabase();
   const Workload train = ChainWorkload();

@@ -31,6 +31,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -429,6 +430,10 @@ int CmdGenerate(const Flags& flags) {
     int64_t cap_mib = 0;
     SAM_CLI_ASSIGN(cap_mib, flags.GetInt("memory-cap", 0));
     if (cap_mib < 0) return Fail("generate: --memory-cap=MiB must be >= 0");
+    // The cap is held in bytes: a larger MiB count would overflow int64.
+    if (cap_mib > (std::numeric_limits<int64_t>::max() >> 20)) {
+      return Fail("generate: --memory-cap=MiB must be < 2^43");
+    }
     options.memory_cap_bytes = cap_mib << 20;
   }
   SAM_CLI_ASSIGN(options.generation_checkpoint_every,
