@@ -1,11 +1,13 @@
 // Micro benchmarks for the hot paths of the AR model and the execution
 // engine: conditional-distribution evaluation, FOJ sampling throughput, DPS
-// training steps, and cardinality evaluation.
+// shard tapes and training steps, and cardinality evaluation.
 //
 //   ./build/bench/bench_micro_ar [--repeats=N]
 //
 // Each line is the median time per call over N timed batches (default 3);
 // items/s counts rows (batch benches), queries or multiply-adds as noted.
+
+#include <sys/resource.h>
 
 #include "ar/batched_estimator.h"
 #include "ar/dps_trainer.h"
@@ -135,7 +137,7 @@ void BenchKernelMatmul(const BenchConfig& config, kernels::Backend b,
   std::vector<double> a(n * n, 1.5), bm(n * n, -0.75), c(n * n);
   const auto& table = kernels::Table(b);
   RunMicro(config, name, [&] {
-    table.matmul(a.data(), n, n, bm.data(), n, c.data());
+    table.matmul(a.data(), n, n, n, bm.data(), n, c.data());
     KeepAlive(c.data());
   }, static_cast<double>(2 * n * n * n));
 }
@@ -204,6 +206,45 @@ void BenchDpsTrainStep(const BenchConfig& config, size_t batch_size) {
   }, static_cast<double>(f.train.size()));
 }
 
+long MinorFaultsOfThisThread() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_minflt;
+}
+
+// One DPS shard tape (`RunDpsShardTape`, forward and backward) of `queries`
+// queries at 2 paths each, on the calling thread with no team, MADE 48x48 as
+// in perfbench's census_inram; items/s is queries/s. A second line gives the
+// tape's minor page faults, counted on this thread alone.
+void BenchDpsShardTape(const BenchConfig& config, size_t queries) {
+  auto& f = Fixture();
+  MadeModel::Options mopts;
+  mopts.hidden_sizes = {48, 48};
+  MadeModel model(f.schema.get(), mopts);
+  std::vector<CompiledQuery> compiled;
+  for (size_t i = 0; i < queries; ++i) {
+    compiled.push_back(
+        f.schema->Compile(f.train[i % f.train.size()]).MoveValue());
+  }
+  std::vector<const CompiledQuery*> batch;
+  for (const CompiledQuery& q : compiled) batch.push_back(&q);
+  const DpsOptions dopts;
+  const size_t rows = queries * dopts.sample_paths;
+  MadeModel::MaskedWeights leaves;
+  const std::string name = "DpsShardTape/" + std::to_string(queries);
+  long faults = 0;
+  size_t tapes = 0;
+  RunMicro(config, name, [&] {
+    const long before = MinorFaultsOfThisThread();
+    KeepAlive(RunDpsShardTape(model, batch, dopts, /*epoch=*/0, /*tau=*/1.0,
+                              /*first_row=*/0, rows, &leaves));
+    faults += MinorFaultsOfThisThread() - before;
+    ++tapes;
+  }, static_cast<double>(queries));
+  std::printf("%-40s %10.1f minor faults/tape\n", name.c_str(),
+              static_cast<double>(faults) / static_cast<double>(tapes));
+}
+
 void BenchExecutorCardinality(const BenchConfig& config) {
   auto& f = Fixture();
   size_t q = 0;
@@ -239,6 +280,7 @@ int main(int argc, char** argv) {
   BenchBatchedProgressiveEstimate(config, 8, 64);
   BenchBatchedProgressiveEstimate(config, 64, 64);
   BenchBatchedProgressiveEstimate(config, 8, 256);
+  for (size_t queries : {1, 4, 16, 64}) BenchDpsShardTape(config, queries);
   BenchDpsTrainStep(config, 64);
   BenchExecutorCardinality(config);
   return 0;

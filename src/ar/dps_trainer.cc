@@ -119,8 +119,7 @@ double RunDpsShardTape(const MadeModel& model,
   // ---- Forward: progressive sampling with straight-through samples.
   *leaves = model.BuildMaskedWeights();
   const MadeModel::MaskedWeights& mw = *leaves;
-  MadeModel::Sweep sweep;
-  Tensor input = Tensor::Zeros(batch, schema.total_domain());
+  MadeModel::Sweep sweep = model.StartSweep(batch);
   const double log_total = std::log(
       static_cast<double>(std::max<int64_t>(schema.foj_size(), 1)));
   Tensor log_est = Tensor::Constant(Matrix(batch, 1, log_total));
@@ -131,9 +130,7 @@ double RunDpsShardTape(const MadeModel& model,
 
   for (size_t col = 0; col < schema.num_columns(); ++col) {
     const ModelColumn& mc = schema.columns()[col];
-    // Columns >= offset are unfilled, and their input gradient is never
-    // read: a sample's gradient is sliced out of its own columns only.
-    Tensor logits = model.ColumnPass(mw, input, &sweep);
+    Tensor logits = model.ColumnPass(mw, &sweep);
     const ColumnMasks masks =
         BuildColumnMasks(queries, row_query, col, mc.domain_size);
 
@@ -168,7 +165,7 @@ double RunDpsShardTape(const MadeModel& model,
         log_est = ad::Add(log_est, contrib);
       }
     }
-    input = ad::Add(input, ad::PadColumns(sample, mc.offset, schema.total_domain()));
+    model.WriteSample(&sweep, sample);
   }
 
   // ---- Loss: this shard's share of the minibatch mean squared error.
@@ -193,8 +190,9 @@ Status ValidateDpsOptions(const DpsOptions& o) {
   if (o.sample_paths == 0) {
     return Status::InvalidArgument("DpsOptions.sample_paths must be > 0");
   }
-  if (!std::isfinite(o.learning_rate)) {
-    return Status::InvalidArgument("DpsOptions.learning_rate must be finite");
+  if (!std::isfinite(o.learning_rate) || o.learning_rate <= 0) {
+    return Status::InvalidArgument(
+        "DpsOptions.learning_rate must be finite and > 0");
   }
   if (!std::isfinite(o.gumbel_tau) || o.gumbel_tau <= 0) {
     return Status::InvalidArgument(
@@ -249,8 +247,18 @@ uint64_t TrainingFingerprint(const DpsOptions& options, const MadeModel& model,
   // The causal column sweep sums hidden units in degree order, so its
   // trained bits differ from the per-column full recompute's by rounding.
   h.MixString("causal-sweep");
-  // Model architecture.
   const MadeModel::Options& mo = model.options();
+  const ModelSchema& schema = model.schema();
+  // The progressive buffers sum each slot's gradient terms in tape order.
+  // While every hidden layer has a unit of every degree, that is the order
+  // the per-column Add chains they replaced summed them in, and the trained
+  // bits are the same. A layer narrower than columns - 1 leaves degree
+  // groups empty; there the order, and so the bits, may differ by rounding.
+  if (std::any_of(mo.hidden_sizes.begin(), mo.hidden_sizes.end(),
+                  [&](size_t hs) { return hs + 1 < schema.num_columns(); })) {
+    h.MixString("progressive-buffers");
+  }
+  // Model architecture.
   h.MixU64(mo.hidden_sizes.size());
   for (size_t hs : mo.hidden_sizes) h.MixU64(hs);
   h.MixU64(mo.residual ? 1 : 0);
@@ -258,7 +266,6 @@ uint64_t TrainingFingerprint(const DpsOptions& options, const MadeModel& model,
   h.MixDouble(1.0);
   h.MixU64(mo.seed);
   // Schema layout (column order matters: it defines the AR factorisation).
-  const ModelSchema& schema = model.schema();
   h.MixU64(schema.num_columns());
   h.MixU64(schema.total_domain());
   h.MixU64(static_cast<uint64_t>(schema.foj_size()));

@@ -117,8 +117,9 @@ double RunDpsShardTape(const MadeModel& model,
                        uint64_t first_row, size_t batch_rows,
                        MadeModel::MaskedWeights* leaves);
 
-/// Validates `options` (zero batch/epoch/path counts, non-finite rates or
-/// temperatures, negative budgets, inconsistent checkpoint settings).
+/// Validates `options` (zero batch/epoch/path counts, a learning rate that
+/// is not finite and > 0, non-finite or non-positive temperatures, negative
+/// budgets, inconsistent checkpoint settings).
 /// Called by TrainDps; exposed for front-ends that validate early.
 Status ValidateDpsOptions(const DpsOptions& options);
 

@@ -260,16 +260,19 @@ void MadeModel::ReduceGrads(std::span<const MaskedWeights> shards,
   }
 }
 
-Tensor MadeModel::ColumnPass(const MaskedWeights& mw, const Tensor& input,
-                             Sweep* sweep) const {
+MadeModel::Sweep MadeModel::StartSweep(size_t batch) const {
+  Sweep sweep;
+  sweep.input = ad::ProgressiveBuffer(batch, schema_->total_domain());
+  for (size_t hs : options_.hidden_sizes) {
+    sweep.hidden.emplace_back(batch, hs);
+  }
+  return sweep;
+}
+
+Tensor MadeModel::ColumnPass(const MaskedWeights& mw, Sweep* sweep) const {
   const size_t col = sweep->col++;
   SAM_CHECK_LT(col, schema_->num_columns());
   const ModelColumn& mc = schema_->columns()[col];
-  if (sweep->hidden.empty()) {
-    for (size_t hs : options_.hidden_sizes) {
-      sweep->hidden.push_back(Tensor::Zeros(input.rows(), hs));
-    }
-  }
   // The degree-`col` units of each layer, bottom up. `group` holds the
   // layer below's, the skip input of a residual layer.
   Tensor group;
@@ -279,23 +282,23 @@ Tensor MadeModel::ColumnPass(const MaskedWeights& mw, const Tensor& input,
     if (begin == end) continue;
     // Layer 1 reads the input of columns < col; a deeper layer reads the
     // units of degree <= col below it, which are the ones computed so far.
-    const Tensor& below = l == 0 ? input : sweep->hidden[l - 1];
+    const ad::ProgressiveBuffer& below =
+        l == 0 ? sweep->input : sweep->hidden[l - 1];
     const size_t live = l == 0 ? mc.offset : degree_end_[l - 1][col];
     Tensor pre = ad::MatmulPrefix(below, ad::SliceColumns(mw.w[l], begin, end),
                                   live);
     Tensor bias = ad::SliceColumns(mw.b[l], begin, end);
-    const size_t width = options_.hidden_sizes[l];
     // Residual connections between equal-width hidden layers (ResMADE).
     // Equal widths have equal degrees and so the same unit order: the skip
     // is the layer below's group. The fused op does relu(pre + bias)
     // (+ skip) in one pass over the activations.
-    if (options_.residual && l > 0 && width == options_.hidden_sizes[l - 1]) {
+    if (options_.residual && l > 0 &&
+        options_.hidden_sizes[l] == options_.hidden_sizes[l - 1]) {
       group = ad::BiasReluSkip(pre, bias, group);
     } else {
       group = ad::BiasRelu(pre, bias);
     }
-    sweep->hidden[l] =
-        ad::Add(sweep->hidden[l], ad::PadColumns(group, begin, width));
+    sweep->hidden[l].Write(group, begin);
   }
   // Column `col` reads the last layer's units of degree <= col and the
   // direct connections of the input columns before it.
@@ -306,7 +309,15 @@ Tensor MadeModel::ColumnPass(const MaskedWeights& mw, const Tensor& input,
                        degree_end_.back()[col]),
       ad::SliceColumns(mw.b_out, b, e));
   return ad::Add(logits, ad::MatmulPrefix(
-                             input, ad::SliceColumns(mw.w_direct, b, e), b));
+                             sweep->input,
+                             ad::SliceColumns(mw.w_direct, b, e), b));
+}
+
+void MadeModel::WriteSample(Sweep* sweep, const Tensor& sample) const {
+  SAM_CHECK_GT(sweep->col, 0u) << "no column passed yet";
+  const ModelColumn& mc = schema_->columns()[sweep->col - 1];
+  SAM_CHECK_EQ(sample.cols(), mc.domain_size);
+  sweep->input.Write(sample, mc.offset);
 }
 
 void MadeModel::SyncSamplerWeights() {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ar/model_schema.h"
+#include "autodiff/ops.h"
 #include "autodiff/tensor.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -22,7 +23,7 @@ namespace sam {
 ///
 /// Two forward paths are provided:
 ///  * a tape-recorded causal column sweep (`MaskedWeights` + `Sweep` +
-///    `ColumnPass`) used by the DPS trainer, and
+///    `ColumnPass`/`WriteSample`) used by the DPS trainer, and
 ///  * an allocation-light sampler path (`InitState`/`CondProbs`/`Observe`)
 ///    that exploits one-hot inputs (first layer and direct connections become
 ///    row gathers) for progressive sampling, estimation and generation.
@@ -77,27 +78,38 @@ class MadeModel {
   void ReduceGrads(std::span<const MaskedWeights> shards, size_t param,
                    size_t row_begin, size_t row_end);
 
-  /// Running hidden activations of one causal sweep: per layer a B x H_l
-  /// tensor in the `MaskedWeights` unit order, filled for the units of
-  /// degree <= the last column passed and zero past them. A
-  /// default-constructed sweep starts at column 0.
+  /// One causal sweep's progressive buffers (`ad::ProgressiveBuffer`), each a
+  /// B x width value matrix and its gradient, filled in place: the one-hot
+  /// input (B x total_domain), filled for the columns whose samples were
+  /// written, and per hidden layer the running activations (B x H_l, in the
+  /// `MaskedWeights` unit order), filled for the units of degree <= the last
+  /// column passed. Start one with `StartSweep`.
   struct Sweep {
-    std::vector<ad::Tensor> hidden;  ///< Empty until the first pass.
+    ad::ProgressiveBuffer input;
+    std::vector<ad::ProgressiveBuffer> hidden;
     size_t col = 0;  ///< The column the next `ColumnPass` computes.
   };
 
+  /// A sweep over `batch` rows at column 0, every buffer zero.
+  Sweep StartSweep(size_t batch) const;
+
   /// Logits of column `sweep->col` (B x domain(col)); advances the sweep.
-  /// `input` (B x total_domain) is the progressive one-hot input: filled for
-  /// the columns before `col`, zero from offset(col) on, and its gradient is
-  /// produced for columns [0, offset(col)) only (see `ad::MatmulPrefix`).
+  /// The samples of every column before `col` must have been written
+  /// (`WriteSample`): the pass reads the input's prefix [0, offset(col)) in
+  /// place, and its gradient flows to those samples only.
   ///
   /// A hidden unit of degree k reads only columns < k, so its value is final
   /// from pass k on, and the logits of column c read only units of degree
   /// <= c. Each pass therefore computes just the units of degree `col` in
-  /// every layer, once per sweep, and adds them to the running activations:
-  /// a sweep over all columns costs one forward of the hidden stack.
-  ad::Tensor ColumnPass(const MaskedWeights& mw, const ad::Tensor& input,
-                        Sweep* sweep) const;
+  /// every layer, once per sweep, from the live prefix of the layer below,
+  /// and writes them into their slot of the layer's buffer: a sweep over
+  /// all columns costs one forward of the hidden stack, and no pass
+  /// allocates a B x width matrix or multiplies past a buffer's live prefix.
+  ad::Tensor ColumnPass(const MaskedWeights& mw, Sweep* sweep) const;
+
+  /// Writes `sample` (B x domain), the one-hot sample of the column the last
+  /// `ColumnPass` computed, into the sweep's input.
+  void WriteSample(Sweep* sweep, const ad::Tensor& sample) const;
 
   // --- Sampler (no-grad) path ------------------------------------------------
 

@@ -139,46 +139,102 @@ Tensor Scale(const Tensor& a, double s) {
                 "scale");
 }
 
+namespace {
+
+/// a[:, :live] * b[:live, :] with `a` read from `storage` at its row stride.
+/// `order` is A's tape parent: the tensor itself, or a progressive buffer's
+/// current view. dA goes into storage's gradient, columns [0, live) only;
+/// dB into b's rows [0, live) only.
+Tensor PrefixProduct(const Tensor& order, std::shared_ptr<TensorNode> storage,
+                     const Tensor& b, size_t live) {
+  SAM_CHECK_LE(live, storage->cols());
+  SAM_CHECK_LE(live, b.rows());
+  const size_t rows = storage->rows();
+  const size_t stride = storage->cols();
+  Matrix v(rows, b.cols());
+  kernels::Active().matmul(storage->value.data(), rows, live, stride,
+                           b.value().data(), b.cols(), v.data());
+  return MakeOp(
+      std::move(v), {order, b},
+      [storage = std::move(storage), live](TensorNode& n) {
+        TensorNode* an = n.parents[0].get();
+        TensorNode* bn = n.parents[1].get();
+        const size_t rows = n.grad.rows();
+        const size_t d = n.grad.cols();
+        const size_t stride = storage->cols();
+        if (an->requires_grad) {
+          storage->EnsureGrad();
+          // dA[:, :live] = dC * B[:live, :]^T. B's first `live` rows are
+          // its first live * d entries.
+          Matrix da(rows, live);
+          kernels::Active().matmul_tb(n.grad.data(), rows, d, bn->value.data(),
+                                      live, da.data());
+          for (size_t r = 0; r < rows; ++r) {
+            const double* src = da.row(r);
+            double* dst = storage->grad.row(r);
+            for (size_t c = 0; c < live; ++c) dst[c] += src[c];
+          }
+        }
+        if (bn->requires_grad) {
+          bn->EnsureGrad();
+          // dB[:live, :] = A[:, :live]^T * dC, A read in place.
+          Matrix db(live, d);
+          kernels::Active().matmul_ta(storage->value.data(), rows, live,
+                                      stride, n.grad.data(), d, db.data());
+          double* dst = bn->grad.data();
+          const double* src = db.data();
+          for (size_t i = 0; i < live * d; ++i) dst[i] += src[i];
+        }
+      },
+      "matmul");
+}
+
+}  // namespace
+
 Tensor MatmulPrefix(const Tensor& a, const Tensor& b, size_t live) {
-  SAM_CHECK_LE(live, a.cols());
-  Matrix v = Matrix::Multiply(a.value(), b.value());
-  return MakeOp(std::move(v), {a, b},
-                [live](TensorNode& n) {
-                  TensorNode* an = n.parents[0].get();
-                  TensorNode* bn = n.parents[1].get();
-                  const size_t rows = n.grad.rows();
-                  const size_t d = n.grad.cols();
-                  if (an->requires_grad) {
-                    an->EnsureGrad();
-                    // dA[:, :live] = dC * B[:live, :]^T. B's first `live`
-                    // rows are its first live * d entries.
-                    Matrix da(rows, live);
-                    kernels::Active().matmul_tb(n.grad.data(), rows, d,
-                                                bn->value.data(), live,
-                                                da.data());
-                    for (size_t r = 0; r < rows; ++r) {
-                      const double* src = da.row(r);
-                      double* dst = an->grad.row(r);
-                      for (size_t c = 0; c < live; ++c) dst[c] += src[c];
-                    }
-                  }
-                  if (bn->requires_grad) {
-                    bn->EnsureGrad();
-                    // dB = A^T * dC; A's zero columns past `live` cost the
-                    // kernel's zero-skip only, and leave dB's rows past
-                    // `live` at +0.0, which are not accumulated.
-                    const Matrix db =
-                        Matrix::TransposeMultiply(an->value, n.grad);
-                    double* dst = bn->grad.data();
-                    const double* src = db.data();
-                    for (size_t i = 0; i < live * d; ++i) dst[i] += src[i];
-                  }
-                },
-                "matmul");
+  SAM_CHECK_EQ(a.cols(), b.rows());
+  return PrefixProduct(a, a.node(), b, live);
 }
 
 Tensor Matmul(const Tensor& a, const Tensor& b) {
   return MatmulPrefix(a, b, a.cols());
+}
+
+ProgressiveBuffer::ProgressiveBuffer(size_t rows, size_t width)
+    : storage_(std::make_shared<TensorNode>()), view_(storage_) {
+  storage_->value = Matrix(rows, width);
+  storage_->op_name = "progressive_buffer";
+}
+
+void ProgressiveBuffer::Write(const Tensor& block, size_t offset) {
+  const size_t w = block.cols();
+  SAM_CHECK_EQ(block.rows(), rows());
+  SAM_CHECK_GE(offset, filled_) << "progressive buffer slots are final";
+  SAM_CHECK_LE(offset + w, width());
+  for (size_t r = 0; r < rows(); ++r) {
+    const double* src = block.value().row(r);
+    std::copy(src, src + w, storage_->value.row(r) + offset);
+  }
+  filled_ = offset + w;
+  view_ = MakeOp(Matrix(), {view_, block},
+                 [storage = storage_, offset, w](TensorNode& n) {
+                   TensorNode* block_node = n.parents[1].get();
+                   if (!block_node->requires_grad) return;
+                   block_node->EnsureGrad();
+                   storage->EnsureGrad();
+                   for (size_t r = 0; r < block_node->grad.rows(); ++r) {
+                     const double* g = storage->grad.row(r) + offset;
+                     double* dst = block_node->grad.row(r);
+                     for (size_t c = 0; c < w; ++c) dst[c] += g[c];
+                   }
+                 },
+                 "progressive_write");
+}
+
+Tensor MatmulPrefix(const ProgressiveBuffer& a, const Tensor& b, size_t live) {
+  SAM_CHECK_LE(live, a.filled_) << "reading an unwritten slot";
+  SAM_CHECK_EQ(a.width(), b.rows());
+  return PrefixProduct(a.view_, a.storage_, b, live);
 }
 
 Tensor Relu(const Tensor& a) {

@@ -29,11 +29,11 @@ using internal::FastExp;
 // (hidden layers <= a few hundred columns) keep B entirely cache-resident, so
 // i-outer beats k-outer tiling at these shapes (measured: tiled variants were
 // 1.5-2x slower at batch=2048, 64x64 B).
-void Matmul(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
-            double* c) {
+void Matmul(const double* a, size_t ar, size_t ac, size_t a_stride,
+            const double* b, size_t bc, double* c) {
   std::fill(c, c + ar * bc, 0.0);
   for (size_t i = 0; i < ar; ++i) {
-    const double* ai = a + i * ac;
+    const double* ai = a + i * a_stride;
     double* ci = c + i * bc;
     for (size_t k = 0; k < ac; ++k) {
       const double aik = ai[k];
@@ -60,11 +60,11 @@ void MatmulDense(const double* a, size_t ar, size_t ac, const double* b,
   }
 }
 
-void MatmulTa(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
-              double* c) {
+void MatmulTa(const double* a, size_t ar, size_t ac, size_t a_stride,
+              const double* b, size_t bc, double* c) {
   std::fill(c, c + ac * bc, 0.0);
   for (size_t k = 0; k < ar; ++k) {
-    const double* ak = a + k * ac;
+    const double* ak = a + k * a_stride;
     const double* bk = b + k * bc;
     for (size_t i = 0; i < ac; ++i) {
       const double aki = ak[i];

@@ -32,11 +32,13 @@ enum class Backend {
 };
 
 struct KernelTable {
-  /// C = A * B. A: ar x ac, B: ac x bc, C: ar x bc (fully overwritten).
-  /// A entries equal to 0.0 are skipped (same rule in every backend, so
-  /// NaN/Inf in B behind zero weights cannot diverge the paths).
-  void (*matmul)(const double* a, size_t ar, size_t ac, const double* b,
-                 size_t bc, double* c);
+  /// C = A * B. A: ar x ac with row stride `a_stride` (>= ac; a column
+  /// prefix of a wider matrix is read in place), B: ac x bc, C: ar x bc
+  /// (fully overwritten). A entries equal to 0.0 are skipped (same rule in
+  /// every backend, so NaN/Inf in B behind zero weights cannot diverge the
+  /// paths).
+  void (*matmul)(const double* a, size_t ar, size_t ac, size_t a_stride,
+                 const double* b, size_t bc, double* c);
 
   /// C = A * B like `matmul`, but WITHOUT the zero-skip: every A entry is
   /// multiplied (NaN/Inf in B propagate). The skip pays off for one-hot /
@@ -48,10 +50,11 @@ struct KernelTable {
   void (*matmul_dense)(const double* a, size_t ar, size_t ac, const double* b,
                        size_t bc, double* c);
 
-  /// C = A^T * B without materialising A^T. A: ar x ac, B: ar x bc,
-  /// C: ac x bc (fully overwritten). Zero A entries are skipped.
-  void (*matmul_ta)(const double* a, size_t ar, size_t ac, const double* b,
-                    size_t bc, double* c);
+  /// C = A^T * B without materialising A^T. A: ar x ac with row stride
+  /// `a_stride` (>= ac), B: ar x bc, C: ac x bc (fully overwritten). Zero A
+  /// entries are skipped.
+  void (*matmul_ta)(const double* a, size_t ar, size_t ac, size_t a_stride,
+                    const double* b, size_t bc, double* c);
 
   /// C = A * B^T without materialising B^T. A: ar x ac, B: br x ac,
   /// C: ar x br (fully overwritten). Each C entry is a dot product over ac,

@@ -47,11 +47,11 @@ inline void AxpyRow(double* ci, const double* bk, double aik, size_t bc) {
 
 // Row-outer like the scalar reference (see the structure note there): B stays
 // cache-resident at model shapes, so the C row in flight is the hot line.
-void Matmul(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
-            double* c) {
+void Matmul(const double* a, size_t ar, size_t ac, size_t a_stride,
+            const double* b, size_t bc, double* c) {
   std::fill(c, c + ar * bc, 0.0);
   for (size_t i = 0; i < ar; ++i) {
-    const double* ai = a + i * ac;
+    const double* ai = a + i * a_stride;
     double* ci = c + i * bc;
     for (size_t k = 0; k < ac; ++k) {
       const double aik = ai[k];
@@ -159,11 +159,11 @@ void MatmulDense(const double* a, size_t ar, size_t ac, const double* b,
   }
 }
 
-void MatmulTa(const double* a, size_t ar, size_t ac, const double* b, size_t bc,
-              double* c) {
+void MatmulTa(const double* a, size_t ar, size_t ac, size_t a_stride,
+              const double* b, size_t bc, double* c) {
   std::fill(c, c + ac * bc, 0.0);
   for (size_t k = 0; k < ar; ++k) {
-    const double* ak = a + k * ac;
+    const double* ak = a + k * a_stride;
     const double* bk = b + k * bc;
     for (size_t i = 0; i < ac; ++i) {
       const double aki = ak[i];

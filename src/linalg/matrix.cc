@@ -11,16 +11,16 @@ namespace sam {
 Matrix Matrix::Multiply(const Matrix& a, const Matrix& b) {
   SAM_CHECK_EQ(a.cols(), b.rows());
   Matrix c(a.rows(), b.cols());
-  kernels::Active().matmul(a.data(), a.rows(), a.cols(), b.data(), b.cols(),
-                           c.data());
+  kernels::Active().matmul(a.data(), a.rows(), a.cols(), a.cols(), b.data(),
+                           b.cols(), c.data());
   return c;
 }
 
 Matrix Matrix::TransposeMultiply(const Matrix& a, const Matrix& b) {
   SAM_CHECK_EQ(a.rows(), b.rows());
   Matrix c(a.cols(), b.cols());
-  kernels::Active().matmul_ta(a.data(), a.rows(), a.cols(), b.data(), b.cols(),
-                              c.data());
+  kernels::Active().matmul_ta(a.data(), a.rows(), a.cols(), a.cols(),
+                              b.data(), b.cols(), c.data());
   return c;
 }
 

@@ -219,31 +219,58 @@ class MadeTest : public ::testing::Test {
   std::unique_ptr<MadeModel> model_;
 };
 
-/// Logits of column `col` from a causal sweep whose every pass reads
-/// `input` (one row per batch row).
+/// Columns [offset(col), offset(col) + domain(col)) of `input`: column
+/// `col`'s one-hot block, as a constant sample.
+ad::Tensor InputBlock(const ModelSchema& schema, const Matrix& input,
+                      size_t col) {
+  const ModelColumn& mc = schema.columns()[col];
+  Matrix block(input.rows(), mc.domain_size);
+  for (size_t r = 0; r < input.rows(); ++r) {
+    std::copy(input.row(r) + mc.offset,
+              input.row(r) + mc.offset + mc.domain_size, block.row(r));
+  }
+  return ad::Tensor::Constant(std::move(block));
+}
+
+/// Logits of column `col` from a causal sweep fed the blocks of `input`
+/// (one row per batch row) as the samples of the columns before it.
 Matrix SweepLogits(const MadeModel& model, const Matrix& input, size_t col) {
   const auto mw = model.BuildMaskedWeights();
-  const ad::Tensor t = ad::Tensor::Constant(input);
-  MadeModel::Sweep sweep;
-  ad::Tensor logits;
-  for (size_t c = 0; c <= col; ++c) logits = model.ColumnPass(mw, t, &sweep);
-  return logits.value();
+  MadeModel::Sweep sweep = model.StartSweep(input.rows());
+  for (size_t c = 0; c < col; ++c) {
+    model.ColumnPass(mw, &sweep);
+    model.WriteSample(&sweep, InputBlock(model.schema(), input, c));
+  }
+  return model.ColumnPass(mw, &sweep).value();
 }
 
 TEST_F(MadeTest, AutoregressivePropertyHolds) {
   // No column's logits may depend on its own or a later column's input:
-  // feed every pass inputs that differ in column 1 only.
+  // sweeps whose inputs differ in column 1 only must agree on the logits of
+  // columns 0 and 1. The sweep reads a column's sample only after its pass;
+  // the sampler path reads every observed column, so there the masks alone
+  // must keep column 1's own code out of its distribution.
   ad::NoGradGuard guard;
   Matrix in_a(1, schema_.total_domain());
   Matrix in_b(1, schema_.total_domain());
   // Different one-hots in the city segment (offset 5).
   in_a(0, 5) = 1.0;
   in_b(0, 6) = 1.0;
+  MadeModel::SamplerState st_a = model_->InitState(1);
+  MadeModel::SamplerState st_b = model_->InitState(1);
+  for (MadeModel::SamplerState* st : {&st_a, &st_b}) {
+    model_->Observe(st, 0, std::vector<int32_t>{2});
+  }
+  model_->Observe(&st_a, 1, std::vector<int32_t>{0});
+  model_->Observe(&st_b, 1, std::vector<int32_t>{1});
   for (size_t col : {size_t{0}, size_t{1}}) {
     const Matrix la = SweepLogits(*model_, in_a, col);
     const Matrix lb = SweepLogits(*model_, in_b, col);
+    const Matrix pa = model_->CondProbs(st_a, col);
+    const Matrix pb = model_->CondProbs(st_b, col);
     for (size_t j = 0; j < la.cols(); ++j) {
       EXPECT_DOUBLE_EQ(la(0, j), lb(0, j)) << "column " << col;
+      EXPECT_DOUBLE_EQ(pa(0, j), pb(0, j)) << "sampler, column " << col;
     }
   }
 }
@@ -504,8 +531,8 @@ double MaxScaledError(const Matrix& a, const Matrix& b) {
 }
 
 /// `RunDpsShardTape` with every column pass recomputing the whole hidden
-/// stack (`ReferenceHidden`). At every pass it also runs the causal sweep on
-/// the same input and raises `*logit_error` to the largest relative
+/// stack (`ReferenceHidden`). At every pass it also runs the causal sweep,
+/// fed the same samples, and raises `*logit_error` to the largest relative
 /// difference of the two logits.
 double ReferenceShardTape(const MadeModel& model,
                           std::span<const CompiledQuery* const> queries,
@@ -518,7 +545,7 @@ double ReferenceShardTape(const MadeModel& model,
   const size_t batch = queries.size() * paths;
   *leaves = model.BuildMaskedWeights();
   const MadeModel::MaskedWeights& mw = *leaves;
-  MadeModel::Sweep sweep;
+  MadeModel::Sweep sweep = model.StartSweep(batch);
   ad::Tensor input = ad::Tensor::Zeros(batch, schema.total_domain());
   ad::Tensor log_est = ad::Tensor::Constant(Matrix(
       batch, 1,
@@ -531,10 +558,9 @@ double ReferenceShardTape(const MadeModel& model,
     const ModelColumn& mc = schema.columns()[col];
     ad::Tensor logits = ReferenceColumnLogits(
         model, mw, ReferenceHidden(model, mw, input, mc.offset), input, col);
-    *logit_error =
-        std::max(*logit_error, MaxRelativeError(
-                                   logits.value(),
-                                   model.ColumnPass(mw, input, &sweep).value()));
+    *logit_error = std::max(
+        *logit_error,
+        MaxRelativeError(logits.value(), model.ColumnPass(mw, &sweep).value()));
     bool constrained = false;
     Matrix allow(batch, mc.domain_size, 1.0);
     Matrix log_mask(batch, mc.domain_size, 0.0);
@@ -584,6 +610,7 @@ double ReferenceShardTape(const MadeModel& model,
     }
     input = ad::Add(input,
                     ad::PadColumns(sample, mc.offset, schema.total_domain()));
+    model.WriteSample(&sweep, sample);
   }
   Matrix target(batch, 1);
   for (size_t r = 0; r < batch; ++r) target(r, 0) = queries[r / paths]->log_card;
@@ -718,16 +745,12 @@ TEST(CausalSweepTest, ReducedGradientsMatchFiniteDifferences) {
   // input of pass c keeps only the columns before c.
   auto loss_of = [&](MadeModel::MaskedWeights* mw) {
     *mw = model.BuildMaskedWeights();
-    MadeModel::Sweep sweep;
+    MadeModel::Sweep sweep = model.StartSweep(kRows);
     ad::Tensor loss = ad::Tensor::Constant(Matrix(1, 1));
     for (size_t col = 0; col < schema.num_columns(); ++col) {
       const ModelColumn& mc = schema.columns()[col];
-      Matrix prefix(kRows, schema.total_domain());
-      for (size_t r = 0; r < kRows; ++r) {
-        std::copy(input.row(r), input.row(r) + mc.offset, prefix.row(r));
-      }
-      const ad::Tensor logits =
-          model.ColumnPass(*mw, ad::Tensor::Constant(prefix), &sweep);
+      const ad::Tensor logits = model.ColumnPass(*mw, &sweep);
+      model.WriteSample(&sweep, InputBlock(schema, input, col));
       Matrix weight(kRows, mc.domain_size);
       for (size_t i = 0; i < weight.size(); ++i) {
         weight.data()[i] = std::sin(static_cast<double>(col * 31 + i));
@@ -781,6 +804,27 @@ TEST(DpsTrainerTest, GoldenParamsDigest) {
     EXPECT_EQ(Hex(TrainImdbGolden()), Hex(kImdb)) << name;
   }
   kernels::SetBackend(saved);
+}
+
+TEST(DpsTrainerTest,
+     FingerprintRefusesCheckpointsOfLayersWithEmptyDegreeGroups) {
+  // The census fixture has 14 columns. Its 24x24 model has a unit of every
+  // degree and trains the bits it trained before the progressive buffers,
+  // so its fingerprint, and with it every checkpoint, stays valid. A {5, 9}
+  // model leaves degree groups empty and trains other bits by rounding:
+  // checkpoints written under the fingerprint it had then must not resume.
+  const GoldenFixture f = CensusGolden();
+  ASSERT_EQ(f.schema.num_columns(), 14u);
+  constexpr uint64_t kWide = 0x6e05add777b2efb7ULL;
+  constexpr uint64_t kNarrowBefore = 0xfc6af98aa9102cbaULL;
+  const MadeModel wide(&f.schema, f.model);
+  EXPECT_EQ(Hex(TrainingFingerprint(f.dps, wide, f.train)), Hex(kWide));
+  MadeModel::Options narrow_options = f.model;
+  narrow_options.hidden_sizes = {5, 9};
+  narrow_options.residual = false;
+  const MadeModel narrow(&f.schema, narrow_options);
+  EXPECT_NE(Hex(TrainingFingerprint(f.dps, narrow, f.train)),
+            Hex(kNarrowBefore));
 }
 
 TEST(DpsTrainerTest, ParamsIdenticalAcrossThreadCounts) {

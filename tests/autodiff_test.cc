@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "autodiff/adam.h"
 #include "autodiff/ops.h"
@@ -122,6 +123,142 @@ TEST(OpsTest, MatmulPrefixGradientsBitIdenticalToMatmul) {
       }
     }
   }
+}
+
+/// Values and gradients of a small progressive tape, bit for bit: the
+/// blocks' gradients, every reader's value and the readers' weight
+/// gradients, in tape order.
+struct TapeBits {
+  std::vector<Matrix> values;
+  std::vector<Matrix> grads;
+};
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A DPS-shaped tape over a rows x 13 progressive matrix: blocks of widths
+/// 1, 5 and 7 are written at offsets 0, 1 and 6, and before each write (and
+/// after the last) two readers multiply the filled prefix, live = 0, 1, 6
+/// (mid) and 13 (full). Each block also feeds the loss directly, as a
+/// sampled fanout does. `mode` 0 runs the progressive buffer; 1 and 2 run
+/// the Add(PadColumns) chain it replaced, read by `MatmulPrefix` (1) or by
+/// the full-width `Matmul` (2).
+TapeBits RunProgressiveTape(int mode) {
+  constexpr size_t kRows = 5, kWidth = 13, kOut = 3;
+  const size_t offsets[] = {0, 1, 6, kWidth};
+  Rng rng(17);
+  auto random = [&](size_t r, size_t c) {
+    Matrix m(r, c);
+    for (size_t i = 0; i < m.size(); ++i) m.data()[i] = rng.Uniform(-2.0, 2.0);
+    return m;
+  };
+  std::vector<Tensor> blocks, weights;
+  for (size_t k = 0; k < 3; ++k) {
+    Matrix b = random(kRows, offsets[k + 1] - offsets[k]);
+    // One-hot-like zeros, so the kernels' zero-skip takes part.
+    for (size_t i = 0; i < b.size(); i += 3) b.data()[i] = 0.0;
+    blocks.push_back(Tensor::Param(std::move(b)));
+  }
+  for (size_t k = 0; k < 8; ++k) {
+    weights.push_back(Tensor::Param(random(kWidth, kOut)));
+  }
+  ProgressiveBuffer buffer(kRows, kWidth);
+  Tensor chain = Tensor::Zeros(kRows, kWidth);
+  Tensor loss = Tensor::Constant(Matrix(1, 1));
+  TapeBits bits;
+  for (size_t stage = 0; stage < 4; ++stage) {
+    const size_t live = offsets[stage];
+    for (size_t j = 0; j < 2; ++j) {
+      const Tensor& w = weights[2 * stage + j];
+      const Tensor y = mode == 0   ? MatmulPrefix(buffer, w, live)
+                       : mode == 1 ? MatmulPrefix(chain, w, live)
+                                   : Matmul(chain, w);
+      bits.values.push_back(y.value());
+      loss = Add(loss, SumAll(Mul(y, Tensor::Constant(random(kRows, kOut)))));
+    }
+    if (stage == 3) break;
+    const Tensor& block = blocks[stage];
+    loss = Add(loss, SumAll(Mul(block, block)));
+    if (mode == 0) {
+      buffer.Write(block, live);
+    } else {
+      chain = Add(chain, PadColumns(block, live, kWidth));
+    }
+  }
+  bits.values.push_back(mode == 0 ? buffer.value() : chain.value());
+  loss.Backward();
+  for (const Tensor& b : blocks) bits.grads.push_back(b.grad());
+  for (const Tensor& w : weights) bits.grads.push_back(w.grad());
+  return bits;
+}
+
+TEST(OpsTest, ProgressiveBufferBitIdenticalToPadAddChain) {
+  const TapeBits buffer = RunProgressiveTape(0);
+  for (int mode : {1, 2}) {
+    const TapeBits chain = RunProgressiveTape(mode);
+    ASSERT_EQ(buffer.values.size(), chain.values.size());
+    for (size_t i = 0; i < buffer.values.size(); ++i) {
+      EXPECT_TRUE(SameBits(buffer.values[i], chain.values[i]))
+          << "value " << i << ", mode " << mode;
+    }
+    ASSERT_EQ(buffer.grads.size(), chain.grads.size());
+    // Three block gradients (dA), then eight weight gradients (dB).
+    for (size_t i = 0; i < buffer.grads.size(); ++i) {
+      EXPECT_TRUE(SameBits(buffer.grads[i], chain.grads[i]))
+          << (i < 3 ? "dA of block " : "dB of weight ") << (i < 3 ? i : i - 3)
+          << ", mode " << mode;
+    }
+  }
+}
+
+TEST(OpsTest, ProgressiveBufferRefusesUnwrittenAndRewrittenSlots) {
+  ProgressiveBuffer buffer(2, 6);
+  const Tensor w = Tensor::Constant(Matrix(6, 1));
+  buffer.Write(Tensor::Constant(Matrix(2, 2, 1.0)), 1);
+  EXPECT_EQ(buffer.filled(), 3u);
+  EXPECT_EQ(buffer.value()(1, 0), 0.0);
+  EXPECT_EQ(buffer.value()(1, 2), 1.0);
+  EXPECT_DEATH(MatmulPrefix(buffer, w, 4), "unwritten slot");
+  EXPECT_DEATH(buffer.Write(Tensor::Constant(Matrix(2, 1)), 2), "final");
+}
+
+TEST(OpsGradTest, BiasRelu) {
+  // Entries of a + bias sit well away from the relu kink at 0.
+  const Matrix a = Make(2, 3, {0.7, -1.1, 0.4, -0.6, 1.3, -0.9});
+  const Matrix bias = Make(1, 3, {0.2, 0.5, -0.8});
+  const Tensor weights = Tensor::Constant(Make(2, 3, {1, -2, 3, 0.5, 2, -1}));
+  auto loss = [&](const Tensor& x, const Tensor& b) {
+    const Tensor y = BiasRelu(x, b);
+    return SumAll(Mul(Mul(y, y), weights));
+  };
+  CheckGradients(Tensor::Param(a), [&](const Tensor& p) {
+    return loss(p, Tensor::Constant(bias));
+  });
+  CheckGradients(Tensor::Param(bias), [&](const Tensor& p) {
+    return loss(Tensor::Constant(a), p);
+  });
+}
+
+TEST(OpsGradTest, BiasReluSkip) {
+  const Matrix a = Make(2, 3, {0.7, -1.1, 0.4, -0.6, 1.3, -0.9});
+  const Matrix bias = Make(1, 3, {0.2, 0.5, -0.8});
+  const Matrix skip = Make(2, 3, {0.3, -0.4, 1.2, -1.5, 0.8, 0.1});
+  const Tensor weights = Tensor::Constant(Make(2, 3, {1, -2, 3, 0.5, 2, -1}));
+  auto loss = [&](const Tensor& x, const Tensor& b, const Tensor& s) {
+    const Tensor y = BiasReluSkip(x, b, s);
+    return SumAll(Mul(Mul(y, y), weights));
+  };
+  CheckGradients(Tensor::Param(a), [&](const Tensor& p) {
+    return loss(p, Tensor::Constant(bias), Tensor::Constant(skip));
+  });
+  CheckGradients(Tensor::Param(bias), [&](const Tensor& p) {
+    return loss(Tensor::Constant(a), p, Tensor::Constant(skip));
+  });
+  CheckGradients(Tensor::Param(skip), [&](const Tensor& p) {
+    return loss(Tensor::Constant(a), Tensor::Constant(bias), p);
+  });
 }
 
 TEST(OpsGradTest, Relu) {

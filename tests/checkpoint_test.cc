@@ -147,6 +147,12 @@ TEST_F(CheckpointTest, ValidateDpsOptionsRejectsBadValues) {
   o.learning_rate = std::numeric_limits<double>::infinity();
   expect_invalid(o, "inf lr");
   o = DpsOptions();
+  o.learning_rate = 0;
+  expect_invalid(o, "lr=0");
+  o = DpsOptions();
+  o.learning_rate = -1;
+  expect_invalid(o, "negative lr");
+  o = DpsOptions();
   o.gumbel_tau = 0;
   expect_invalid(o, "gumbel_tau=0");
   o = DpsOptions();

@@ -77,19 +77,19 @@ TEST(ResMadeTest, DensePathMatchesSamplerPathWithResiduals) {
   // conditional on the way must agree.
   ad::NoGradGuard guard;
   const auto mw = model.BuildMaskedWeights();
-  MadeModel::Sweep sweep;
+  MadeModel::Sweep sweep = model.StartSweep(1);
   MadeModel::SamplerState st = model.InitState(1);
-  Matrix in(1, s.schema.total_domain());
   for (size_t col = 0; col < 4; ++col) {
-    const ad::Tensor dense = ad::Softmax(
-        model.ColumnPass(mw, ad::Tensor::Constant(in), &sweep));
+    const ad::Tensor dense = ad::Softmax(model.ColumnPass(mw, &sweep));
     const Matrix fast = model.CondProbs(st, col);
     for (size_t j = 0; j < fast.cols(); ++j) {
       EXPECT_NEAR(dense.value()(0, j), fast(0, j), 1e-10) << "column " << col;
     }
-    const int32_t code =
-        static_cast<int32_t>(col % s.schema.columns()[col].domain_size);
-    in(0, s.schema.columns()[col].offset + static_cast<size_t>(code)) = 1.0;
+    const size_t domain = s.schema.columns()[col].domain_size;
+    const int32_t code = static_cast<int32_t>(col % domain);
+    Matrix one_hot(1, domain);
+    one_hot(0, static_cast<size_t>(code)) = 1.0;
+    model.WriteSample(&sweep, ad::Tensor::Constant(std::move(one_hot)));
     model.Observe(&st, col, std::vector<int32_t>{code});
   }
 }

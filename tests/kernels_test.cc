@@ -46,9 +46,10 @@ std::vector<double> RandomVec(Rng* rng, size_t n) {
 void ExpectBitIdentical(const std::vector<double>& a,
                         const std::vector<double>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size());
+  if (a.empty()) return;  // memcmp must not see an empty vector's null data.
   // memcmp, not ==: NaNs must match bit patterns too.
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
-      << what << " diverges between scalar and AVX2";
+      << what << " is not bit-identical";
 }
 
 // Shapes with deliberate lane remainders (not multiples of 4/8/16/64), plus
@@ -70,8 +71,10 @@ TEST(KernelParityTest, MatmulBitIdentical) {
     const auto a = RandomVec(&rng, s.m * s.k);
     const auto b = RandomVec(&rng, s.k * s.n);
     std::vector<double> cs(s.m * s.n), cv(s.m * s.n);
-    Table(Backend::kScalar).matmul(a.data(), s.m, s.k, b.data(), s.n, cs.data());
-    Table(Backend::kAvx2).matmul(a.data(), s.m, s.k, b.data(), s.n, cv.data());
+    Table(Backend::kScalar)
+        .matmul(a.data(), s.m, s.k, s.k, b.data(), s.n, cs.data());
+    Table(Backend::kAvx2)
+        .matmul(a.data(), s.m, s.k, s.k, b.data(), s.n, cv.data());
     ExpectBitIdentical(cs, cv, "matmul");
   }
 }
@@ -93,7 +96,7 @@ TEST(KernelParityTest, MatmulDenseBitIdenticalAndMatchesSkipVariant) {
         .matmul_dense(a.data(), s.m, s.k, b.data(), s.n, cv.data());
     ExpectBitIdentical(cs, cv, "matmul_dense");
     Table(Backend::kScalar)
-        .matmul(a.data(), s.m, s.k, b.data(), s.n, skip.data());
+        .matmul(a.data(), s.m, s.k, s.k, b.data(), s.n, skip.data());
     ExpectBitIdentical(cs, skip, "matmul_dense vs matmul");
   }
 }
@@ -106,8 +109,9 @@ TEST(KernelParityTest, MatmulTaBitIdentical) {
     const auto b = RandomVec(&rng, s.k * s.n);
     std::vector<double> cs(s.m * s.n), cv(s.m * s.n);
     Table(Backend::kScalar)
-        .matmul_ta(a.data(), s.k, s.m, b.data(), s.n, cs.data());
-    Table(Backend::kAvx2).matmul_ta(a.data(), s.k, s.m, b.data(), s.n, cv.data());
+        .matmul_ta(a.data(), s.k, s.m, s.m, b.data(), s.n, cs.data());
+    Table(Backend::kAvx2)
+        .matmul_ta(a.data(), s.k, s.m, s.m, b.data(), s.n, cv.data());
     ExpectBitIdentical(cs, cv, "matmul_ta");
   }
 }
@@ -126,6 +130,59 @@ TEST(KernelParityTest, MatmulTbBitIdentical) {
   }
 }
 
+TEST(KernelParityTest, StridedMatmulsReadTheColumnPrefixInPlace) {
+  // A is a column prefix [0, live) of a wider matrix, read at the wide row
+  // stride (the DPS tape's progressive buffers). Each backend must give the
+  // bits of the same product on a contiguous copy of the prefix, and the
+  // backends must agree with each other. Entries past the prefix are NaN, so
+  // reading one would show.
+  std::vector<Backend> backends = {Backend::kScalar};
+  if (kernels::Avx2Available()) backends.push_back(Backend::kAvx2);
+  Rng rng(12);
+  for (const Shape& s : kShapes) {
+    const size_t width = s.k + 7;
+    for (size_t live : {size_t{0}, size_t{1}, s.k / 2, s.k}) {
+      std::vector<double> wide(s.m * width,
+                               std::numeric_limits<double>::quiet_NaN());
+      std::vector<double> prefix(s.m * live);
+      for (size_t r = 0; r < s.m; ++r) {
+        for (size_t c = 0; c < live; ++c) {
+          // One-hot-like sparsity, so the zero-skip is exercised too.
+          const double v = (r + c) % 3 == 0 ? 0.0 : rng.Uniform(-2.0, 2.0);
+          wide[r * width + c] = v;
+          prefix[r * live + c] = v;
+        }
+      }
+      const auto b = RandomVec(&rng, live * s.n);  // C = A B: m x n.
+      const auto g = RandomVec(&rng, s.m * s.n);   // C = A^T G: live x n.
+      std::vector<std::vector<double>> products;
+      for (Backend backend : backends) {
+        const auto& table = Table(backend);
+        std::vector<double> strided(s.m * s.n), dense(s.m * s.n);
+        table.matmul(wide.data(), s.m, live, width, b.data(), s.n,
+                     strided.data());
+        table.matmul(prefix.data(), s.m, live, live, b.data(), s.n,
+                     dense.data());
+        ExpectBitIdentical(strided, dense, "strided matmul vs copied prefix");
+        std::vector<double> strided_ta(live * s.n), dense_ta(live * s.n);
+        table.matmul_ta(wide.data(), s.m, live, width, g.data(), s.n,
+                        strided_ta.data());
+        table.matmul_ta(prefix.data(), s.m, live, live, g.data(), s.n,
+                        dense_ta.data());
+        ExpectBitIdentical(strided_ta, dense_ta,
+                           "strided matmul_ta vs copied prefix");
+        for (double v : strided) EXPECT_FALSE(std::isnan(v));
+        for (double v : strided_ta) EXPECT_FALSE(std::isnan(v));
+        strided.insert(strided.end(), strided_ta.begin(), strided_ta.end());
+        products.push_back(std::move(strided));
+      }
+      if (products.size() == 2) {
+        ExpectBitIdentical(products[0], products[1], "strided matmul(_ta)");
+      }
+    }
+  }
+}
+
 TEST(KernelParityTest, ZeroARowsSkipNaNInfInB) {
   if (!kernels::Avx2Available()) GTEST_SKIP() << "no AVX2 on this machine";
   // Both backends skip aik == 0.0, so NaN/Inf rows of B behind a zero weight
@@ -140,8 +197,8 @@ TEST(KernelParityTest, ZeroARowsSkipNaNInfInB) {
                                 : std::numeric_limits<double>::infinity();
   }
   std::vector<double> cs(m * n), cv(m * n);
-  Table(Backend::kScalar).matmul(a.data(), m, k, b.data(), n, cs.data());
-  Table(Backend::kAvx2).matmul(a.data(), m, k, b.data(), n, cv.data());
+  Table(Backend::kScalar).matmul(a.data(), m, k, k, b.data(), n, cs.data());
+  Table(Backend::kAvx2).matmul(a.data(), m, k, k, b.data(), n, cv.data());
   ExpectBitIdentical(cs, cv, "matmul with poisoned skipped row");
   for (double v : cs) EXPECT_TRUE(std::isfinite(v));
 }

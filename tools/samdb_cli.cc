@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -210,6 +211,11 @@ Result<SamOptions> OptionsFromFlags(const Flags& flags) {
                        flags.GetSize("batch", 64, 1));
   SAM_ASSIGN_OR_RETURN(options.training.learning_rate,
                        flags.GetDouble("lr", 3e-3));
+  // A rate <= 0 would train nothing or run gradient ascent.
+  if (!std::isfinite(options.training.learning_rate) ||
+      options.training.learning_rate <= 0) {
+    return Status::InvalidArgument("--lr must be finite and > 0");
+  }
   SAM_ASSIGN_OR_RETURN(options.training.sample_paths,
                        flags.GetSize("paths", 2, 1));
   SAM_ASSIGN_OR_RETURN(options.training.time_budget_seconds,
