@@ -356,8 +356,8 @@ int Run(int argc, char** argv) {
     } else if (speedup < args.min_speedup) {
       std::fprintf(stderr,
                    "error: median parallel-commit speedup %.2fx below "
-                   "required %.2fx at cap=%lld MiB — the prepared-partition "
-                   "pipeline is not paying for itself\n",
+                   "required %.2fx at cap=%lld MiB — partition prefetch and "
+                   "sample pipelining are not paying for themselves\n",
                    speedup, args.min_speedup,
                    static_cast<long long>(multirel_cap >> 20));
       return 1;

@@ -237,24 +237,6 @@ Tensor MatmulPrefix(const ProgressiveBuffer& a, const Tensor& b, size_t live) {
   return PrefixProduct(a.view_, a.storage_, b, live);
 }
 
-Tensor Relu(const Tensor& a) {
-  Matrix v = a.value();
-  for (size_t i = 0; i < v.size(); ++i) v.data()[i] = std::max(0.0, v.data()[i]);
-  return MakeOp(std::move(v), {a},
-                [](TensorNode& n) {
-                  TensorNode* an = n.parents[0].get();
-                  if (!an->requires_grad) return;
-                  an->EnsureGrad();
-                  double* dst = an->grad.data();
-                  const double* g = n.grad.data();
-                  const double* out = n.value.data();
-                  for (size_t i = 0; i < n.grad.size(); ++i) {
-                    if (out[i] > 0.0) dst[i] += g[i];
-                  }
-                },
-                "relu");
-}
-
 namespace {
 
 // Shared backward for the fused bias+relu ops. The relu mask is recomputed
@@ -420,27 +402,6 @@ Tensor SliceColumns(const Tensor& a, size_t begin, size_t end) {
                 "slice_cols");
 }
 
-Tensor SliceRows(const Tensor& a, size_t begin, size_t end) {
-  SAM_CHECK(begin <= end && end <= a.rows());
-  Matrix v(end - begin, a.cols());
-  for (size_t r = begin; r < end; ++r) {
-    const double* src = a.value().row(r);
-    std::copy(src, src + a.cols(), v.row(r - begin));
-  }
-  return MakeOp(std::move(v), {a},
-                [begin, end](TensorNode& n) {
-                  TensorNode* an = n.parents[0].get();
-                  if (!an->requires_grad) return;
-                  an->EnsureGrad();
-                  for (size_t r = begin; r < end; ++r) {
-                    const double* g = n.grad.row(r - begin);
-                    double* dst = an->grad.row(r);
-                    for (size_t c = 0; c < n.grad.cols(); ++c) dst[c] += g[c];
-                  }
-                },
-                "slice_rows");
-}
-
 Tensor PadColumns(const Tensor& a, size_t offset, size_t total) {
   SAM_CHECK_LE(offset + a.cols(), total);
   Matrix v(a.rows(), total);
@@ -520,27 +481,6 @@ Tensor GumbelSoftmaxST(const Tensor& logits, double tau,
                   }
                 },
                 "gumbel_softmax_st");
-}
-
-Tensor Reciprocal(const Tensor& a, double eps) {
-  Matrix v = a.value();
-  for (size_t i = 0; i < v.size(); ++i) {
-    v.data()[i] = 1.0 / std::max(v.data()[i], eps);
-  }
-  return MakeOp(std::move(v), {a},
-                [eps](TensorNode& n) {
-                  TensorNode* an = n.parents[0].get();
-                  if (!an->requires_grad) return;
-                  an->EnsureGrad();
-                  double* dst = an->grad.data();
-                  const double* g = n.grad.data();
-                  const double* x = an->value.data();
-                  for (size_t i = 0; i < n.grad.size(); ++i) {
-                    const double xv = std::max(x[i], eps);
-                    dst[i] -= g[i] / (xv * xv);
-                  }
-                },
-                "reciprocal");
 }
 
 }  // namespace sam::ad

@@ -84,9 +84,6 @@ class ProgressiveBuffer {
 /// of a tensor holding the same values.
 Tensor MatmulPrefix(const ProgressiveBuffer& a, const Tensor& b, size_t live);
 
-/// Rectified linear unit.
-Tensor Relu(const Tensor& a);
-
 /// Fused relu(a + bias) for a B x D tensor `a` and 1 x D row vector `bias`.
 /// One pass over the data instead of the AddRowBroadcast + Relu pair; the
 /// forward runs through the SIMD kernel layer.
@@ -111,9 +108,6 @@ Tensor SumAll(const Tensor& a);
 
 /// Columns [begin, end) of `a`.
 Tensor SliceColumns(const Tensor& a, size_t begin, size_t end);
-
-/// Rows [begin, end) of `a`.
-Tensor SliceRows(const Tensor& a, size_t begin, size_t end);
 
 /// Places the B x D block `a` at column `offset` of a B x `total` tensor of
 /// zeros.
@@ -142,8 +136,5 @@ struct GumbelNoise {
 /// Sampling (§4.1).
 Tensor GumbelSoftmaxST(const Tensor& logits, double tau,
                        const GumbelNoise& noise);
-
-/// Elementwise reciprocal 1 / max(a, eps).
-Tensor Reciprocal(const Tensor& a, double eps = 1e-30);
 
 }  // namespace sam::ad

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <future>
@@ -159,57 +160,27 @@ struct GenerationPipeline::Impl {
   /// Keyed by (child relation, partition); ordered for deterministic flushes.
   std::map<std::pair<std::string, size_t>, VirtBuffer> virt_bufs;
 
-  /// \brief Parallel in-order completion window for partition steps.
+  std::unique_ptr<ThreadPool> pool;
+
+  /// \brief Prefetch window for partition steps.
   ///
   /// A partition step splits into a parallelizable phase A (load/scan this
   /// partition's virtuals and build its merge groups — pure derived data)
   /// and a phase B (key assignment, row emission, chunk flushes) that
   /// threads pk counters, leaf carry and chunk sequence numbers across
-  /// partitions and therefore must *commit* in plan order. On a window
-  /// miss, upcoming partitions of the active relation are built
-  /// concurrently on `pool`, with the window's memory reserved from the
-  /// budget before dispatch. For keyed relations, workers additionally
-  /// prepare the whole phase-B plan — decoded CSV rows split at the pk
-  /// field, ordered child-emission lists, leftover and summary chunk
-  /// contents — from a worker-local RNG seeded with the partition's
-  /// deterministic seed; the serial commit then replays the
-  /// plan through the very same buffer/flush accounting, so the published
-  /// database and every spill artifact are byte-identical for every thread
-  /// count.
-  ///
-  /// Leaf phase B stays serial: its emission counts depend on the carry
-  /// crossing partitions, which would change RNG draw counts if speculated.
-
-  /// One decoded CSV row split at the primary-key field; `AppendPreparedRow`
-  /// splices the pk text between the pieces.
-  struct PreparedRow {
-    std::string prefix;  ///< Bytes before the pk value (incl. its comma).
-    std::string suffix;  ///< Bytes after the pk value (incl. '\n').
-    uint32_t emits = 0;  ///< Child emissions belonging to this row.
-  };
-  /// One child virtual emission with everything pk-independent precomputed.
-  struct PreparedEmit {
-    uint32_t child = 0;  ///< Index into active.children.
-    uint32_t sample = 0;
-    double fraction = 0.0;   ///< > 0 by construction (zero guard applied).
-    std::string key_suffix;  ///< GroupKey minus the leading fk value.
-  };
-  struct PreparedPartition {
-    std::vector<Group> groups;  ///< Phase A output (leaf / unplanned commit).
-    bool planned = false;       ///< Keyed phase-B plan below is valid.
-    std::vector<PreparedRow> rows;
-    std::vector<PreparedEmit> emits;  ///< Flattened, row-major order.
-    LeftoverChunk leftover;
-    GroupSummaryChunk summary;
-  };
-  std::unique_ptr<ThreadPool> pool;
-  struct CommitWindow {
+  /// partitions and therefore runs on the pipeline thread in plan order.
+  /// On a window miss, phase A of upcoming partitions of the active relation
+  /// runs concurrently on `pool`, with the window's memory reserved from the
+  /// budget before dispatch. Phase B consumes the prefetched groups exactly
+  /// as it consumes serially built ones, so the published database and every
+  /// spill artifact are byte-identical for every thread count.
+  struct PrefetchWindow {
     bool valid = false;
     size_t rel = 0;  ///< Topo index the window belongs to.
-    std::map<size_t, PreparedPartition> parts;
+    std::map<size_t, std::vector<Group>> parts;  ///< Phase A by partition.
     int64_t reserved = 0;
   };
-  CommitWindow window;
+  PrefetchWindow window;
 
   /// \brief One sample batch of the in-order sample window: its codes and
   /// the sampler state it runs on, both allocated on the pipeline thread
@@ -300,8 +271,14 @@ struct GenerationPipeline::Impl {
     const int64_t cap = budget.cap();
     if (cap <= 0) return 1;
     const int64_t per_partition = std::max<int64_t>(cap / 4, 1ll << 20);
-    // ~192 bytes of group-table state per virtual (key string + member slot).
-    const int64_t estimate = static_cast<int64_t>(k) * 192;
+    // ~192 bytes of group-table state per virtual (key string + member
+    // slot). Init bounds k by cap / 16, so k * 192 overflows only under a
+    // cap near INT64_MAX.
+    int64_t estimate = 0;
+    if (__builtin_mul_overflow(static_cast<int64_t>(k), int64_t{192},
+                               &estimate)) {
+      return 256;
+    }
     const int64_t p = estimate / per_partition + 1;
     return static_cast<size_t>(std::clamp<int64_t>(p, 1, 256));
   }
@@ -465,6 +442,18 @@ struct GenerationPipeline::Impl {
             " foreign keys; generation supports tree-structured schemas with "
             "at most one foreign key per relation");
       }
+    }
+    if (multi) {
+      // The preamble's weight arrays (8 bytes per relation and sample) are
+      // the floor of any multi-relation run. Refuse a k they cannot fit
+      // before planning k / batch sample steps, not after sampling them all.
+      uint64_t floor_bytes = 0;
+      if (__builtin_mul_overflow(k, uint64_t{8} * topo.size(), &floor_bytes)) {
+        floor_bytes = INT64_MAX;
+      }
+      SAM_RETURN_NOT_OK(budget.CheckFits(
+          static_cast<int64_t>(std::min<uint64_t>(floor_bytes, INT64_MAX)),
+          "per-relation weight arrays"));
     }
     sample_batches = (k + o.generation_batch - 1) / o.generation_batch;
     partitions = ChoosePartitions();
@@ -705,21 +694,16 @@ struct GenerationPipeline::Impl {
 
   // -- Group keys -----------------------------------------------------------
 
-  /// Key format "<fk>|<code>,<code>,...,", split so prepared commits can
-  /// precompute everything after the fk (the pk is only known at commit).
-  std::string GroupKeySuffix(uint32_t sample,
-                             const std::vector<size_t>& cols) const {
-    std::string key(1, '|');
+  /// Key format "<fk>|<code>,<code>,...,".
+  std::string GroupKey(int64_t fk, uint32_t sample,
+                       const std::vector<size_t>& cols) const {
+    std::string key = std::to_string(fk);
+    key += '|';
     for (size_t c : cols) {
       key += std::to_string(active.resident.at(c)[sample]);
       key += ',';
     }
     return key;
-  }
-
-  std::string GroupKey(int64_t fk, uint32_t sample,
-                       const std::vector<size_t>& cols) const {
-    return std::to_string(fk) + GroupKeySuffix(sample, cols);
   }
 
   // -- Row emission ---------------------------------------------------------
@@ -746,10 +730,10 @@ struct GenerationPipeline::Impl {
     return Status::OK();
   }
 
-  /// Per-row accounting shared by the serial and prepared-commit paths:
-  /// the caller has just appended exactly one rendered row to `row_buf.csv`.
-  /// Keeping the slab reservations and the flush check here means chunk
-  /// boundaries are decided by the identical byte thresholds either way.
+  /// Per-row accounting shared by `AppendRow` and `EmitRow`: the caller has
+  /// just appended exactly one rendered row to `row_buf.csv`. Slab
+  /// reservations and the flush check follow the byte count only, so chunk
+  /// boundaries are a pure function of the rows.
   Status AccountAppendedRow(const std::string& rel) {
     row_buf.rows++;
     RelState(rel).rows_emitted++;
@@ -771,48 +755,32 @@ struct GenerationPipeline::Impl {
     return AccountAppendedRow(rel);
   }
 
-  /// Appends a rendered row of the active relation with `pk_text` spliced
-  /// in at the pk field (empty for relations without a primary key).
-  Status AppendPreparedRow(const PreparedRow& row, const std::string& pk_text) {
-    row_buf.csv.append(row.prefix);
-    row_buf.csv.append(pk_text);
-    row_buf.csv.append(row.suffix);
-    return AccountAppendedRow(active.name);
-  }
-
-  /// Decodes sample `sample` into one row of the active relation.
+  /// Decodes sample `sample` into one row of the active relation, rendered
+  /// in `AppendCsvRow`'s format straight into the row buffer. `pk` is only
+  /// read by relations with a primary key.
   Status EmitRow(uint32_t sample, int64_t pk, int64_t fk, Rng* rng) {
-    PreparedRow row;
-    RenderPreparedRow(sample, fk, rng, &row);
-    return AppendPreparedRow(row, active.keyed ? std::to_string(pk) : "");
-  }
-
-  /// Decodes one row into `AppendCsvRow`'s format, split at the pk field —
-  /// the one row renderer of the serial and the prepared commit paths.
-  /// Thread-safe (reads only `active` and the schema).
-  void RenderPreparedRow(uint32_t sample, int64_t fk, Rng* rng,
-                         PreparedRow* out) const {
-    std::string* piece = &out->prefix;
+    std::string& csv = row_buf.csv;
     for (size_t c = 0; c < active.col_plan.size(); ++c) {
       const ColPlan& cp = active.col_plan[c];
-      if (c > 0) piece->push_back(',');
+      if (c > 0) csv.push_back(',');
       switch (cp.kind) {
         case ColPlan::Kind::kPk:
-          piece = &out->suffix;  // The pk text is spliced in at append.
+          csv.append(std::to_string(pk));
           break;
         case ColPlan::Kind::kFk:
-          piece->append(Value(fk).ToString());
+          csv.append(Value(fk).ToString());
           break;
         case ColPlan::Kind::kContent: {
           const ModelColumn& mc = schema().columns()[cp.model_col];
           const Value v = schema().DecodeContent(
               mc, active.resident.at(cp.model_col)[sample], rng);
-          if (!v.is_null()) AppendCsvField(v, piece);
+          if (!v.is_null()) AppendCsvField(v, &csv);
           break;
         }
       }
     }
-    piece->push_back('\n');
+    csv.push_back('\n');
+    return AccountAppendedRow(active.name);
   }
 
   // -- Child virtuals -------------------------------------------------------
@@ -859,16 +827,6 @@ struct GenerationPipeline::Impl {
     if (fraction <= 0.0) return Status::OK();
     const std::string child_key =
         GroupKey(fk, sample, active.child_group_cols.at(child));
-    return EmitChildVirtualKeyed(child, sample, fraction, fk, child_key);
-  }
-
-  /// Routing + buffering + accounting behind `EmitChildVirtual`, shared
-  /// with the prepared-commit path (which assembles `child_key` from a
-  /// precomputed suffix): identical incoming-mass FP order, identical
-  /// flush thresholds, identical chunk sequence.
-  Status EmitChildVirtualKeyed(const std::string& child, uint32_t sample,
-                               double fraction, int64_t fk,
-                               const std::string& child_key) {
     const size_t part = HashKey(child_key) % partitions;
     VirtBuffer& buf = virt_bufs[{child, part}];
     buf.records.push_back(SpillVirtual{sample, fraction, fk});
@@ -1110,16 +1068,15 @@ struct GenerationPipeline::Impl {
 
   void ClearWindow() {
     if (window.reserved > 0) budget.Release(window.reserved);
-    window = CommitWindow{};
+    window = PrefetchWindow{};
   }
 
   /// On-disk virtual-chunk bytes of one non-root partition, from the spill
   /// manifest (stat-level, no reads). Callers scale this into a resident
   /// estimate: on-disk bytes are >= 16 per record while phase-A state is
   /// <= ~120 per record (transient chunk + virtuals vector + group table),
-  /// so x8 covers gather+group and x12 additionally covers a prepared
-  /// phase-B plan (rows + emission lists replace the group table). Returns
-  /// -1 when a chunk is missing from the manifest (the window skips it).
+  /// so x8 covers gather+group. Returns -1 when a chunk is missing from the
+  /// manifest (the window skips it).
   int64_t PartitionDiskBytes(size_t part) const {
     const auto& rs = state.relations[rel_index.at(active.name)];
     int64_t disk_bytes = 0;
@@ -1140,16 +1097,14 @@ struct GenerationPipeline::Impl {
 
   /// Builds a window of upcoming partitions of the active relation starting
   /// at `first`, on `pool` (never when `threads == 1`): phase A (gather +
-  /// group) always, plus the full phase-B plan for keyed relations.
-  /// The whole window's estimated memory is reserved before dispatch; when
-  /// the cap is too tight (or estimates are unavailable) the window shrinks
-  /// and ultimately the step falls back to the fully serial path, whose
-  /// incremental accounting and error messages are unchanged.
+  /// group) of each. The whole window's estimated memory is reserved before
+  /// dispatch; when the cap is too tight (or estimates are unavailable) the
+  /// window shrinks and ultimately the step falls back to the serial gather,
+  /// whose incremental accounting and error messages are unchanged.
   Status BuildWindow(size_t rel_i, size_t first) {
     ClearWindow();
     if (partitions <= 1) return Status::OK();
     if (!Parallel()) return Status::OK();
-    const bool plan_b = active.keyed;
     size_t win = std::min(partitions - first, Pool()->num_threads() * 2);
     if (win <= 1) return Status::OK();
 
@@ -1172,15 +1127,11 @@ struct GenerationPipeline::Impl {
       }
       estimate =
           positive * (static_cast<int64_t>(sizeof(SpillVirtual)) + 96 + 24);
-      // A prepared plan adds rendered rows + emission lists, roughly one
-      // row/emission slot per positive sample.
-      if (plan_b) estimate += positive * 96;
       if (!fits_with_headroom(estimate) ||
-          !budget.Reserve(estimate, "partition commit window").ok()) {
+          !budget.Reserve(estimate, "partition prefetch window").ok()) {
         return Status::OK();  // Tight cap: stay serial.
       }
     } else {
-      const int64_t scale = plan_b ? 12 : 8;
       std::vector<int64_t> per_part(win, 0);
       for (size_t i = 0; i < win; ++i) {
         const int64_t disk = PartitionDiskBytes(first + i);
@@ -1188,13 +1139,13 @@ struct GenerationPipeline::Impl {
           win = i;
           break;
         }
-        per_part[i] = disk * scale;
+        per_part[i] = disk * 8;
       }
       while (win > 1) {
         estimate = 0;
         for (size_t i = 0; i < win; ++i) estimate += per_part[i];
         if (fits_with_headroom(estimate) &&
-            budget.Reserve(estimate, "partition commit window").ok()) {
+            budget.Reserve(estimate, "partition prefetch window").ok()) {
           break;
         }
         win /= 2;  // Tight cap: shrink the window.
@@ -1204,24 +1155,19 @@ struct GenerationPipeline::Impl {
 
     obs::TraceSpan span("generate/pipeline/prefetch");
     std::vector<Status> worker_status(win, Status::OK());
-    std::vector<PreparedPartition> worker_parts(win);
+    std::vector<std::vector<Group>> worker_groups(win);
     std::vector<std::future<void>> futs;
     futs.reserve(win);
     for (size_t i = 0; i < win; ++i) {
       const size_t part = first + i;
-      futs.push_back(pool->Submit([this, i, part, plan_b, &worker_status,
-                                   &worker_parts] {
+      futs.push_back(pool->Submit([this, i, part, &worker_status,
+                                   &worker_groups] {
         auto virtuals = GatherVirtuals(part);
         if (!virtuals.ok()) {
           worker_status[i] = virtuals.status();
           return;
         }
-        std::vector<Group> groups = BuildGroups(virtuals.ValueOrDie());
-        if (plan_b) {
-          worker_status[i] = BuildPartitionPlan(part, groups, &worker_parts[i]);
-        } else {
-          worker_parts[i].groups = std::move(groups);
-        }
+        worker_groups[i] = BuildGroups(virtuals.ValueOrDie());
       }));
     }
     for (auto& f : futs) f.get();
@@ -1235,26 +1181,22 @@ struct GenerationPipeline::Impl {
     window.rel = rel_i;
     window.reserved = estimate;
     for (size_t i = 0; i < win; ++i) {
-      window.parts.emplace(first + i, std::move(worker_parts[i]));
+      window.parts.emplace(first + i, std::move(worker_groups[i]));
     }
     if (obs::MetricsEnabled()) {
-      obs::MetricsRegistry::Global()
-          .GetCounter("sam.generate.partitions_prefetched")
-          ->Add(win);
-      if (plan_b) {
-        obs::MetricsRegistry::Global()
-            .GetGauge("sam.gen.commit_parallelism")
-            ->Set(static_cast<double>(win));
-      }
+      auto& reg = obs::MetricsRegistry::Global();
+      reg.GetCounter("sam.generate.partitions_prefetched")->Add(win);
+      reg.GetGauge("sam.gen.commit_parallelism")
+          ->Set(static_cast<double>(win));
     }
     return Status::OK();
   }
 
-  /// Moves a prepared partition out of the window. The window reservation
-  /// is only released once every entry is consumed AND the commit of the
-  /// last one has finished (the caller clears at the next step), so live
-  /// window memory always stays accounted.
-  bool TakeWindowEntry(size_t rel_i, size_t part, PreparedPartition* out) {
+  /// Moves a prefetched partition's groups out of the window. The window
+  /// reservation is only released once every entry is consumed AND phase B
+  /// of the last one has finished (the caller clears at the next step), so
+  /// live window memory always stays accounted.
+  bool TakeWindowEntry(size_t rel_i, size_t part, std::vector<Group>* out) {
     if (!window.valid || window.rel != rel_i) return false;
     auto it = window.parts.find(part);
     if (it == window.parts.end()) return false;
@@ -1263,166 +1205,22 @@ struct GenerationPipeline::Impl {
     return true;
   }
 
-  /// Pass 1 of Group-and-Merge (Alg 3 lines 9-17), shared verbatim by the
-  /// serial commit and the worker-side plan builder: merge within each
-  /// group, invoking `assign(members, fk)` whenever the accumulated scaled
-  /// weight reaches 1, and collecting sub-unit leftovers for the global
-  /// pass 2.
-  template <typename AssignFn>
-  static Status MergeGroups(const std::vector<Group>& groups,
-                            const std::vector<double>& w, AssignFn assign,
-                            LeftoverChunk* leftover_chunk) {
-    for (const Group& g : groups) {
-      std::vector<LeftoverMember> set_to_merge;
-      double weight_sum = 0.0;
-      for (const auto& [sample, fraction] : g.members) {
-        double remaining = w[sample] * fraction;
-        // A single virtual may span several primary keys (scaled weight > 1
-        // after filling the current merge set).
-        while (remaining > 0.0) {
-          const double take = std::min(remaining, 1.0 - weight_sum);
-          set_to_merge.push_back(LeftoverMember{sample, take});
-          weight_sum += take;
-          remaining -= take;
-          if (weight_sum >= 1.0 - 1e-12) {
-            SAM_RETURN_NOT_OK(assign(set_to_merge, g.fk));
-            set_to_merge.clear();
-            weight_sum = 0.0;
-          }
-        }
-      }
-      if (weight_sum > 1e-9 && !set_to_merge.empty()) {
-        LeftoverSet set;
-        set.weight = weight_sum;
-        set.fk_value = g.fk;
-        set.members = std::move(set_to_merge);
-        leftover_chunk->sets.push_back(std::move(set));
-      }
-    }
-    return Status::OK();
-  }
-
-  /// Group digests for the shortfall top-up: (mass, key hash, representative
-  /// sample), a pure function of pre-assignment state, so pass 2 can derive
-  /// the identical heaviest-group order without the group tables resident.
-  static GroupSummaryChunk BuildSummary(const std::vector<Group>& groups) {
-    GroupSummaryChunk summary;
-    summary.groups.reserve(groups.size());
-    for (const Group& g : groups) {
-      summary.groups.push_back(
-          GroupSummary{g.mass, g.key_hash, g.members.front().first, g.fk});
-    }
-    return summary;
-  }
-
-  /// Durably spills a partition's pass-1 byproducts (same files whether the
-  /// chunks were built serially or by a window worker).
-  Status SaveLeftoverAndSummary(size_t part, const LeftoverChunk& leftover,
-                                const GroupSummaryChunk& summary) {
-    if (!leftover.sets.empty()) {
-      const std::string name = LeftoverChunkName(active.name, part);
-      SAM_RETURN_NOT_OK(leftover.Save(Path(name)));
-      SAM_RETURN_NOT_OK(RecordChunk(name));
-    }
-    if (!summary.groups.empty()) {
-      const std::string name = SummaryChunkName(active.name, part);
-      SAM_RETURN_NOT_OK(summary.Save(Path(name)));
-      SAM_RETURN_NOT_OK(RecordChunk(name));
-    }
-    return Status::OK();
-  }
-
-  /// Worker-side phase B for a keyed partition: renders everything its
-  /// commit needs — CSV rows split at the pk field, child-emission lists
-  /// with precomputed key suffixes, leftover and summary chunks — without
-  /// touching any cross-partition state. The worker's Rng is seeded exactly
-  /// like the serial path's and consumed in the same AssignKey order, so
-  /// the decoded bytes are identical. Thread-safe (reads only `active`, the
-  /// weights and the schema).
-  Status BuildPartitionPlan(size_t part, const std::vector<Group>& groups,
-                            PreparedPartition* out) const {
-    Rng rng(DeriveSeed(state.base_seed, "decode|" + active.name + "|part|" +
-                                            std::to_string(part)));
-    auto assign = [&](const std::vector<LeftoverMember>& members, int64_t fk) {
-      if (members.empty()) {
-        return Status::Internal("empty merge set for relation '" +
-                                active.name + "'");
-      }
-      PreparedRow row;
-      RenderPreparedRow(members.front().sample, fk, &rng, &row);
-      for (const auto& m : members) {
-        const double sample_total = active.w[m.sample];
-        const double child_fraction =
-            sample_total > 0.0 ? m.take / sample_total : 0.0;
-        // Zero-mass emissions are no-ops in EmitChildVirtual; dropping them
-        // here keeps the plan (and the commit) byte-identical.
-        if (child_fraction <= 0.0) continue;
-        for (size_t c = 0; c < active.children.size(); ++c) {
-          out->emits.push_back(PreparedEmit{
-              static_cast<uint32_t>(c), m.sample, child_fraction,
-              GroupKeySuffix(m.sample,
-                             active.child_group_cols.at(active.children[c]))});
-          row.emits++;
-        }
-      }
-      out->rows.push_back(std::move(row));
-      return Status::OK();
-    };
-    SAM_RETURN_NOT_OK(MergeGroups(groups, active.w, assign, &out->leftover));
-    out->summary = BuildSummary(groups);
-    out->planned = true;
-    return Status::OK();
-  }
-
-  /// Serially replays a worker-prepared partition against the
-  /// cross-partition state (pk counter, row/virtual buffers, incoming mass),
-  /// one row at a time through the same accounting code as the serial path —
-  /// flush boundaries, chunk sequences and FP accumulation order are
-  /// byte-identical for every thread count.
-  Status CommitPreparedPartition(size_t part, PreparedPartition* prep) {
-    obs::TraceSpan span("generate/pipeline/commit");
-    auto& rs = RelState(active.name);
-    size_t emit_i = 0;
-    for (PreparedRow& row : prep->rows) {
-      const int64_t pk = rs.pk_counter;
-      // One rendering serves both the CSV splice and the child group-key
-      // prefix.
-      const std::string pk_text = std::to_string(pk);
-      SAM_RETURN_NOT_OK(AppendPreparedRow(row, pk_text));
-      for (uint32_t e = 0; e < row.emits; ++e, ++emit_i) {
-        const PreparedEmit& em = prep->emits[emit_i];
-        SAM_RETURN_NOT_OK(
-            EmitChildVirtualKeyed(active.children[em.child], em.sample,
-                                  em.fraction, pk, pk_text + em.key_suffix));
-      }
-      rs.pk_counter++;
-    }
-    return SaveLeftoverAndSummary(part, prep->leftover, prep->summary);
-  }
-
   Status ExecPartition(size_t rel_i, size_t part) {
     obs::TraceSpan span("generate/pipeline/partition");
     SAM_RETURN_NOT_OK(ActivateRelation(rel_i));
     // The previous window's reservation is held until here so that the last
-    // consumed partition's results stayed accounted through their commit.
+    // consumed partition's groups stayed accounted through its phase B.
     if (window.valid && window.parts.empty()) ClearWindow();
 
-    PreparedPartition prep;
-    bool from_window = TakeWindowEntry(rel_i, part, &prep);
+    std::vector<Group> groups;
+    bool from_window = TakeWindowEntry(rel_i, part, &groups);
     if (!from_window) {
       SAM_RETURN_NOT_OK(BuildWindow(rel_i, part));
-      from_window = TakeWindowEntry(rel_i, part, &prep);
-    }
-    if (prep.planned) {
-      // Fully prepared keyed partition: in-order serial commit.
-      SAM_RETURN_NOT_OK(CommitPreparedPartition(part, &prep));
-      SAM_RETURN_NOT_OK(FlushRowChunk(active.name));
-      return FlushAllVirtBuffers();
+      from_window = TakeWindowEntry(rel_i, part, &groups);
     }
 
     Rng rng(DeriveSeed(state.base_seed, "decode|" + active.name + "|part|" +
                                             std::to_string(part)));
-    std::vector<Group> groups = std::move(prep.groups);
     ScopedReservation virt_res(&budget);
     ScopedReservation group_res(&budget);
     if (!from_window) {
@@ -1448,22 +1246,67 @@ struct GenerationPipeline::Impl {
     return FlushAllVirtBuffers();
   }
 
+  /// Pass 1 of Group-and-Merge (Alg 3 lines 9-17) for one partition: merge
+  /// within each group, assigning the next key whenever the accumulated
+  /// scaled weight reaches 1, and spill the sub-unit leftover sets for the
+  /// global pass 2.
   Status ExecKeyedPartition(size_t part, const std::vector<Group>& groups,
                             Rng* rng) {
     auto& rs = RelState(active.name);
-    LeftoverChunk leftover_chunk;
-    SAM_RETURN_NOT_OK(MergeGroups(
-        groups, active.w,
-        [&](const std::vector<LeftoverMember>& members, int64_t fk) {
-          return AssignKey(members, fk, rng, &rs);
-        },
-        &leftover_chunk));
-    return SaveLeftoverAndSummary(part, leftover_chunk, BuildSummary(groups));
+    LeftoverChunk leftover;
+    for (const Group& g : groups) {
+      std::vector<LeftoverMember> set_to_merge;
+      double weight_sum = 0.0;
+      for (const auto& [sample, fraction] : g.members) {
+        double remaining = active.w[sample] * fraction;
+        // A single virtual may span several primary keys (scaled weight > 1
+        // after filling the current merge set).
+        while (remaining > 0.0) {
+          const double take = std::min(remaining, 1.0 - weight_sum);
+          set_to_merge.push_back(LeftoverMember{sample, take});
+          weight_sum += take;
+          remaining -= take;
+          if (weight_sum >= 1.0 - 1e-12) {
+            SAM_RETURN_NOT_OK(AssignKey(set_to_merge, g.fk, rng, &rs));
+            set_to_merge.clear();
+            weight_sum = 0.0;
+          }
+        }
+      }
+      if (weight_sum > 1e-9 && !set_to_merge.empty()) {
+        LeftoverSet set;
+        set.weight = weight_sum;
+        set.fk_value = g.fk;
+        set.members = std::move(set_to_merge);
+        leftover.sets.push_back(std::move(set));
+      }
+    }
+    if (!leftover.sets.empty()) {
+      const std::string name = LeftoverChunkName(active.name, part);
+      SAM_RETURN_NOT_OK(leftover.Save(Path(name)));
+      SAM_RETURN_NOT_OK(RecordChunk(name));
+    }
+    // Group digests for the shortfall top-up: (mass, key hash,
+    // representative sample), a pure function of pre-assignment state, so
+    // pass 2 derives the identical heaviest-group order without the group
+    // tables resident.
+    if (!groups.empty()) {
+      GroupSummaryChunk summary;
+      summary.groups.reserve(groups.size());
+      for (const Group& g : groups) {
+        summary.groups.push_back(
+            GroupSummary{g.mass, g.key_hash, g.members.front().first, g.fk});
+      }
+      const std::string name = SummaryChunkName(active.name, part);
+      SAM_RETURN_NOT_OK(summary.Save(Path(name)));
+      SAM_RETURN_NOT_OK(RecordChunk(name));
+    }
+    return Status::OK();
   }
 
-  /// Assigns the next primary key to a merge set: emit one row from the
-  /// first member, then hand each member's consumed share down to every
-  /// child as a virtual.
+  /// Assigns the next primary key to a merge set — the one key-assignment
+  /// path of pass 1 and pass 2: emit one row from the first member, then
+  /// hand each member's consumed share down to every child as a virtual.
   Status AssignKey(const std::vector<LeftoverMember>& members, int64_t fk,
                    Rng* rng, GenerationCheckpoint::RelationState* rs) {
     if (members.empty()) {
@@ -1694,23 +1537,20 @@ struct GenerationPipeline::Impl {
     obs::TraceSpan span("generate/pipeline/publish");
     namespace fs = std::filesystem;
     if (fs::exists(StagingDir())) {
-      // Schema file (same format as SaveSchema), then the all-or-nothing
-      // swap.
-      std::string schema_text;
+      // Schema file, written by SaveSchema from a database of empty tables
+      // (what LoadSchema reads back), then the all-or-nothing swap.
+      Database empty;
       for (const auto& layout : sam->layouts()) {
-        schema_text += "table " + layout.name + "\n";
+        Table t(layout.name);
         for (size_t c = 0; c < layout.column_names.size(); ++c) {
-          schema_text += "column " + layout.column_names[c] + " " +
-                         ColumnTypeToString(layout.column_types[c]) + "\n";
+          SAM_RETURN_NOT_OK(
+              t.AddColumn(Column(layout.column_names[c], layout.column_types[c])));
         }
-        if (!layout.pk.empty()) schema_text += "pk " + layout.pk + "\n";
-        for (const auto& fk : layout.fks) {
-          schema_text += "fk " + fk.column + " " + fk.parent_table + " " +
-                         fk.parent_column + "\n";
-        }
+        if (!layout.pk.empty()) SAM_RETURN_NOT_OK(t.SetPrimaryKey(layout.pk));
+        for (const auto& fk : layout.fks) SAM_RETURN_NOT_OK(t.AddForeignKey(fk));
+        SAM_RETURN_NOT_OK(empty.AddTable(std::move(t)));
       }
-      SAM_RETURN_NOT_OK(
-          AtomicWriteFile(StagingDir() + "/schema.txt", schema_text));
+      SAM_RETURN_NOT_OK(SaveSchema(empty, StagingDir() + "/schema.txt"));
       return PromoteStagingDir(StagingDir(), opts.out_dir);
     }
     if (fs::exists(opts.out_dir)) {

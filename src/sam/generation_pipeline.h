@@ -32,12 +32,12 @@ struct GenerationPipelineOptions {
   /// Checkpoints retained in `work_dir` (0 keeps all).
   size_t checkpoint_keep = 3;
   /// Worker threads (0 = hardware concurrency, 1 = the fully serial
-  /// reference: no prefetch, no prepared plans, no sample window). When
-  /// parallel, a window of upcoming partitions of a relation is prepared on
-  /// the thread pool — gather and group always; for keyed relations also
-  /// decode, CSV rendering split at the primary-key field, child-emission
-  /// lists and leftover/summary chunks — and the results are committed
-  /// strictly in plan order. Likewise, while sample step b writes its
+  /// reference: no partition prefetch, no sample window). When parallel,
+  /// phase A of a window of upcoming partitions of a relation (gather the
+  /// partition's virtual samples, build its merge groups) runs on the
+  /// thread pool, and the pipeline thread consumes the groups strictly in
+  /// plan order: key assignment, row decoding and child-virtual emission
+  /// are the same code for every thread count. Likewise, while sample step b writes its
   /// batch, a window of up to pool-size speculative batches b+1, b+2, ...
   /// samples on the pool, consumed in plan order. Every spill file,
   /// checkpoint cursor and published byte is identical for every thread

@@ -59,11 +59,11 @@ Result<ArtifactReader> OpenChunk(const std::string& path,
 
 }  // namespace
 
-Status MemoryBudget::Reserve(int64_t bytes, const std::string& what) {
+Status MemoryBudget::CheckFits(int64_t bytes, const std::string& what) const {
   if (bytes < 0) {
     return Status::InvalidArgument("negative reservation for " + what);
   }
-  if (cap_ > 0 && reserved_ + bytes > cap_) {
+  if (cap_ > 0 && bytes > cap_ - reserved_) {
     return Status::InvalidArgument(
         "memory cap exceeded: " + what + " needs " + std::to_string(bytes) +
         " bytes on top of " + std::to_string(reserved_) +
@@ -71,6 +71,11 @@ Status MemoryBudget::Reserve(int64_t bytes, const std::string& what) {
         " bytes; raise --memory-cap (the per-relation floor is documented in "
         "docs/GENERATION.md)");
   }
+  return Status::OK();
+}
+
+Status MemoryBudget::Reserve(int64_t bytes, const std::string& what) {
+  SAM_RETURN_NOT_OK(CheckFits(bytes, what));
   reserved_ += bytes;
   if (reserved_ > peak_) {
     peak_ = reserved_;

@@ -35,10 +35,10 @@ class MemoryBudget {
   /// exceeded, naming `what`.
   Status Reserve(int64_t bytes, const std::string& what);
 
-  /// True when `bytes` more would still fit (no reservation made).
-  bool WouldFit(int64_t bytes) const {
-    return cap_ <= 0 || reserved_ + bytes <= cap_;
-  }
+  /// `Reserve`'s verdict on `bytes` without reserving anything: OK when they
+  /// would fit, else the same "memory cap exceeded" error naming `what`.
+  /// Safe for any non-negative `bytes`, `INT64_MAX` included.
+  Status CheckFits(int64_t bytes, const std::string& what) const;
 
   void Release(int64_t bytes);
 

@@ -436,7 +436,7 @@ TEST(ParallelCommitTest, KillAtEveryStepIsByteIdenticalAcrossCommitThreads) {
   std::filesystem::create_directories(root + "/scratch");
 
   // Golden: the fully serial reference (threads = 1 also disables the
-  // sample window and the prepared-plan path).
+  // sample window and the partition prefetch window).
   auto serial = RunPipeline(*sam, root + "/golden", root + "/gwork", false, 0,
                             nullptr, /*threads=*/1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
@@ -446,7 +446,7 @@ TEST(ParallelCommitTest, KillAtEveryStepIsByteIdenticalAcrossCommitThreads) {
   ASSERT_GT(steps, 10u);
 
   // Full parallel run publishes identical bytes — and the commit-window
-  // gauge proves the prepared-plan path actually executed.
+  // gauge proves that phase B consumed a prefetched window of partitions.
   obs::EnableMetrics(true);
   auto full = RunPipeline(*sam, root + "/out_full", root + "/w_full", false, 0,
                           nullptr, /*threads=*/4);
@@ -542,6 +542,29 @@ TEST(GenerationPipelineTest, TooTightCapFailsCleanlyNotOom) {
   EXPECT_TRUE(std::filesystem::is_empty(tmp));
 }
 
+TEST(GenerationPipelineTest, OversizedFojSampleCountFailsBeforePlanning) {
+  const Database db = MakeChainDatabase();
+  SamOptions options;
+  // Its weight arrays alone (relations x k doubles) need 1.6e18 bytes, and
+  // the plan would hold ~6e15 sample steps.
+  options.foj_samples = 100000000000000000ull;
+  const auto sam = MakeChainModel(db, options);
+  const std::string root = TempDir("sam_pipe_huge_k");
+
+  auto r = RunPipeline(*sam, root + "/out", root + "/work", false);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+  EXPECT_NE(r.status().ToString().find("memory cap exceeded"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().ToString().find("per-relation weight arrays"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(root + "/out"));
+  EXPECT_FALSE(std::filesystem::exists(root + "/work"));
+}
+
 /// Two relations with DOUBLE content: P(id pk, x) <- C(pid fk, y).
 Database MakeDoubleDatabase() {
   Rng rng(41);
@@ -593,14 +616,14 @@ TEST(GenerationPipelineTest, DoubleColumnsPublishFullPrecision) {
   hints.numeric_bounds["C.y"] = {-5.0, 5.0};
   SamOptions options;
   options.foj_samples = 8000;
-  options.memory_cap_bytes = 4ll << 20;  // Two partitions: prepared commits.
+  options.memory_cap_bytes = 4ll << 20;  // Two partitions: a prefetch window.
   auto sam =
       SamModel::Create(db, train, hints, exec->FullOuterJoinSize(), options);
   ASSERT_TRUE(sam.ok()) << sam.status().ToString();
   sam.ValueOrDie()->model()->SyncSamplerWeights();
 
-  // Serial commits render rows with AppendCsvRow, parallel commits with the
-  // prepared renderer: both must publish the same bytes.
+  // Serial and prefetched partitions share one row renderer: both must
+  // publish the same bytes.
   const std::string root = TempDir("sam_pipe_double");
   for (size_t threads : {size_t{1}, size_t{4}}) {
     const std::string suffix = std::to_string(threads);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 
@@ -29,8 +30,10 @@ TEST(MemoryBudgetTest, TracksReservedAndPeak) {
   b.Release(500);
   EXPECT_EQ(b.reserved(), 400);
   EXPECT_EQ(b.peak(), 900);  // Peak is a high-water mark.
-  EXPECT_TRUE(b.WouldFit(600));
-  EXPECT_FALSE(b.WouldFit(601));
+  EXPECT_TRUE(b.CheckFits(600, "c").ok());
+  EXPECT_FALSE(b.CheckFits(601, "c").ok());
+  EXPECT_FALSE(b.CheckFits(INT64_MAX, "c").ok());  // No overflow.
+  EXPECT_EQ(b.reserved(), 400);  // Checking reserves nothing.
 }
 
 TEST(MemoryBudgetTest, OverCapFailsCleanlyNamingTheStructure) {
