@@ -3,13 +3,14 @@
 // Two legs, both timing GenerationPipeline::Run end to end:
 //   census    single-relation generation, caps {loose, tight} x threads
 //             {1, default}: the tight cap forces spill traffic, and
-//             threads != 1 samples a window of the next batches on the
-//             pool during the decode + spill write of batch b;
+//             threads != 1 samples the next batches on the pool (the
+//             pipeline's lookahead) during the decode + spill write of
+//             batch b;
 //   multirel  imdb-like snowflake with a trained model and a tight cap
 //             (partition fan-out > 1): threads=1 is the fully serial
-//             Group-and-Merge baseline, the parallel config prepares whole
-//             partitions (decode, CSV rendering, emission lists) on the
-//             worker pool and commits them in plan order. It runs as
+//             Group-and-Merge baseline, the parallel config gathers and
+//             groups the next partitions on the worker pool while the
+//             pipeline thread commits the current one. It runs as
 //             kMultirelPairs alternating serial/parallel pairs; the
 //             reported speedup is the median of the per-pair ratios, so
 //             one noisy run cannot decide the gate.

@@ -65,7 +65,7 @@ struct GenerationCheckpoint {
 
   /// Accounting snapshots (reporting only; not replayed). Everything in a
   /// checkpoint is independent of the pipeline's thread counts *except*
-  /// `peak_reserved`: window/speculation reservations depend on how many
+  /// `peak_reserved`: lookahead reservations depend on how many
   /// workers run, so only this advisory field may differ between otherwise
   /// byte-identical runs (the identity tests mask it accordingly).
   uint64_t rows_total = 0;

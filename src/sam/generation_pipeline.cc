@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <map>
 #include <string>
@@ -34,6 +36,11 @@ namespace {
 /// leftover merge sets in descending-weight order until |T| is reached —
 /// Alg 2's size guarantee.)
 constexpr double kLeafCarryThreshold = 0.5;
+
+/// Written into the work directory of a fresh run, before anything else: a
+/// fresh run clears only a work directory that holds it (or an empty one),
+/// never a directory the caller owns.
+constexpr char kWorkDirMarker[] = "SAMGEN_WORK_DIR";
 
 // ---------------------------------------------------------------------------
 // Spill-chunk naming. Zero-padded sequence numbers make lexicographic order
@@ -141,6 +148,7 @@ struct GenerationPipeline::Impl {
     std::vector<ColPlan> col_plan;
     std::unordered_map<size_t, std::vector<int32_t>> resident;
     std::vector<double> w;  ///< Renormalised scaled weights.
+    int64_t positive = 0;   ///< Samples with positive weight (present).
     int64_t reserved = 0;
   };
   ActiveRel active;
@@ -162,51 +170,41 @@ struct GenerationPipeline::Impl {
 
   std::unique_ptr<ThreadPool> pool;
 
-  /// \brief Prefetch window for partition steps.
-  ///
-  /// A partition step splits into a parallelizable phase A (load/scan this
-  /// partition's virtuals and build its merge groups — pure derived data)
-  /// and a phase B (key assignment, row emission, chunk flushes) that
-  /// threads pk counters, leaf carry and chunk sequence numbers across
-  /// partitions and therefore runs on the pipeline thread in plan order.
-  /// On a window miss, phase A of upcoming partitions of the active relation
-  /// runs concurrently on `pool`, with the window's memory reserved from the
-  /// budget before dispatch. Phase B consumes the prefetched groups exactly
-  /// as it consumes serially built ones, so the published database and every
-  /// spill artifact are byte-identical for every thread count.
-  struct PrefetchWindow {
-    bool valid = false;
-    size_t rel = 0;  ///< Topo index the window belongs to.
-    std::map<size_t, std::vector<Group>> parts;  ///< Phase A by partition.
-    int64_t reserved = 0;
-  };
-  PrefetchWindow window;
-
-  /// \brief One sample batch of the in-order sample window: its codes and
-  /// the sampler state it runs on, both allocated on the pipeline thread
-  /// before dispatch (the state once per slot, re-entered by every batch
-  /// the slot carries). `SampleFojBatchInto` is bit-identical per
-  /// (base_seed, batch), so a discarded speculation is recomputed
-  /// identically on resume.
-  struct SampleSlot {
-    bool valid = false;  ///< Holds batch `batch_index` (in flight or done).
-    size_t batch_index = 0;
-    int64_t reserved = 0;  ///< Budget held for a speculative batch's codes.
-    SamModel::FojSample foj;  ///< Filled by the worker before `done`.
-    MadeModel::SamplerState state;
-    bool state_ready = false;
+  /// \brief One entry of the lookahead: the pure phase of an upcoming plan
+  /// step, run on `pool` ahead of its turn. A sample step's pure phase
+  /// samples its batch; a partition step's is phase A (gather the
+  /// partition's virtual samples, build its merge groups). Everything else
+  /// a step does (chunk writes, key assignment, row emission, which thread
+  /// pk counters, leaf carry and chunk sequence numbers through the plan)
+  /// stays on the pipeline thread in plan order, and consumes an entry
+  /// exactly as it consumes its own inline result, so every spill byte,
+  /// checkpoint cursor and published byte is identical for every thread
+  /// count. Both pure phases are pure functions of (base seed, batch) or of
+  /// spilled data, so an entry dropped on stop is recomputed identically on
+  /// resume.
+  struct Ahead {
+    uint64_t step = 0;     ///< Plan index of the step this entry runs.
+    int64_t reserved = 0;  ///< Budget held from dispatch until consumed.
     std::future<void> done;
+    /// Sample step: the batch's codes and the sampler state it runs on,
+    /// both allocated on the pipeline thread before dispatch.
+    SamModel::FojSample foj;
+    MadeModel::SamplerState sampler;
+    /// Partition step: phase A's merge groups, or its I/O error.
+    std::vector<Group> groups;
+    Status status;
   };
-  /// Batch b lives in slot b % size; the speculative batches are always the
-  /// contiguous run of batches after the executing sample step. One slot
-  /// per pool thread, or one when `threads == 1`.
-  std::vector<SampleSlot> sample_window;
+  /// The contiguous run of steps after the executing one, all of its kind
+  /// (and, for partitions, of its relation), in plan order.
+  std::deque<Ahead> lookahead;
+  /// Sampler states no entry holds: reused by the entries and by a sample
+  /// step that samples its own batch.
+  std::vector<MadeModel::SamplerState> idle_samplers;
 
   ~Impl() {
-    DrainSampleWindow();
+    DrainLookahead();
     ClearRowBuffer();
     ClearVirtBuffers();
-    ClearWindow();
     DeactivateRelation();
     ReleasePreamble();
   }
@@ -250,12 +248,6 @@ struct GenerationPipeline::Impl {
     return static_cast<size_t>(std::max<int64_t>(
         per / static_cast<int64_t>(sizeof(SpillVirtual)), 256));
   }
-
-  /// `threads == 1` is the fully serial reference — no partition windows
-  /// and no speculative sampling — that the parallel paths must stay
-  /// byte-identical to. Deliberately excluded from the fingerprint:
-  /// resuming under a different thread count is supported.
-  bool Parallel() const { return opts.threads != 1; }
 
   ThreadPool* Pool() {
     if (pool == nullptr) pool = std::make_unique<ThreadPool>(opts.threads);
@@ -387,11 +379,12 @@ struct GenerationPipeline::Impl {
     return Status::OK();
   }
 
-  bool HasManifest(const std::string& name) const {
+  /// Recorded size of spill chunk `name`; -1 when the manifest lacks it.
+  int64_t ManifestBytes(const std::string& name) const {
     for (const auto& f : state.manifest) {
-      if (f.name == name) return true;
+      if (f.name == name) return static_cast<int64_t>(f.bytes);
     }
-    return false;
+    return -1;
   }
 
   // -- Initialisation -------------------------------------------------------
@@ -493,14 +486,33 @@ struct GenerationPipeline::Impl {
     }
 
     // Fresh run: the work directory is pipeline-owned scratch — clear stale
-    // remains of earlier runs so chunk reads cannot mix configurations.
+    // remains of earlier runs so chunk reads cannot mix configurations. Only
+    // a directory this pipeline created (it holds the marker) or an empty
+    // one is cleared; anything else is the caller's and is left untouched.
     std::error_code ec;
+    const std::string marker = Path(kWorkDirMarker);
+    if (fs::exists(opts.work_dir, ec) &&
+        (!fs::is_directory(opts.work_dir, ec) ||
+         (!fs::is_empty(opts.work_dir, ec) && !fs::exists(marker, ec)))) {
+      return Status::InvalidArgument(
+          "refusing to clear work directory '" + opts.work_dir +
+          "': it is not empty and was not created by a generation run (no '" +
+          std::string(kWorkDirMarker) + "' marker)");
+    }
     fs::remove_all(opts.work_dir, ec);
     ec.clear();
     fs::create_directories(opts.work_dir, ec);
     if (ec) {
       return Status::IOError("cannot create work directory '" + opts.work_dir +
                              "': " + ec.message());
+    }
+    {
+      std::ofstream out(marker, std::ios::binary | std::ios::trunc);
+      out << "samdb generation work directory: removed on success\n";
+      if (!out.good()) {
+        return Status::IOError("cannot write work-directory marker '" +
+                               marker + "'");
+      }
     }
     state = GenerationCheckpoint{};
     state.fingerprint = fingerprint;
@@ -515,6 +527,10 @@ struct GenerationPipeline::Impl {
   }
 
   // -- Preamble -------------------------------------------------------------
+
+  static int64_t PositiveCount(const std::vector<double>& w) {
+    return std::count_if(w.begin(), w.end(), [](double v) { return v > 0.0; });
+  }
 
   void ReleasePreamble() {
     if (preamble_reserved > 0) budget.Release(preamble_reserved);
@@ -556,8 +572,10 @@ struct GenerationPipeline::Impl {
       double sum = 0.0;
       for (double v : w) sum += v;
       if (sum <= 0.0) {
-        return Status::Internal("no usable samples for relation '" + rel +
-                                "'");
+        return DegenerateSampleError(
+            "no usable samples for relation '" + rel + "': " +
+            std::to_string(PositiveCount(w)) + " of " + std::to_string(k) +
+            " FOJ samples have it present");
       }
       const double scale = static_cast<double>(schema().table_size(rel)) / sum;
       for (double& v : w) v *= scale;
@@ -570,7 +588,7 @@ struct GenerationPipeline::Impl {
 
   void DeactivateRelation() {
     if (!active.valid) return;
-    ClearWindow();  // Window contents are derived from this relation.
+    DrainLookahead();  // Partition entries read this relation's state.
     if (active.reserved > 0) budget.Release(active.reserved);
     active = ActiveRel{};
   }
@@ -673,6 +691,7 @@ struct GenerationPipeline::Impl {
     // Re-apply the scaling step against the incoming virtual mass (Alg 2's
     // size guarantee under dropped sub-threshold parent groups).
     rc.w = w_base.at(rc.name);
+    rc.positive = PositiveCount(rc.w);
     double incoming = 0.0;
     if (rc.name == schema().root()) {
       for (double v : rc.w) incoming += v;
@@ -680,8 +699,11 @@ struct GenerationPipeline::Impl {
       incoming = RelState(rc.name).incoming_mass;
     }
     if (incoming <= 0.0) {
-      return fail(
-          Status::Internal("no incoming mass for relation '" + rc.name + "'"));
+      return fail(DegenerateSampleError(
+          "no incoming mass for relation '" + rc.name + "': " +
+          std::to_string(rc.positive) + " of " + std::to_string(k) +
+          " FOJ samples have it present, but none of them reached a key of "
+          "its parent '" + schema().join_graph().Parent(rc.name) + "'"));
     }
     const double renorm =
         static_cast<double>(schema().table_size(rc.name)) / incoming;
@@ -845,11 +867,182 @@ struct GenerationPipeline::Impl {
     return Status::OK();
   }
 
-  // -- Sample steps ---------------------------------------------------------
+  // -- Lookahead ------------------------------------------------------------
 
-  bool SampleWindowEnabled() const {
-    return Parallel() && opts.injected_foj == nullptr;
+  /// Entries the lookahead may hold: one per pool thread, none when
+  /// `threads == 1`, the fully serial reference that every thread count
+  /// must stay byte-identical to (deliberately excluded from the
+  /// fingerprint: resuming under another thread count is supported).
+  size_t LookaheadWidth() {
+    return opts.threads == 1 ? 0 : Pool()->num_threads();
   }
+
+  /// Budget the lookahead leaves free for the executing step's own
+  /// reservations, which must keep succeeding while entries are held: a
+  /// quarter of the cap, and at least the row buffer that Alg 1's decode
+  /// reserves up to one slab past its flush threshold (a multi-relation
+  /// sample step reserves nothing more).
+  int64_t LookaheadHeadroom() const {
+    return std::max(budget.cap() / 4,
+                    multi ? int64_t{0} : RowFlushBytes() + kRowSlab);
+  }
+
+  /// Memory the pure phase of step `s` may hold, reserved before dispatch;
+  /// -1 when it cannot be estimated (the fill stops there).
+  ///  * sample batch: its codes;
+  ///  * non-root partition: x8 its on-disk virtual chunks, from the spill
+  ///    manifest (stat-level, no reads). On-disk bytes are >= 16 per record
+  ///    while phase-A state is <= ~120 per record (transient chunk,
+  ///    virtuals vector, group table);
+  ///  * root partition: 24 + 96 + 24 bytes per positively weighted sample.
+  ///    All root partitions together hold each such sample once, so the
+  ///    relation's count bounds any one of them.
+  int64_t EntryBytes(const Step& s) const {
+    if (s.kind == Step::Kind::kSample) {
+      return FojChunk::BytesFor(SampleRows(s.index), schema().num_columns());
+    }
+    if (active.name == schema().root()) {
+      return active.positive *
+             (static_cast<int64_t>(sizeof(SpillVirtual)) + 96 + 24);
+    }
+    const auto& rs = state.relations[rel_index.at(active.name)];
+    int64_t disk_bytes = 0;
+    for (uint64_t seq = 0; seq < rs.virt_chunk_seq[s.index]; ++seq) {
+      const int64_t bytes =
+          ManifestBytes(VirtChunkName(active.name, s.index, seq));
+      if (bytes < 0) return -1;
+      disk_bytes += bytes;
+    }
+    return disk_bytes * 8;
+  }
+
+  MadeModel::SamplerState TakeSampler() {
+    if (idle_samplers.empty()) {
+      return sam->model()->InitState(
+          std::min<uint64_t>(options().generation_batch, k));
+    }
+    MadeModel::SamplerState st = std::move(idle_samplers.back());
+    idle_samplers.pop_back();
+    return st;
+  }
+
+  /// A sample step's pure phase, in two halves: sizing the batch's codes
+  /// and handing `e` a sampler state happens on the pipeline thread, and
+  /// `SampleBatch` may then run anywhere.
+  void PrepareSample(Ahead* e, size_t batch_index) {
+    const size_t rows = SampleRows(batch_index);
+    e->foj.count = rows;
+    e->foj.codes.assign(schema().num_columns(), std::vector<int32_t>(rows));
+    e->sampler = TakeSampler();
+  }
+
+  void SampleBatch(Ahead* e, size_t batch_index) const {
+    sam->SampleFojBatchInto(state.base_seed, batch_index, &e->foj, 0,
+                            e->foj.count, &e->sampler);
+  }
+
+  /// Runs step `s`'s pure phase on `pool`. Partition workers read only
+  /// `active`, the active relation's chunk sequence numbers and its spill
+  /// files, none of which the executing step's phase B writes.
+  void Dispatch(Ahead* e, const Step& s) {
+    if (s.kind == Step::Kind::kSample) {
+      PrepareSample(e, s.index);
+      e->done = Pool()->Submit(
+          [this, e, batch = s.index] { SampleBatch(e, batch); });
+    } else {
+      e->done = Pool()->Submit([this, e, part = s.index] {
+        auto virtuals = GatherVirtuals(part);
+        if (!virtuals.ok()) {
+          e->status = virtuals.status();
+          return;
+        }
+        e->groups = BuildGroups(virtuals.ValueOrDie());
+      });
+    }
+  }
+
+  /// Extends the lookahead over the steps after the executing one while
+  /// they are of its kind (and relation), up to `LookaheadWidth()`. Called
+  /// once the executing step has made its mandatory reservations. Each
+  /// entry reserves `EntryBytes` before dispatch, and only while
+  /// `LookaheadHeadroom()` stays free: speculation must never fail a
+  /// reservation that the serial run passes. The first entry that does not
+  /// fit ends the fill, so the entries stay a contiguous run.
+  void FillLookahead() {
+    const Step& cur = plan[state.next_step];
+    const int64_t cap = budget.cap();
+    const size_t width = LookaheadWidth();
+    size_t dispatched = 0;
+    for (size_t j = 1; j <= width; ++j) {
+      const uint64_t step = state.next_step + j;
+      if (step >= plan.size()) break;
+      const Step& s = plan[step];
+      if (s.kind != cur.kind || s.rel != cur.rel) break;
+      if (j <= lookahead.size()) {  // Dispatched by an earlier step.
+        SAM_CHECK_EQ(lookahead[j - 1].step, step);
+        continue;
+      }
+      const int64_t bytes = EntryBytes(s);
+      if (bytes < 0) break;
+      if (cap > 0 && budget.reserved() + bytes > cap - LookaheadHeadroom()) {
+        break;
+      }
+      if (!budget.Reserve(bytes, "lookahead entry").ok()) break;
+      Ahead& e = lookahead.emplace_back();
+      e.step = step;
+      e.reserved = bytes;
+      Dispatch(&e, s);
+      ++dispatched;
+    }
+    if (!obs::MetricsEnabled()) return;
+    auto& reg = obs::MetricsRegistry::Global();
+    if (cur.kind == Step::Kind::kSample) {
+      reg.GetGauge("sam.gen.sample_parallelism")
+          ->Set(static_cast<double>(std::max<size_t>(lookahead.size(), 1)));
+    } else if (!lookahead.empty()) {
+      // The executing partition's phase B runs next to the entries' phase A.
+      reg.GetCounter("sam.generate.partitions_prefetched")->Add(dispatched);
+      reg.GetGauge("sam.gen.commit_parallelism")
+          ->Set(static_cast<double>(lookahead.size() + 1));
+    }
+  }
+
+  /// Moves the executing step's entry out of the lookahead, waiting for its
+  /// worker, and hands its reservation to `res` (releasing and re-acquiring
+  /// the same amount cannot fail). False when the lookahead does not hold
+  /// the step: the step then runs its pure phase inline.
+  bool TakeLookahead(ScopedReservation* res, Ahead* out) {
+    if (lookahead.empty()) return false;
+    Ahead& e = lookahead.front();
+    SAM_CHECK_EQ(e.step, state.next_step);
+    e.done.wait();
+    budget.Release(e.reserved);
+    SAM_CHECK_OK(res->Acquire(e.reserved, "lookahead entry"));
+    KeepSampler(&e);
+    *out = std::move(e);
+    lookahead.pop_front();
+    out->done.get();  // Rethrows what the worker threw (bad_alloc).
+    return true;
+  }
+
+  /// Waits out every entry and releases its reservation, keeping the
+  /// sampler states (on stop, error, relation change and destruction).
+  void DrainLookahead() {
+    for (Ahead& e : lookahead) {
+      e.done.wait();
+      budget.Release(e.reserved);
+      KeepSampler(&e);
+    }
+    lookahead.clear();
+  }
+
+  void KeepSampler(Ahead* e) {
+    if (plan[e->step].kind == Step::Kind::kSample) {
+      idle_samplers.push_back(std::move(e->sampler));
+    }
+  }
+
+  // -- Sample steps ---------------------------------------------------------
 
   size_t SampleRows(size_t batch_index) const {
     const uint64_t start =
@@ -858,96 +1051,13 @@ struct GenerationPipeline::Impl {
         std::min<uint64_t>(options().generation_batch, k - start));
   }
 
-  SampleSlot& SlotFor(size_t batch_index) {
-    if (sample_window.empty()) {
-      sample_window.resize(SampleWindowEnabled() ? Pool()->num_threads() : 1);
-    }
-    return sample_window[batch_index % sample_window.size()];
-  }
-
-  /// Claims `slot` for `batch_index` and sizes its codes and (first time)
-  /// its sampler state, on the calling thread.
-  void PrepareSlot(SampleSlot* slot, size_t batch_index, size_t rows) {
-    slot->valid = true;
-    slot->batch_index = batch_index;
-    slot->foj.count = rows;
-    slot->foj.codes.assign(schema().num_columns(), std::vector<int32_t>(rows));
-    if (!slot->state_ready) {
-      slot->state = sam->model()->InitState(
-          std::min<uint64_t>(options().generation_batch, k));
-      slot->state_ready = true;
-    }
-  }
-
-  void SampleIntoSlot(SampleSlot* slot) const {
-    sam->SampleFojBatchInto(state.base_seed, slot->batch_index, &slot->foj,
-                            0, slot->foj.count, &slot->state);
-  }
-
-  /// Waits out every speculative batch and releases its reservation (on
-  /// stop, error and destruction; the sampler states are kept).
-  void DrainSampleWindow() {
-    for (SampleSlot& slot : sample_window) {
-      if (!slot.valid) continue;
-      if (slot.done.valid()) slot.done.wait();
-      if (slot.reserved > 0) budget.Release(slot.reserved);
-      slot.valid = false;
-      slot.reserved = 0;
-      slot.done = {};
-      slot.foj = {};
-    }
-  }
-
-  /// Keeps the window's slots sampling the batches after `batch_index`, in
-  /// plan order, unless `threads == 1`. Each speculative batch
-  /// reserves its codes before dispatch, and only while a quarter of the
-  /// cap — and at least what the executing step may still reserve — stays
-  /// free: speculation must never make a mandatory reservation fail that
-  /// would have succeeded serially. The first batch that does not fit ends
-  /// the fill, so the speculative batches stay a contiguous run; a step
-  /// that finds its batch missing samples it synchronously, producing the
-  /// identical bytes.
-  void FillSampleWindow(size_t batch_index) {
-    // Alg 1's decode still fills a row buffer, reserved in slabs up to one
-    // slab past the flush threshold; a multi-relation step only writes its
-    // chunk.
-    const int64_t cap = budget.cap();
-    const int64_t keep_free =
-        std::max(cap / 4, multi ? 0 : RowFlushBytes() + kRowSlab);
-    size_t in_flight = 0;
-    const size_t width = SampleWindowEnabled() ? sample_window.size() : 0;
-    for (size_t j = 1; j <= width; ++j) {
-      const size_t next = batch_index + j;
-      const uint64_t step = state.next_step + j;
-      if (next >= sample_batches || step >= plan.size()) break;
-      const Step& s = plan[step];
-      if (s.kind != Step::Kind::kSample || s.index != next) break;
-      SampleSlot& slot = SlotFor(next);
-      if (slot.valid) {  // Speculated by an earlier step.
-        SAM_CHECK_EQ(slot.batch_index, next);
-        ++in_flight;
-        continue;
-      }
-      const size_t rows = SampleRows(next);
-      const int64_t bytes = FojChunk::BytesFor(rows, schema().num_columns());
-      if (cap > 0 && budget.reserved() + bytes > cap - keep_free) break;
-      if (!budget.Reserve(bytes, "speculative sample batch").ok()) break;
-      PrepareSlot(&slot, next, rows);
-      slot.reserved = bytes;
-      slot.done = Pool()->Submit([this, &slot] { SampleIntoSlot(&slot); });
-      ++in_flight;
-    }
-    obs::MetricsRegistry::Global()
-        .GetGauge("sam.gen.sample_parallelism")
-        ->Set(static_cast<double>(std::max<size_t>(in_flight, 1)));
-  }
-
   Status ExecSample(size_t batch_index) {
     obs::TraceSpan span("generate/pipeline/sample");
     const size_t rows = SampleRows(batch_index);
     const int64_t bytes = FojChunk::BytesFor(rows, schema().num_columns());
     ScopedReservation res(&budget);
-    SamModel::FojSample foj;
+    Ahead entry;
+    SamModel::FojSample& foj = entry.foj;
     if (opts.injected_foj != nullptr) {
       SAM_RETURN_NOT_OK(res.Acquire(bytes, "sample batch codes"));
       const uint64_t start =
@@ -958,26 +1068,16 @@ struct GenerationPipeline::Impl {
                                col.begin() + start + rows);
       }
     } else {
-      SampleSlot& slot = SlotFor(batch_index);
-      if (slot.valid && slot.batch_index == batch_index) {
-        slot.done.wait();
-        slot.done = {};
-        // Hand the speculative reservation to this step's scope; releasing
-        // and immediately re-acquiring the same amount cannot fail.
-        budget.Release(slot.reserved);
-        slot.reserved = 0;
+      if (!TakeLookahead(&res, &entry)) {
         SAM_RETURN_NOT_OK(res.Acquire(bytes, "sample batch codes"));
-      } else {
-        DrainSampleWindow();  // Defensive: stale speculation is discarded.
-        SAM_RETURN_NOT_OK(res.Acquire(bytes, "sample batch codes"));
-        PrepareSlot(&slot, batch_index, rows);
-        SampleIntoSlot(&slot);
+        entry.step = state.next_step;
+        PrepareSample(&entry, batch_index);
+        SampleBatch(&entry, batch_index);
+        KeepSampler(&entry);
       }
-      foj = std::move(slot.foj);
-      slot.valid = false;
       // Overlap the spill write / decode below with sampling of the next
       // batches.
-      FillSampleWindow(batch_index);
+      FillLookahead();
     }
 
     if (multi) {
@@ -1000,9 +1100,9 @@ struct GenerationPipeline::Impl {
 
   // -- Partition steps (Group-and-Merge) ------------------------------------
 
-  /// Phase A, gather: this partition's virtual samples. The serial path
-  /// passes `res` to reserve them incrementally (chunk by chunk); the
-  /// prefetch path passes null, having reserved the whole window before
+  /// Phase A, gather: this partition's virtual samples. The inline path
+  /// passes `res` to reserve them incrementally (chunk by chunk); a
+  /// lookahead entry passes null, having reserved its estimate before
   /// dispatch, and is then thread-safe: it reads only `active`, `state` and
   /// spill files.
   Result<std::vector<SpillVirtual>> GatherVirtuals(
@@ -1044,7 +1144,7 @@ struct GenerationPipeline::Impl {
 
   /// Phase A, group: merge groups in first-appearance order — a pure
   /// function of the virtuals and the active relation's weights, so the
-  /// serial and prefetched paths produce identical groups. Thread-safe.
+  /// inline and lookahead paths produce identical groups. Thread-safe.
   std::vector<Group> BuildGroups(
       const std::vector<SpillVirtual>& virtuals) const {
     std::vector<Group> groups;
@@ -1066,165 +1166,22 @@ struct GenerationPipeline::Impl {
     return groups;
   }
 
-  void ClearWindow() {
-    if (window.reserved > 0) budget.Release(window.reserved);
-    window = PrefetchWindow{};
-  }
-
-  /// On-disk virtual-chunk bytes of one non-root partition, from the spill
-  /// manifest (stat-level, no reads). Callers scale this into a resident
-  /// estimate: on-disk bytes are >= 16 per record while phase-A state is
-  /// <= ~120 per record (transient chunk + virtuals vector + group table),
-  /// so x8 covers gather+group. Returns -1 when a chunk is missing from the
-  /// manifest (the window skips it).
-  int64_t PartitionDiskBytes(size_t part) const {
-    const auto& rs = state.relations[rel_index.at(active.name)];
-    int64_t disk_bytes = 0;
-    for (uint64_t seq = 0; seq < rs.virt_chunk_seq[part]; ++seq) {
-      const std::string name = VirtChunkName(active.name, part, seq);
-      bool found = false;
-      for (const auto& f : state.manifest) {
-        if (f.name == name) {
-          disk_bytes += static_cast<int64_t>(f.bytes);
-          found = true;
-          break;
-        }
-      }
-      if (!found) return -1;
-    }
-    return disk_bytes;
-  }
-
-  /// Builds a window of upcoming partitions of the active relation starting
-  /// at `first`, on `pool` (never when `threads == 1`): phase A (gather +
-  /// group) of each. The whole window's estimated memory is reserved before
-  /// dispatch; when the cap is too tight (or estimates are unavailable) the
-  /// window shrinks and ultimately the step falls back to the serial gather,
-  /// whose incremental accounting and error messages are unchanged.
-  Status BuildWindow(size_t rel_i, size_t first) {
-    ClearWindow();
-    if (partitions <= 1) return Status::OK();
-    if (!Parallel()) return Status::OK();
-    size_t win = std::min(partitions - first, Pool()->num_threads() * 2);
-    if (win <= 1) return Status::OK();
-
-    // Phase B makes its own incremental reservations (row buffers, virtual
-    // buffers) that must keep succeeding while the window is held, so only
-    // build a window when it leaves at least a quarter of the cap free —
-    // a run that fits serially must never fail because of the window.
-    auto fits_with_headroom = [&](int64_t bytes) {
-      return budget.cap() <= 0 ||
-             budget.reserved() + bytes <= budget.cap() - budget.cap() / 4;
-    };
-
-    int64_t estimate = 0;
-    if (active.name == schema().root()) {
-      // All partitions together hold every positively-weighted sample once,
-      // so one count bounds any window of them.
-      int64_t positive = 0;
-      for (uint64_t s = 0; s < k; ++s) {
-        if (active.w[s] > 0.0) positive++;
-      }
-      estimate =
-          positive * (static_cast<int64_t>(sizeof(SpillVirtual)) + 96 + 24);
-      if (!fits_with_headroom(estimate) ||
-          !budget.Reserve(estimate, "partition prefetch window").ok()) {
-        return Status::OK();  // Tight cap: stay serial.
-      }
-    } else {
-      std::vector<int64_t> per_part(win, 0);
-      for (size_t i = 0; i < win; ++i) {
-        const int64_t disk = PartitionDiskBytes(first + i);
-        if (disk < 0) {
-          win = i;
-          break;
-        }
-        per_part[i] = disk * 8;
-      }
-      while (win > 1) {
-        estimate = 0;
-        for (size_t i = 0; i < win; ++i) estimate += per_part[i];
-        if (fits_with_headroom(estimate) &&
-            budget.Reserve(estimate, "partition prefetch window").ok()) {
-          break;
-        }
-        win /= 2;  // Tight cap: shrink the window.
-      }
-      if (win <= 1) return Status::OK();
-    }
-
-    obs::TraceSpan span("generate/pipeline/prefetch");
-    std::vector<Status> worker_status(win, Status::OK());
-    std::vector<std::vector<Group>> worker_groups(win);
-    std::vector<std::future<void>> futs;
-    futs.reserve(win);
-    for (size_t i = 0; i < win; ++i) {
-      const size_t part = first + i;
-      futs.push_back(pool->Submit([this, i, part, &worker_status,
-                                   &worker_groups] {
-        auto virtuals = GatherVirtuals(part);
-        if (!virtuals.ok()) {
-          worker_status[i] = virtuals.status();
-          return;
-        }
-        worker_groups[i] = BuildGroups(virtuals.ValueOrDie());
-      }));
-    }
-    for (auto& f : futs) f.get();
-    for (const Status& st : worker_status) {
-      if (!st.ok()) {
-        budget.Release(estimate);
-        return st;  // I/O error: the serial path would hit it too.
-      }
-    }
-    window.valid = true;
-    window.rel = rel_i;
-    window.reserved = estimate;
-    for (size_t i = 0; i < win; ++i) {
-      window.parts.emplace(first + i, std::move(worker_groups[i]));
-    }
-    if (obs::MetricsEnabled()) {
-      auto& reg = obs::MetricsRegistry::Global();
-      reg.GetCounter("sam.generate.partitions_prefetched")->Add(win);
-      reg.GetGauge("sam.gen.commit_parallelism")
-          ->Set(static_cast<double>(win));
-    }
-    return Status::OK();
-  }
-
-  /// Moves a prefetched partition's groups out of the window. The window
-  /// reservation is only released once every entry is consumed AND phase B
-  /// of the last one has finished (the caller clears at the next step), so
-  /// live window memory always stays accounted.
-  bool TakeWindowEntry(size_t rel_i, size_t part, std::vector<Group>* out) {
-    if (!window.valid || window.rel != rel_i) return false;
-    auto it = window.parts.find(part);
-    if (it == window.parts.end()) return false;
-    *out = std::move(it->second);
-    window.parts.erase(it);
-    return true;
-  }
-
   Status ExecPartition(size_t rel_i, size_t part) {
     obs::TraceSpan span("generate/pipeline/partition");
     SAM_RETURN_NOT_OK(ActivateRelation(rel_i));
-    // The previous window's reservation is held until here so that the last
-    // consumed partition's groups stayed accounted through its phase B.
-    if (window.valid && window.parts.empty()) ClearWindow();
-
-    std::vector<Group> groups;
-    bool from_window = TakeWindowEntry(rel_i, part, &groups);
-    if (!from_window) {
-      SAM_RETURN_NOT_OK(BuildWindow(rel_i, part));
-      from_window = TakeWindowEntry(rel_i, part, &groups);
-    }
 
     Rng rng(DeriveSeed(state.base_seed, "decode|" + active.name + "|part|" +
                                             std::to_string(part)));
     ScopedReservation virt_res(&budget);
     ScopedReservation group_res(&budget);
-    if (!from_window) {
-      // Serial fallback: gather + group under incremental accounting.
+    // A lookahead entry's reservation stays held through phase B, so the
+    // groups it built stay accounted.
+    Ahead entry;
+    std::vector<Group>& groups = entry.groups;
+    if (TakeLookahead(&group_res, &entry)) {
+      SAM_RETURN_NOT_OK(entry.status);  // The inline gather would fail too.
+    } else {
+      // Phase A inline, under incremental accounting.
       SAM_ASSIGN_OR_RETURN(std::vector<SpillVirtual> virtuals,
                            GatherVirtuals(part, &virt_res));
       // ~96 bytes of group state per virtual (key strings + member slots),
@@ -1236,6 +1193,8 @@ struct GenerationPipeline::Impl {
               std::to_string(part)));
       groups = BuildGroups(virtuals);
     }
+    // Phase A of the next partitions overlaps phase B of this one.
+    FillLookahead();
 
     if (active.keyed) {
       SAM_RETURN_NOT_OK(ExecKeyedPartition(part, groups, &rng));
@@ -1386,7 +1345,7 @@ struct GenerationPipeline::Impl {
     ScopedReservation res(&budget);
     for (size_t p = 0; p < partitions; ++p) {
       const std::string name = LeftoverChunkName(active.name, p);
-      if (!HasManifest(name)) continue;
+      if (ManifestBytes(name) < 0) continue;
       SAM_ASSIGN_OR_RETURN(LeftoverChunk chunk,
                            LeftoverChunk::Load(Path(name)));
       int64_t bytes = 0;
@@ -1432,7 +1391,7 @@ struct GenerationPipeline::Impl {
       ScopedReservation heavy_res(&budget);
       for (size_t p = 0; p < partitions; ++p) {
         const std::string name = SummaryChunkName(active.name, p);
-        if (!HasManifest(name)) continue;
+        if (ManifestBytes(name) < 0) continue;
         SAM_ASSIGN_OR_RETURN(GroupSummaryChunk chunk,
                              GroupSummaryChunk::Load(Path(name)));
         SAM_RETURN_NOT_OK(heavy_res.Acquire(
@@ -1612,7 +1571,7 @@ struct GenerationPipeline::Impl {
       if (StopRequested() ||
           (opts.stop_after_steps > 0 &&
            summary.steps_executed >= opts.stop_after_steps)) {
-        DrainSampleWindow();
+        DrainLookahead();
         SAM_RETURN_NOT_OK(SaveCheckpoint());
         FillSummary(&summary, /*completed=*/false);
         SAM_LOG(Info) << "generation stopped at step " << state.next_step
@@ -1620,7 +1579,7 @@ struct GenerationPipeline::Impl {
         return summary;
       }
       if (Status st = ExecStep(plan[state.next_step]); !st.ok()) {
-        DrainSampleWindow();
+        DrainLookahead();
         return st;
       }
       state.next_step++;

@@ -15,7 +15,10 @@ struct GenerationPipelineOptions {
   /// Directory the generated database is published into (all-or-nothing).
   std::string out_dir;
   /// Directory for spill chunks, the staging database and checkpoints.
-  /// Cleared on a fresh run; removed on success unless `keep_work_dir`.
+  /// Cleared on a fresh run when missing, empty or marked by an earlier
+  /// run (a non-empty directory without the marker fails with
+  /// `InvalidArgument`, untouched); removed on success unless
+  /// `keep_work_dir`.
   std::string work_dir;
   /// Resume from the newest valid checkpoint in `work_dir` instead of
   /// starting fresh. Fails with `NotFound` when none exists and
@@ -32,26 +35,27 @@ struct GenerationPipelineOptions {
   /// Checkpoints retained in `work_dir` (0 keeps all).
   size_t checkpoint_keep = 3;
   /// Worker threads (0 = hardware concurrency, 1 = the fully serial
-  /// reference: no partition prefetch, no sample window). When parallel,
-  /// phase A of a window of upcoming partitions of a relation (gather the
-  /// partition's virtual samples, build its merge groups) runs on the
-  /// thread pool, and the pipeline thread consumes the groups strictly in
-  /// plan order: key assignment, row decoding and child-virtual emission
-  /// are the same code for every thread count. Likewise, while sample step b writes its
-  /// batch, a window of up to pool-size speculative batches b+1, b+2, ...
-  /// samples on the pool, consumed in plan order. Every spill file,
+  /// reference, with no lookahead). When parallel, an in-order lookahead
+  /// of up to one entry per pool thread runs the pure phase of the steps
+  /// after the executing one, while they are of its kind: a sample step's
+  /// batch, or phase A (gather the partition's virtual samples, build its
+  /// merge groups) of the next partitions of the same relation. The
+  /// pipeline thread consumes the entries strictly in plan order; spill
+  /// writes, row decoding, key assignment and child-virtual emission are
+  /// the same code for every thread count, so every spill file,
   /// checkpoint cursor and published byte is identical for every thread
-  /// count. Window and speculative-batch memory is reserved from the cap
-  /// before dispatch (narrower windows, down to serial, when tight), and
-  /// the thread count is deliberately excluded from the resume fingerprint.
+  /// count. Each entry reserves its memory from the cap before dispatch,
+  /// only while a quarter of the cap stays free (fewer entries, down to
+  /// none, when tight), and the thread count is deliberately excluded from
+  /// the resume fingerprint.
   size_t threads = 0;
   /// Keep spill files and checkpoints after a successful publish (debugging).
   bool keep_work_dir = false;
   /// Test seam: when set, the sample steps read their FOJ tuples from this
   /// sample (which must outlive the run) instead of drawing them from the
   /// model, so `SamModel::GenerateFromFoj` can inject exact tuples. Its
-  /// codes are part of the resume fingerprint, and speculative sampling is
-  /// skipped.
+  /// codes are part of the resume fingerprint, and sample steps skip the
+  /// lookahead.
   const SamModel::FojSample* injected_foj = nullptr;
 };
 

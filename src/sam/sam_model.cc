@@ -36,6 +36,11 @@ Status ValidateSamOptions(const SamOptions& options) {
   return Status::OK();
 }
 
+Status DegenerateSampleError(const std::string& what) {
+  return Status::Internal(what +
+                          "; train the model longer or draw more FOJ samples");
+}
+
 Result<std::unique_ptr<SamModel>> SamModel::Create(const Database& db,
                                                    const Workload& train,
                                                    const SchemaHints& hints,

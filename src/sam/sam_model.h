@@ -59,6 +59,12 @@ struct SamOptions {
 /// infinite loop.
 Status ValidateSamOptions(const SamOptions& options);
 
+/// `Internal` error of a relation that the sampled FOJ tuples leave without
+/// mass. `what` names the failure and what was counted; the message adds
+/// the usual remedy, since a briefly trained model or a small FOJ sample
+/// is what starves a relation.
+Status DegenerateSampleError(const std::string& what);
+
 /// \brief SAM: a supervised autoregressive database generator (the paper's
 /// headline system).
 ///

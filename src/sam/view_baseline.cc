@@ -36,12 +36,17 @@ Result<Database> GenerateViewBaseline(const SamModel& sam,
   auto scaled_weights = [&](const std::string& rel) -> Result<std::vector<double>> {
     std::vector<double> w(foj.count);
     double sum = 0.0;
+    size_t present = 0;
     for (size_t s = 0; s < foj.count; ++s) {
       w[s] = sam.InverseProbabilityWeight(foj, rel, s);
       sum += w[s];
+      present += w[s] > 0.0 ? 1 : 0;
     }
     if (sum <= 0.0) {
-      return Status::Internal("no usable samples for relation '" + rel + "'");
+      return DegenerateSampleError(
+          "no usable samples for relation '" + rel + "': " +
+          std::to_string(present) + " of " + std::to_string(foj.count) +
+          " FOJ samples have it present");
     }
     for (double& v : w) v *= static_cast<double>(schema.table_size(rel)) / sum;
     return w;

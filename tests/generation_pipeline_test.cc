@@ -305,6 +305,43 @@ TEST(GenerationPipelineTest, ResumeWithoutCheckpointIsNotFound) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound) << r.status().ToString();
 }
 
+TEST(GenerationPipelineTest, FreshRunClearsOnlyItsOwnWorkDir) {
+  const Database db = MakeChainDatabase();
+  const auto sam = MakeChainModel(db, SamOptions{});
+  const std::string root = TempDir("sam_pipe_foreign_work");
+
+  // A non-empty directory that no run created is the caller's: the fresh
+  // run fails naming it and deletes nothing.
+  const std::string foreign = root + "/foreign";
+  std::filesystem::create_directories(foreign);
+  std::ofstream(foreign + "/thesis.txt") << "four years of work\n";
+  auto r = RunPipeline(*sam, root + "/out", foreign, /*resume=*/false);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+      << r.status().ToString();
+  EXPECT_NE(r.status().ToString().find(foreign), std::string::npos)
+      << r.status().ToString();
+  EXPECT_EQ(ReadTree(foreign).at("thesis.txt"), "four years of work\n");
+  EXPECT_EQ(ReadTree(foreign).size(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(root + "/out"));
+
+  // An empty directory is accepted, and so is one left by an earlier run.
+  const std::string empty = root + "/empty";
+  std::filesystem::create_directories(empty);
+  auto fresh = RunPipeline(*sam, root + "/out", empty, /*resume=*/false);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_TRUE(fresh.ValueOrDie().completed);
+  std::filesystem::remove_all(root + "/out");
+
+  const std::string left = root + "/left";
+  auto stopped = RunPipeline(*sam, root + "/out", left, false, /*stop=*/2);
+  ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
+  ASSERT_FALSE(stopped.ValueOrDie().completed);
+  auto again = RunPipeline(*sam, root + "/out", left, /*resume=*/false);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again.ValueOrDie().completed);
+}
+
 TEST(GenerationPipelineTest, StopFlagCheckpointsThenResumeCompletes) {
   const Database db = MakeChainDatabase();
   const auto sam = MakeChainModel(db, SamOptions{});
@@ -388,31 +425,39 @@ TEST(GenerationPipelineTest, PartitionedRunResumesByteIdentical) {
 // Suite name contains "Parallel" so the TSan CI job picks it up.
 TEST(ParallelPartitionTest, PrefetchIsByteIdenticalAcrossThreadCounts) {
   const Database db = MakeChainDatabase();
-  SamOptions tight;
-  tight.foj_samples = 8192;
-  tight.memory_cap_bytes = 4ll << 20;  // Forces partition fan-out > 1.
-  const auto sam = MakeChainModel(db, tight);
-  const std::string root = TempDir("sam_pipe_parallel_part");
+  // 8 192 FOJ samples give a partition fan-out of 2 under the 4 MiB cap;
+  // 20 480 give 4, more partitions than the lookahead holds at 2 threads,
+  // so its entries are refilled within a relation.
+  for (uint64_t foj_samples : {uint64_t{8192}, uint64_t{20480}}) {
+    SCOPED_TRACE("foj_samples=" + std::to_string(foj_samples));
+    SamOptions tight;
+    tight.foj_samples = foj_samples;
+    tight.memory_cap_bytes = 4ll << 20;  // Forces partition fan-out > 1.
+    const auto sam = MakeChainModel(db, tight);
+    const std::string root =
+        TempDir(("sam_pipe_parallel_part_" + std::to_string(foj_samples))
+                    .c_str());
 
-  auto serial = RunPipeline(*sam, root + "/out1", root + "/w1", false,
-                            /*stop_after_steps=*/0, /*stop_flag=*/nullptr,
-                            /*threads=*/1);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(serial.ValueOrDie().completed);
-  const auto golden = ReadTree(root + "/out1");
+    auto serial = RunPipeline(*sam, root + "/out1", root + "/w1", false,
+                              /*stop_after_steps=*/0, /*stop_flag=*/nullptr,
+                              /*threads=*/1);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    ASSERT_TRUE(serial.ValueOrDie().completed);
+    const auto golden = ReadTree(root + "/out1");
 
-  size_t variant = 2;
-  // 0 = hardware concurrency.
-  for (size_t threads : {size_t{2}, size_t{4}, size_t{0}}) {
-    const std::string out = root + "/out" + std::to_string(variant);
-    const std::string work = root + "/w" + std::to_string(variant);
-    ++variant;
-    auto r = RunPipeline(*sam, out, work, false, 0, nullptr, threads);
-    ASSERT_TRUE(r.ok()) << "threads=" << threads << ": "
-                        << r.status().ToString();
-    EXPECT_LE(r.ValueOrDie().peak_reserved, tight.memory_cap_bytes)
-        << "threads=" << threads;
-    EXPECT_EQ(ReadTree(out), golden) << "threads=" << threads;
+    size_t variant = 2;
+    // 0 = hardware concurrency.
+    for (size_t threads : {size_t{2}, size_t{4}, size_t{0}}) {
+      const std::string out = root + "/out" + std::to_string(variant);
+      const std::string work = root + "/w" + std::to_string(variant);
+      ++variant;
+      auto r = RunPipeline(*sam, out, work, false, 0, nullptr, threads);
+      ASSERT_TRUE(r.ok()) << "threads=" << threads << ": "
+                          << r.status().ToString();
+      EXPECT_LE(r.ValueOrDie().peak_reserved, tight.memory_cap_bytes)
+          << "threads=" << threads;
+      EXPECT_EQ(ReadTree(out), golden) << "threads=" << threads;
+    }
   }
 }
 
@@ -436,7 +481,7 @@ TEST(ParallelCommitTest, KillAtEveryStepIsByteIdenticalAcrossCommitThreads) {
   std::filesystem::create_directories(root + "/scratch");
 
   // Golden: the fully serial reference (threads = 1 also disables the
-  // sample window and the partition prefetch window).
+  // lookahead).
   auto serial = RunPipeline(*sam, root + "/golden", root + "/gwork", false, 0,
                             nullptr, /*threads=*/1);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
@@ -445,8 +490,8 @@ TEST(ParallelCommitTest, KillAtEveryStepIsByteIdenticalAcrossCommitThreads) {
   const uint64_t steps = serial.ValueOrDie().steps_total;
   ASSERT_GT(steps, 10u);
 
-  // Full parallel run publishes identical bytes — and the commit-window
-  // gauge proves that phase B consumed a prefetched window of partitions.
+  // Full parallel run publishes identical bytes — and the commit gauge
+  // proves that a partition's phase B ran next to a lookahead entry.
   obs::EnableMetrics(true);
   auto full = RunPipeline(*sam, root + "/out_full", root + "/w_full", false, 0,
                           nullptr, /*threads=*/4);
@@ -484,7 +529,7 @@ TEST(ParallelCommitTest, KillAtEveryStepIsByteIdenticalAcrossCommitThreads) {
 }
 
 TEST(ParallelCommitTest, MemoryCapHoldsForEveryThreadCount) {
-  // Property: window + speculative-sample reservations must never push the
+  // Property: lookahead reservations must never push the
   // budget past the cap, whatever the parallelism — the budget itself is the
   // oracle (every structure reserves before allocating, and Reserve fails
   // hard past the cap), so peak <= cap proves the parallel paths stayed
@@ -616,7 +661,7 @@ TEST(GenerationPipelineTest, DoubleColumnsPublishFullPrecision) {
   hints.numeric_bounds["C.y"] = {-5.0, 5.0};
   SamOptions options;
   options.foj_samples = 8000;
-  options.memory_cap_bytes = 4ll << 20;  // Two partitions: a prefetch window.
+  options.memory_cap_bytes = 4ll << 20;  // Two partitions: a lookahead entry.
   auto sam =
       SamModel::Create(db, train, hints, exec->FullOuterJoinSize(), options);
   ASSERT_TRUE(sam.ok()) << sam.status().ToString();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -121,6 +122,54 @@ TEST(GenerationSizeGuaranteeTest, TopUpIsDeterministic) {
       }
     }
   }
+}
+
+TEST(GenerationDegenerateSampleTest, ErrorsNameWhatWasCountedAndTheRemedy) {
+  const Database db = MakeChainDatabase();
+  auto sam = MakeChainSam(db, SamOptions{});
+  ASSERT_TRUE(sam.ok()) << sam.status().ToString();
+  const ModelSchema& schema = sam.ValueOrDie()->schema();
+  const int ind_b = schema.FindColumn(ModelColumnKind::kIndicator, "B", "B");
+  const int ind_c = schema.FindColumn(ModelColumnKind::kIndicator, "C", "C");
+  ASSERT_GE(ind_b, 0);
+  ASSERT_GE(ind_c, 0);
+  Rng code_rng(5);
+  const SamModel::FojSample base = RandomFoj(schema, 64, &code_rng);
+
+  // C is never present: no sample carries its IPW weight.
+  SamModel::FojSample absent = base;
+  std::fill(absent.codes[ind_c].begin(), absent.codes[ind_c].end(), 0);
+  auto gen = sam.ValueOrDie()->GenerateFromFoj(absent);
+  ASSERT_FALSE(gen.ok());
+  EXPECT_EQ(gen.status().code(), StatusCode::kInternal);
+  const std::string unusable = gen.status().ToString();
+  EXPECT_NE(unusable.find("no usable samples for relation 'C': 0 of 64 FOJ "
+                          "samples have it present"),
+            std::string::npos)
+      << unusable;
+  EXPECT_NE(unusable.find("train the model longer or draw more FOJ samples"),
+            std::string::npos)
+      << unusable;
+
+  // C is present only where B is absent: it has weight, but no sample that
+  // carries it reaches a key of B.
+  SamModel::FojSample orphaned = base;
+  for (size_t s = 0; s < orphaned.count; ++s) {
+    orphaned.codes[ind_b][s] = s % 2 == 0 ? 1 : 0;
+    orphaned.codes[ind_c][s] = s % 2 == 0 ? 0 : 1;
+  }
+  gen = sam.ValueOrDie()->GenerateFromFoj(orphaned);
+  ASSERT_FALSE(gen.ok());
+  EXPECT_EQ(gen.status().code(), StatusCode::kInternal);
+  const std::string starved = gen.status().ToString();
+  EXPECT_NE(starved.find("no incoming mass for relation 'C': 32 of 64 FOJ "
+                         "samples have it present, but none of them reached "
+                         "a key of its parent 'B'"),
+            std::string::npos)
+      << starved;
+  EXPECT_NE(starved.find("train the model longer or draw more FOJ samples"),
+            std::string::npos)
+      << starved;
 }
 
 TEST(SamOptionsValidationTest, RejectsDegenerateKnobs) {

@@ -1,6 +1,6 @@
 // Parallel FOJ sampling (§4.2 "embarrassingly parallel"): correctness and
 // determinism of the sharded sampler, in Alg 1's in-RAM `SampleFoj` and in
-// the generation pipeline's sample window.
+// the generation pipeline's lookahead.
 
 #include <gtest/gtest.h>
 
@@ -168,8 +168,8 @@ TEST(ParallelSamplingTest, PipelineSampleWindowIsByteIdentical) {
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(root);
 
-  // Imdb-like snowflake, 8 sample batches. The speculative window holds one
-  // batch per pool thread at a loose cap, and still does near the
+  // Imdb-like snowflake, 8 sample batches. The lookahead holds one batch
+  // per pool thread at a loose cap, and still does near the
   // pipeline's per-relation floor (~0.95 MiB here): that floor is ~3x the
   // FOJ codes, so the headroom rule never binds on this schema.
   Database db = MakeImdbLike(200, 11);
@@ -213,9 +213,9 @@ TEST(ParallelSamplingTest, PipelineSampleWindowIsByteIdentical) {
   // Census-like single relation (the CLI's Alg 1 path), whose floor does
   // not grow with |T|, in 3 sample batches of b bytes of codes. Its decode
   // still reserves a row buffer of up to 128 KiB at these caps (64 KiB flush
-  // threshold plus one 64 KiB slab), which the window leaves free.
+  // threshold plus one 64 KiB slab), which the lookahead leaves free.
   //  * 128 KiB + 2.5b: room for one speculative batch next to the step's
-  //    own, so the window is squeezed to one slot.
+  //    own, so the lookahead is squeezed to one entry.
   //  * 2.75b: no room. A quarter-of-cap rule alone would admit one
   //    speculative batch here (2b <= 3/4 cap), and the row buffer would
   //    then exceed the cap that the serial run fits in.
