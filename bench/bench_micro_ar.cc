@@ -64,29 +64,39 @@ CensusFixture& Fixture() {
   return *fixture;
 }
 
-void BenchMadeCondProbs(const BenchConfig& config, size_t batch) {
-  auto& f = Fixture();
-  MadeModel::SamplerState s = f.model->InitState(batch);
-  RunMicro(config, "MadeCondProbs/" + std::to_string(batch), [&] {
-    KeepAlive(f.model->CondProbs(s, 0).data());
-  }, static_cast<double>(batch));
-}
-
-// Sampler state with every column but the last observed (random in-domain
-// codes): the hidden activations are dense the way they are mid-generation.
-// A fresh InitState has pre1 == bias == 0, so benchmarking column 0 on it
-// only exercises the zero-skip path of the matmul.
-MadeModel::SamplerState ObservedState(const CensusFixture& f, size_t batch) {
-  MadeModel::SamplerState s = f.model->InitState(batch);
+// Random in-domain codes for every column of a `batch`-row sweep, so the
+// hidden activations are as dense as they are mid-generation.
+std::vector<std::vector<int32_t>> SweepCodes(const CensusFixture& f,
+                                             size_t batch) {
   Rng rng(99);
-  std::vector<int32_t> codes(batch);
-  for (size_t col = 0; col + 1 < f.schema->num_columns(); ++col) {
+  std::vector<std::vector<int32_t>> codes(f.schema->num_columns(),
+                                          std::vector<int32_t>(batch));
+  for (size_t col = 0; col < codes.size(); ++col) {
     const int64_t dom =
         static_cast<int64_t>(f.schema->columns()[col].domain_size);
-    for (auto& c : codes) c = static_cast<int32_t>(rng.UniformInt(0, dom - 1));
-    f.model->Observe(&s, col, codes);
+    for (auto& c : codes[col]) {
+      c = static_cast<int32_t>(rng.UniformInt(0, dom - 1));
+    }
   }
-  return s;
+  return codes;
+}
+
+// One call is one full column sweep, as a sampler runs it: ResetState, then
+// CondProbs + Observe for every column. The state computes each hidden unit
+// once per sweep, so calling CondProbs again on one state would time work
+// it has already done. items/s counts rows.
+void BenchSweep(const BenchConfig& config, const std::string& name,
+                size_t batch) {
+  auto& f = Fixture();
+  MadeModel::SamplerState s = f.model->InitState(batch);
+  const auto codes = SweepCodes(f, batch);
+  RunMicro(config, name, [&] {
+    f.model->ResetState(&s, batch);
+    for (size_t col = 0; col < codes.size(); ++col) {
+      KeepAlive(f.model->CondProbs(s, col).data());
+      f.model->Observe(&s, col, codes[col]);
+    }
+  }, static_cast<double>(batch));
 }
 
 const char* BackendName(kernels::Backend b) {
@@ -105,7 +115,7 @@ class BackendGuard {
   kernels::Backend saved_;
 };
 
-// Same forward pass, backend pinned per case: the scalar/AVX2 delta is the
+// Same sweep, backend pinned per case: the scalar/AVX2 delta is the
 // headline number of docs/PERFORMANCE.md. The AVX2 case is reported as
 // skipped when the build or CPU lacks AVX2.
 void BenchMadeCondProbsBackend(const BenchConfig& config, kernels::Backend b,
@@ -116,13 +126,8 @@ void BenchMadeCondProbsBackend(const BenchConfig& config, kernels::Backend b,
     bench::SkipMicro(name, "AVX2 unavailable");
     return;
   }
-  auto& f = Fixture();
   BackendGuard guard(b);
-  const MadeModel::SamplerState s = ObservedState(f, batch);
-  const size_t last_col = f.schema->num_columns() - 1;
-  RunMicro(config, name, [&] {
-    KeepAlive(f.model->CondProbs(s, last_col).data());
-  }, static_cast<double>(batch));
+  BenchSweep(config, name, batch);
 }
 
 // items/s counts multiply-adds (2 n^3 per call).
@@ -263,7 +268,9 @@ int main(int argc, char** argv) {
   using namespace sam;
   using kernels::Backend;
   const bench::BenchConfig config = bench::ParseArgs(argc, argv);
-  for (size_t batch : {64, 512, 2048}) BenchMadeCondProbs(config, batch);
+  for (size_t batch : {64, 512, 2048}) {
+    BenchSweep(config, "MadeCondProbs/" + std::to_string(batch), batch);
+  }
   for (Backend b : {Backend::kScalar, Backend::kAvx2}) {
     for (size_t batch : {512, 2048}) {
       BenchMadeCondProbsBackend(config, b, batch);

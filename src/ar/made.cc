@@ -321,9 +321,33 @@ void MadeModel::WriteSample(Sweep* sweep, const Tensor& sample) const {
 }
 
 void MadeModel::SyncSamplerWeights() {
-  cached_w_.clear();
+  const size_t n = schema_->num_columns();
+  cached_w_in_ = Masked(weights_[0], masks_[0]);
+  sampler_blocks_.assign(weights_.size(), std::vector<SamplerBlock>(n));
   for (size_t l = 0; l < weights_.size(); ++l) {
-    cached_w_.push_back(Masked(weights_[l], masks_[l]));
+    const std::vector<size_t>& deg = hidden_degrees_[l];
+    for (size_t c = 1; c < n; ++c) {
+      SamplerBlock& blk = sampler_blocks_[l][c];
+      for (size_t u = 0; u < deg.size(); ++u) {
+        if (deg[u] == c) blk.units.push_back(static_cast<uint32_t>(u));
+      }
+      if (l == 0 || blk.units.empty()) continue;
+      const std::vector<size_t>& below = hidden_degrees_[l - 1];
+      for (size_t k = 0; k < below.size(); ++k) {
+        if (below[k] <= c) blk.rows.push_back(static_cast<uint32_t>(k));
+      }
+      // Every (rows[k], units[j]) entry is unmasked: degree units[j] = c >=
+      // degree rows[k]. The entries left out are exactly the masked ones.
+      const Matrix& w = weights_[l].value();
+      const size_t lanes =
+          (blk.units.size() + kBlockLanes - 1) / kBlockLanes * kBlockLanes;
+      blk.w = Matrix(blk.rows.size(), lanes);
+      for (size_t k = 0; k < blk.rows.size(); ++k) {
+        for (size_t j = 0; j < blk.units.size(); ++j) {
+          blk.w(k, j) = w(blk.rows[k], blk.units[j]);
+        }
+      }
+    }
   }
   cached_w_out_ = Masked(w_out_, mask_out_);
   cached_w_direct_ = Masked(w_direct_, mask_direct_);
@@ -332,14 +356,11 @@ void MadeModel::SyncSamplerWeights() {
 
 MadeModel::SamplerState MadeModel::InitState(size_t batch) const {
   SamplerState s;
-  const size_t widest = *std::max_element(options_.hidden_sizes.begin(),
-                                          options_.hidden_sizes.end());
   size_t max_domain = 0;
   for (const ModelColumn& mc : schema_->columns()) {
     max_domain = std::max(max_domain, mc.domain_size);
   }
-  s.h.Reshape(batch, widest);
-  s.h_next.Reshape(batch, widest);
+  for (size_t hs : options_.hidden_sizes) s.hidden.emplace_back(batch, hs);
   s.probs.Reshape(batch, max_domain);
   s.direct.Reshape(batch, max_domain);
   s.units.reserve(batch * schema_->num_columns());
@@ -356,8 +377,64 @@ void MadeModel::ResetState(SamplerState* state, size_t batch) const {
   for (size_t r = 0; r < batch; ++r) {
     std::copy(bias, bias + h1, state->pre1.row(r));
   }
+  state->hidden.resize(options_.hidden_sizes.size());
+  for (size_t l = 0; l < state->hidden.size(); ++l) {
+    state->hidden[l].Reshape(batch, options_.hidden_sizes[l]);
+  }
+  // The output slice reads the last layer at full width: its units that are
+  // not computed yet must be +0. The deeper layers are read only at degrees
+  // <= `computed`, so their stale values may stay.
+  Matrix& last = state->hidden.back();
+  std::fill(last.data(), last.data() + last.size(), 0.0);
+  state->computed = 0;
   state->units.clear();
   state->observed = 0;
+}
+
+void MadeModel::ComputeBlock(const SamplerState& state, size_t layer,
+                             const SamplerBlock& blk) const {
+  const size_t nu = blk.units.size();
+  if (nu == 0) return;
+  Matrix& out = state.hidden[layer];
+  if (layer == 0) {
+    for (size_t r = 0; r < state.batch; ++r) {
+      const double* pre = state.pre1.row(r);
+      double* o = out.row(r);
+      for (uint32_t u : blk.units) o[u] = std::max(0.0, pre[u]);
+    }
+    return;
+  }
+  const Matrix& below = state.hidden[layer - 1];
+  const double* bias = biases_[layer].value().data();
+  const bool skip = options_.residual && options_.hidden_sizes[layer] ==
+                                             options_.hidden_sizes[layer - 1];
+  const size_t nk = blk.rows.size();
+  const size_t stride = blk.w.cols();
+  for (size_t r = 0; r < state.batch; ++r) {
+    const double* in = below.row(r);
+    double* o = out.row(r);
+    for (size_t j0 = 0; j0 < nu; j0 += kBlockLanes) {
+      // Each unit's sum runs k-ascending in natural unit order from +0.0,
+      // with a separate multiply and add: the sequence of a full-width
+      // product over the layer below, less the terms with a ±0 masked
+      // weight, which leave such a sum unchanged. Lanes past the group's
+      // end read the padding.
+      double acc[kBlockLanes] = {};
+      const double* w = blk.w.data() + j0;
+      for (size_t k = 0; k < nk; ++k) {
+        const double a = in[blk.rows[k]];
+        const double* wk = w + k * stride;
+        for (size_t j = 0; j < kBlockLanes; ++j) acc[j] += a * wk[j];
+      }
+      const size_t lanes = std::min(kBlockLanes, nu - j0);
+      for (size_t j = 0; j < lanes; ++j) {
+        const uint32_t u = blk.units[j0 + j];
+        // relu(pre + bias) (+ skip), as the kernels' bias_relu_skip.
+        const double v = std::max(0.0, acc[j] + bias[u]);
+        o[u] = skip ? v + in[u] : v;
+      }
+    }
+  }
 }
 
 const Matrix& MadeModel::CondProbs(const SamplerState& state,
@@ -369,27 +446,17 @@ const Matrix& MadeModel::CondProbs(const SamplerState& state,
       obs::MetricsRegistry::Global().GetCounter("sam.made.forward_rows");
   calls->Add(1);
   rows->Add(state.batch);
+  SAM_CHECK_LT(col, schema_->num_columns());
   const size_t batch = state.batch;
   const kernels::KernelTable& kr = kernels::Active();
-  // Hidden stack from the accumulated first-layer pre-activation, built in
-  // the state-owned scratch (every kernel below fully overwrites its output,
-  // so Reshape's unspecified contents are fine).
-  Matrix& h = state.h;
-  h.Reshape(batch, options_.hidden_sizes[0]);
-  kr.relu(state.pre1.data(), h.data(), h.size());
-  for (size_t l = 1; l < cached_w_.size(); ++l) {
-    Matrix& next = state.h_next;
-    next.Reshape(batch, cached_w_[l].cols());
-    // Dense variant: hidden activations are ~half nonzero mid-generation, and
-    // at that density the zero-skip's branch mispredicts cost more than the
-    // work skipped (the skip is for the one-hot training inputs).
-    kr.matmul_dense(h.data(), batch, h.cols(), cached_w_[l].data(),
-                    cached_w_[l].cols(), next.data());
-    const bool skip = options_.residual && next.cols() == h.cols();
-    kr.bias_relu_skip(next.data(), biases_[l].value().data(),
-                      skip ? h.data() : nullptr, batch, next.cols());
-    std::swap(state.h, state.h_next);
+  // The hidden units of the degrees not computed yet, up to `col`, bottom
+  // up: a degree-c unit reads the units below of degree <= c only.
+  for (size_t c = state.computed + 1; c <= col; ++c) {
+    for (size_t l = 0; l < sampler_blocks_.size(); ++l) {
+      ComputeBlock(state, l, sampler_blocks_[l][c]);
+    }
   }
+  state.computed = std::max(state.computed, col);
   const ModelColumn& mc = schema_->columns()[col];
   const size_t off = mc.offset;
   const size_t d = mc.domain_size;
@@ -413,11 +480,13 @@ const Matrix& MadeModel::CondProbs(const SamplerState& state,
   Matrix& logits = state.probs;
   logits.Reshape(batch, d);
   // Fused output slice: logits = h * W_out[:, off:off+d] + b_out[off:off+d]
-  // + direct. W_out is indexed at its full row stride; the kernel reads
-  // only the d-wide slice of each row.
-  kr.output_slice(state.h.data(), batch, state.h.cols(),
-                  cached_w_out_.data() + off, cached_w_out_.cols(),
-                  b_out_.value().data() + off,
+  // + direct, over the last layer at full width. Its units of degree > col
+  // are +0 (not computed yet) against ±0 masked weights. W_out is indexed
+  // at its full row stride; the kernel reads only the d-wide slice of each
+  // row.
+  const Matrix& h = state.hidden.back();
+  kr.output_slice(h.data(), batch, h.cols(), cached_w_out_.data() + off,
+                  cached_w_out_.cols(), b_out_.value().data() + off,
                   direct.data(), d, logits.data(), d);
   // Row softmax through the kernel layer (shared FastExp keeps the two
   // backends bit-identical; libm's std::exp makes no such promise).
@@ -436,10 +505,22 @@ void MadeModel::Observe(SamplerState* state, size_t col,
     SAM_CHECK(code >= 0 && static_cast<size_t>(code) < mc.domain_size)
         << "bad code " << code << " for column " << mc.name;
     const size_t unit = mc.offset + static_cast<size_t>(code);
-    kernels::Active().vec_add(state->pre1.row(r), cached_w_[0].row(unit), h1);
+    kernels::Active().vec_add(state->pre1.row(r), cached_w_in_.row(unit), h1);
     state->units.push_back(static_cast<uint32_t>(unit));
   }
   state->observed++;
+  // Every unit of degree > col reads this column: out of an in-order sweep
+  // (a CondProbs past `col` came first), recompute them on the next call.
+  if (state->computed > col) {
+    const std::vector<size_t>& deg = hidden_degrees_.back();
+    for (size_t r = 0; r < state->batch; ++r) {
+      double* h = state->hidden.back().row(r);
+      for (size_t u = 0; u < deg.size(); ++u) {
+        if (deg[u] > col) h[u] = 0.0;
+      }
+    }
+    state->computed = col;
+  }
 }
 
 namespace {

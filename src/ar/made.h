@@ -21,8 +21,10 @@ namespace sam {
 /// property, so column i's logits depend only on columns < i (Germain et al.,
 /// cited by the paper as a SAM instantiation).
 ///
-/// Two forward paths are provided:
-///  * a tape-recorded causal column sweep (`MaskedWeights` + `Sweep` +
+/// Two forward paths are provided, both causal column sweeps that compute
+/// each hidden unit once per sweep (a unit of degree d reads only columns
+/// < d, so its value is final once those are observed):
+///  * a tape-recorded sweep (`MaskedWeights` + `Sweep` +
 ///    `ColumnPass`/`WriteSample`) used by the DPS trainer, and
 ///  * an allocation-light sampler path (`InitState`/`CondProbs`/`Observe`)
 ///    that exploits one-hot inputs (first layer and direct connections become
@@ -118,8 +120,9 @@ class MadeModel {
   void SyncSamplerWeights();
 
   /// Per-batch incremental state: first-layer pre-activations accumulate as
-  /// columns are observed, and the observed one-hot units are recorded for
-  /// the direct connections.
+  /// columns are observed, the observed one-hot units are recorded for the
+  /// direct connections, and each hidden layer's activations fill in by
+  /// degree as `CondProbs` walks the columns.
   struct SamplerState {
     Matrix pre1;           ///< B x H1 (bias included).
     size_t batch = 0;
@@ -130,41 +133,65 @@ class MadeModel {
     /// instead of a B x total_domain accumulator.
     std::vector<uint32_t> units;
     size_t observed = 0;   ///< Columns recorded in `units`.
+    /// Per hidden layer, B x H_l activations in natural unit order. The
+    /// units of degree <= `computed` hold their values for the observed
+    /// prefix; the last layer's other units are +0, the deeper layers'
+    /// others are stale and never read. `mutable`, like the scratch below,
+    /// because they cache work derived from the observations, not part of
+    /// the state's logical value; a state belongs to one sampler thread at
+    /// a time, so the batch-parallel samplers never share one.
+    mutable std::vector<Matrix> hidden;
+    /// Highest hidden-unit degree computed. CondProbs(col) raises it to
+    /// col; Observe(col) lowers it to col, since every unit of a higher
+    /// degree reads that column.
+    mutable size_t computed = 0;
     /// Forward-pass scratch owned by the state so CondProbs allocates nothing
     /// per call (at generation batch sizes a fresh Matrix is an mmap + page
-    /// faults + munmap every forward). `mutable` because the scratch is not
-    /// part of the state's logical value; a state belongs to one sampler
-    /// thread at a time, so the batch-parallel samplers never share one.
-    mutable Matrix h;       ///< Hidden activations in flight.
-    mutable Matrix h_next;  ///< Next hidden layer (swapped with `h`).
+    /// faults + munmap every forward).
     mutable Matrix direct;  ///< Direct logits of the column (B x domain).
     mutable Matrix probs;   ///< CondProbs result (B x domain(col)).
   };
 
-  /// A state for batches of up to `batch` rows with its scratch pre-sized
-  /// (hidden buffers at the widest layer, `direct`/`probs` at the largest
-  /// domain, `units` for every column), so no later ResetState, Observe or
-  /// CondProbs call on it grows a buffer. The parallel FOJ samplers build
-  /// one per worker on the calling thread before dispatch: scratch first
-  /// allocated on a worker lands in that thread's malloc arena, which keeps
-  /// it after the batch is freed.
+  /// A state for batches of up to `batch` rows with its buffers pre-sized
+  /// (`pre1` and one activation matrix per hidden layer at that layer's
+  /// width, `direct`/`probs` at the largest domain, `units` for every
+  /// column), so no later ResetState, Observe or CondProbs call on it grows
+  /// a buffer. The parallel FOJ samplers build one per worker on the calling
+  /// thread before dispatch: scratch first allocated on a worker lands in
+  /// that thread's malloc arena, which keeps it after the batch is freed.
   SamplerState InitState(size_t batch) const;
 
   /// Re-initialises `state` for a fresh batch of `batch` rows, reusing its
-  /// allocations: pre1 returns to the first-layer bias and no column is
-  /// observed. The batched estimator re-enters with the same
-  /// per-block state every call — fresh InitState matrices would be an
-  /// mmap + page faults + munmap per round at serving batch sizes.
+  /// allocations: pre1 returns to the first-layer bias, the last hidden
+  /// layer to +0, and no column is observed. The batched estimator re-enters
+  /// with the same per-block state every call — fresh InitState matrices
+  /// would be an mmap + page faults + munmap per round at serving batch
+  /// sizes.
   void ResetState(SamplerState* state, size_t batch) const;
 
   /// Conditional distribution P(col | observed prefix) for every batch row:
   /// B x domain(col), rows sum to 1. The returned reference points into
   /// `state` scratch — it is valid until the next CondProbs call on the same
   /// state (copy it to keep it longer).
+  ///
+  /// Cost: the hidden units of degrees (state.computed, col] in each layer,
+  /// bottom up, then the output slice and direct logits of `col`. Layer 1
+  /// is a ReLU of `pre1`; a deeper layer's degree-c units multiply the
+  /// units below of degree <= c by a weight block gathered in
+  /// SyncSamplerWeights. An in-order sweep over every column so costs one
+  /// forward of the hidden stack, and a call for a column already computed
+  /// costs no hidden work at all. Each sum runs k-ascending in natural unit
+  /// order and skips only terms whose masked weight is ±0, so the result
+  /// is bit-identical to a dense forward of the whole stack — except that
+  /// the dense product turned an inf or NaN activation of a unit that is
+  /// not final yet into NaN through its ±0 weight, and this path never
+  /// forms that product.
   const Matrix& CondProbs(const SamplerState& state, size_t col) const;
 
   /// Feeds the sampled codes of `col` into the state: first-layer
-  /// pre-activations and the recorded direct-connection units.
+  /// pre-activations and the recorded direct-connection units. Lowers
+  /// `state->computed` to `col` (zeroing the last layer's units above it),
+  /// so a call order outside the column sweep stays exact.
   void Observe(SamplerState* state, size_t col,
                std::span<const int32_t> codes) const;
 
@@ -214,8 +241,24 @@ class MadeModel {
   Matrix mask_out_;
   Matrix mask_direct_;
 
-  // Sampler cache: masked weight values.
-  std::vector<Matrix> cached_w_;
+  /// One (layer, degree c) step of the sampler's causal forward. `units`
+  /// are the layer's units of degree c, `rows` the layer below's units of
+  /// degree <= c, both in natural order; `w` holds the masked weights
+  /// (rows[k], units[j]) at (k, j), its columns zero-padded to a multiple
+  /// of kBlockLanes. Layer 1 has no `rows` or `w`: it reads `pre1`.
+  struct SamplerBlock {
+    std::vector<uint32_t> units;
+    std::vector<uint32_t> rows;
+    Matrix w;
+  };
+  static constexpr size_t kBlockLanes = 4;
+  void ComputeBlock(const SamplerState& state, size_t layer,
+                    const SamplerBlock& blk) const;
+
+  // Sampler cache: masked weight values, and per hidden layer the blocks
+  // of degrees [0, num_columns) (degree 0 is always empty).
+  Matrix cached_w_in_;
+  std::vector<std::vector<SamplerBlock>> sampler_blocks_;
   Matrix cached_w_out_;
   Matrix cached_w_direct_;
   bool sampler_synced_ = false;

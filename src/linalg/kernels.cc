@@ -44,22 +44,6 @@ void Matmul(const double* a, size_t ar, size_t ac, size_t a_stride,
   }
 }
 
-// No zero-skip (see kernels.h): a branch-free inner loop the compiler can
-// keep auto-vectorised. Same k-ascending per-element order as Matmul.
-void MatmulDense(const double* a, size_t ar, size_t ac, const double* b,
-                 size_t bc, double* c) {
-  for (size_t i = 0; i < ar; ++i) {
-    const double* ai = a + i * ac;
-    double* ci = c + i * bc;
-    for (size_t j = 0; j < bc; ++j) ci[j] = 0.0;
-    for (size_t k = 0; k < ac; ++k) {
-      const double aik = ai[k];
-      const double* bk = b + k * bc;
-      for (size_t j = 0; j < bc; ++j) ci[j] += aik * bk[j];
-    }
-  }
-}
-
 void MatmulTa(const double* a, size_t ar, size_t ac, size_t a_stride,
               const double* b, size_t bc, double* c) {
   std::fill(c, c + ac * bc, 0.0);
@@ -115,10 +99,6 @@ void BiasReluSkip(double* x, const double* bias, const double* skip,
       }
     }
   }
-}
-
-void Relu(const double* in, double* out, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = std::max(0.0, in[i]);
 }
 
 void VecAdd(double* dst, const double* src, size_t n) {
@@ -208,10 +188,9 @@ uint64_t BitmapPopcount(const uint64_t* words, size_t nwords) {
 }  // namespace scalar
 
 constexpr KernelTable kScalarTable = {
-    scalar::Matmul,       scalar::MatmulDense,  scalar::MatmulTa,
-    scalar::MatmulTb,     scalar::BiasReluSkip, scalar::Relu,
-    scalar::VecAdd,       scalar::OutputSlice,  scalar::SoftmaxRows,
-    scalar::RangeMaskAnd, scalar::BitmapPopcount,
+    scalar::Matmul,         scalar::MatmulTa,     scalar::MatmulTb,
+    scalar::BiasReluSkip,   scalar::VecAdd,       scalar::OutputSlice,
+    scalar::SoftmaxRows,    scalar::RangeMaskAnd, scalar::BitmapPopcount,
 };
 
 bool EnvForcesScalar() {

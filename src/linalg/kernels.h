@@ -6,8 +6,8 @@
 namespace sam::kernels {
 
 /// \brief Runtime-dispatched compute kernels for the repo's three hot loops:
-/// dense matmul (training + MADE forwards), fused bias/ReLU/output-slice
-/// passes (progressive sampling), and word-level bitmap predicate evaluation
+/// matmuls (training), fused bias/ReLU and output-slice passes (training and
+/// progressive sampling), and word-level bitmap predicate evaluation
 /// (compiled query execution).
 ///
 /// Two implementations exist behind one function-pointer table: a portable
@@ -40,16 +40,6 @@ struct KernelTable {
   void (*matmul)(const double* a, size_t ar, size_t ac, size_t a_stride,
                  const double* b, size_t bc, double* c);
 
-  /// C = A * B like `matmul`, but WITHOUT the zero-skip: every A entry is
-  /// multiplied (NaN/Inf in B propagate). The skip pays off for one-hot /
-  /// highly sparse A (training inputs); at the ~half-dense activations the
-  /// sampler forward produces, the data-dependent branch mispredicts on
-  /// every other entry and costs more than the skipped work. Per-element
-  /// accumulation is k-ascending in both backends, so outputs are
-  /// bit-identical to `matmul` whenever B is finite.
-  void (*matmul_dense)(const double* a, size_t ar, size_t ac, const double* b,
-                       size_t bc, double* c);
-
   /// C = A^T * B without materialising A^T. A: ar x ac with row stride
   /// `a_stride` (>= ac), B: ar x bc, C: ac x bc (fully overwritten). Zero A
   /// entries are skipped.
@@ -76,9 +66,6 @@ struct KernelTable {
   /// std::max(0.0, v): NaN maps to 0.0, -0.0 to +0.0.
   void (*bias_relu_skip)(double* x, const double* bias, const double* skip,
                          size_t rows, size_t cols);
-
-  /// out[i] = max(0.0, in[i]).
-  void (*relu)(const double* in, double* out, size_t n);
 
   /// dst[i] += src[i].
   void (*vec_add)(double* dst, const double* src, size_t n);

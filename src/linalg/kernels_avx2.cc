@@ -61,104 +61,6 @@ void Matmul(const double* a, size_t ar, size_t ac, size_t a_stride,
   }
 }
 
-// Columns [j0, bc) of one dense output row: 4-wide blocks, scalar tail.
-inline void DenseRowTail(const double* ai, const double* b, size_t ac,
-                         size_t bc, double* ci, size_t j0) {
-  size_t j = j0;
-  for (; j + 4 <= bc; j += 4) {
-    __m256d acc = _mm256_setzero_pd();
-    const double* bj = b + j;
-    for (size_t k = 0; k < ac; ++k) {
-      acc = _mm256_add_pd(
-          acc, _mm256_mul_pd(_mm256_set1_pd(ai[k]), _mm256_loadu_pd(bj + k * bc)));
-    }
-    _mm256_storeu_pd(ci + j, acc);
-  }
-  for (; j < bc; ++j) {
-    double acc = 0.0;
-    for (size_t k = 0; k < ac; ++k) acc += ai[k] * b[k * bc + j];
-    ci[j] = acc;
-  }
-}
-
-// Dense (no zero-skip) variant: with every k contributing, the output can be
-// register-blocked — accumulators live across the whole k loop, eliminating
-// the per-k read-modify-write of C that the axpy structure pays. Rows are
-// processed in pairs: the k loop's add-latency chains (one per accumulator)
-// are the bottleneck, and a second row doubles the independent chains while
-// sharing each B load. Per-element accumulation stays k-ascending, matching
-// the scalar reference exactly.
-void MatmulDense(const double* a, size_t ar, size_t ac, const double* b,
-                 size_t bc, double* c) {
-  size_t i = 0;
-  for (; i + 2 <= ar; i += 2) {
-    const double* a0 = a + i * ac;
-    const double* a1 = a0 + ac;
-    double* c0 = c + i * bc;
-    double* c1 = c0 + bc;
-    size_t j = 0;
-    for (; j + 16 <= bc; j += 16) {
-      __m256d r00 = _mm256_setzero_pd(), r01 = _mm256_setzero_pd();
-      __m256d r02 = _mm256_setzero_pd(), r03 = _mm256_setzero_pd();
-      __m256d r10 = _mm256_setzero_pd(), r11 = _mm256_setzero_pd();
-      __m256d r12 = _mm256_setzero_pd(), r13 = _mm256_setzero_pd();
-      const double* bj = b + j;
-      for (size_t k = 0; k < ac; ++k) {
-        const __m256d va0 = _mm256_set1_pd(a0[k]);
-        const __m256d va1 = _mm256_set1_pd(a1[k]);
-        const double* bk = bj + k * bc;
-        const __m256d b0 = _mm256_loadu_pd(bk);
-        const __m256d b1 = _mm256_loadu_pd(bk + 4);
-        const __m256d b2 = _mm256_loadu_pd(bk + 8);
-        const __m256d b3 = _mm256_loadu_pd(bk + 12);
-        r00 = _mm256_add_pd(r00, _mm256_mul_pd(va0, b0));
-        r01 = _mm256_add_pd(r01, _mm256_mul_pd(va0, b1));
-        r02 = _mm256_add_pd(r02, _mm256_mul_pd(va0, b2));
-        r03 = _mm256_add_pd(r03, _mm256_mul_pd(va0, b3));
-        r10 = _mm256_add_pd(r10, _mm256_mul_pd(va1, b0));
-        r11 = _mm256_add_pd(r11, _mm256_mul_pd(va1, b1));
-        r12 = _mm256_add_pd(r12, _mm256_mul_pd(va1, b2));
-        r13 = _mm256_add_pd(r13, _mm256_mul_pd(va1, b3));
-      }
-      _mm256_storeu_pd(c0 + j, r00);
-      _mm256_storeu_pd(c0 + j + 4, r01);
-      _mm256_storeu_pd(c0 + j + 8, r02);
-      _mm256_storeu_pd(c0 + j + 12, r03);
-      _mm256_storeu_pd(c1 + j, r10);
-      _mm256_storeu_pd(c1 + j + 4, r11);
-      _mm256_storeu_pd(c1 + j + 8, r12);
-      _mm256_storeu_pd(c1 + j + 12, r13);
-    }
-    DenseRowTail(a0, b, ac, bc, c0, j);
-    DenseRowTail(a1, b, ac, bc, c1, j);
-  }
-  for (; i < ar; ++i) {
-    const double* ai = a + i * ac;
-    double* ci = c + i * bc;
-    size_t j = 0;
-    for (; j + 16 <= bc; j += 16) {
-      __m256d acc0 = _mm256_setzero_pd();
-      __m256d acc1 = _mm256_setzero_pd();
-      __m256d acc2 = _mm256_setzero_pd();
-      __m256d acc3 = _mm256_setzero_pd();
-      const double* bj = b + j;
-      for (size_t k = 0; k < ac; ++k) {
-        const __m256d va = _mm256_set1_pd(ai[k]);
-        const double* bk = bj + k * bc;
-        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(va, _mm256_loadu_pd(bk)));
-        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(va, _mm256_loadu_pd(bk + 4)));
-        acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(va, _mm256_loadu_pd(bk + 8)));
-        acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(va, _mm256_loadu_pd(bk + 12)));
-      }
-      _mm256_storeu_pd(ci + j, acc0);
-      _mm256_storeu_pd(ci + j + 4, acc1);
-      _mm256_storeu_pd(ci + j + 8, acc2);
-      _mm256_storeu_pd(ci + j + 12, acc3);
-    }
-    DenseRowTail(ai, b, ac, bc, ci, j);
-  }
-}
-
 void MatmulTa(const double* a, size_t ar, size_t ac, size_t a_stride,
               const double* b, size_t bc, double* c) {
   std::fill(c, c + ac * bc, 0.0);
@@ -316,15 +218,6 @@ void BiasReluSkip(double* x, const double* bias, const double* skip,
       for (; j < cols; ++j) row[j] = std::max(0.0, row[j] + bias[j]);
     }
   }
-}
-
-void Relu(const double* in, double* out, size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_max_pd(_mm256_loadu_pd(in + i), zero));
-  }
-  for (; i < n; ++i) out[i] = std::max(0.0, in[i]);
 }
 
 void VecAdd(double* dst, const double* src, size_t n) {
@@ -485,9 +378,8 @@ uint64_t BitmapPopcount(const uint64_t* words, size_t nwords) {
 // internal linkage and the dispatcher's declaration would not resolve.
 extern const KernelTable kAvx2Table;
 const KernelTable kAvx2Table = {
-    Matmul,       MatmulDense, MatmulTa,     MatmulTb,
-    BiasReluSkip, Relu,        VecAdd,       OutputSlice,
-    SoftmaxRows,  RangeMaskAnd, BitmapPopcount,
+    Matmul,       MatmulTa,    MatmulTb,     BiasReluSkip, VecAdd,
+    OutputSlice,  SoftmaxRows, RangeMaskAnd, BitmapPopcount,
 };
 
 }  // namespace sam::kernels::internal

@@ -149,6 +149,12 @@ struct GenerationPipeline::Impl {
     std::unordered_map<size_t, std::vector<int32_t>> resident;
     std::vector<double> w;  ///< Renormalised scaled weights.
     int64_t positive = 0;   ///< Samples with positive weight (present).
+    /// Root at fan-out > 1 only: each positively weighted sample's
+    /// partition (its group key's hash), hashed once at activation.
+    std::vector<uint32_t> root_part;
+    /// Root only: the positively weighted samples of each partition, which
+    /// size a root partition's lookahead entry.
+    std::vector<int64_t> root_part_positive;
     int64_t reserved = 0;
   };
   ActiveRel active;
@@ -652,9 +658,12 @@ struct GenerationPipeline::Impl {
     }
 
     // The relation's resident working set — its needed code columns plus the
-    // weight array — is the irreducible per-relation memory floor.
+    // weight array (and the root's partition ids) — is the irreducible
+    // per-relation memory floor.
+    const bool root_parts = rc.name == schema().root() && partitions > 1;
     const int64_t bytes =
-        static_cast<int64_t>(needed.size()) * static_cast<int64_t>(k) * 4 +
+        static_cast<int64_t>(needed.size() + (root_parts ? 1 : 0)) *
+            static_cast<int64_t>(k) * 4 +
         static_cast<int64_t>(k) * 8;
     SAM_RETURN_NOT_OK(budget.Reserve(
         bytes, "resident code columns + weight array for relation '" +
@@ -711,7 +720,26 @@ struct GenerationPipeline::Impl {
 
     rc.valid = true;
     active = std::move(rc);
+    if (active.name == schema().root()) CountRootPartitions();
     return Status::OK();
+  }
+
+  /// Fills `active.root_part` and `active.root_part_positive` (GroupKey
+  /// reads `active`, so this runs once it is set).
+  void CountRootPartitions() {
+    active.root_part_positive.assign(partitions, 0);
+    if (partitions > 1) active.root_part.assign(k, 0);
+    for (uint64_t s = 0; s < k; ++s) {
+      if (active.w[s] <= 0.0) continue;
+      uint32_t part = 0;
+      if (partitions > 1) {
+        const std::string key =
+            GroupKey(-1, static_cast<uint32_t>(s), active.group_cols);
+        part = static_cast<uint32_t>(HashKey(key) % partitions);
+        active.root_part[s] = part;
+      }
+      ++active.root_part_positive[part];
+    }
   }
 
   // -- Group keys -----------------------------------------------------------
@@ -902,7 +930,7 @@ struct GenerationPipeline::Impl {
       return FojChunk::BytesFor(SampleRows(s.index), schema().num_columns());
     }
     if (active.name == schema().root()) {
-      return active.positive *
+      return active.root_part_positive[s.index] *
              (static_cast<int64_t>(sizeof(SpillVirtual)) + 96 + 24);
     }
     const auto& rs = state.relations[rel_index.at(active.name)];
@@ -1113,11 +1141,7 @@ struct GenerationPipeline::Impl {
       // fraction 1 with no parent key; partitioned by its own group key.
       for (uint64_t s = 0; s < k; ++s) {
         if (active.w[s] <= 0.0) continue;
-        if (partitions > 1) {
-          const std::string key =
-              GroupKey(-1, static_cast<uint32_t>(s), active.group_cols);
-          if (HashKey(key) % partitions != part) continue;
-        }
+        if (partitions > 1 && active.root_part[s] != part) continue;
         virtuals.push_back(SpillVirtual{static_cast<uint32_t>(s), 1.0, -1});
       }
       if (res != nullptr) {

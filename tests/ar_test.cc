@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <span>
 
 #include "ar/batched_estimator.h"
@@ -784,6 +785,138 @@ TEST(CausalSweepTest, ReducedGradientsMatchFiniteDifferences) {
     }
   }
   EXPECT_GT(checked, 200u);
+}
+
+// ---- The sampler's causal forward ------------------------------------------
+
+/// Every entry of `a` and `b` has the same bits.
+void ExpectBitEqual(const Matrix& a, const Matrix& b, const std::string& where) {
+  ASSERT_EQ(a.rows(), b.rows()) << where;
+  ASSERT_EQ(a.cols(), b.cols()) << where;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+      << where;
+}
+
+/// Random in-domain codes, codes[col][r], different from row to row.
+std::vector<std::vector<int32_t>> RandomCodes(const ModelSchema& schema,
+                                              size_t batch, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<int32_t>> codes(schema.num_columns());
+  for (size_t col = 0; col < codes.size(); ++col) {
+    const int64_t dom = static_cast<int64_t>(schema.columns()[col].domain_size);
+    for (size_t r = 0; r < batch; ++r) {
+      codes[col].push_back(static_cast<int32_t>(rng.UniformInt(0, dom - 1)));
+    }
+  }
+  return codes;
+}
+
+/// A copy of each column's CondProbs over an in-order sweep of `state`.
+std::vector<Matrix> InOrderSweep(const MadeModel& model,
+                                 MadeModel::SamplerState* state,
+                                 const std::vector<std::vector<int32_t>>& codes) {
+  std::vector<Matrix> probs;
+  for (size_t col = 0; col < codes.size(); ++col) {
+    probs.push_back(model.CondProbs(*state, col));
+    model.Observe(state, col, codes[col]);
+  }
+  return probs;
+}
+
+void ExpectCausalSamplerExact(const GoldenFixture& f,
+                              const MadeModel::Options& mopts) {
+  MadeModel model(&f.schema, mopts);
+  // Nonzero biases, so the bias and ReLU of every layer take part.
+  std::vector<ad::Tensor> params = model.params();
+  const size_t layers = mopts.hidden_sizes.size();
+  Rng rng(7);
+  for (size_t p = layers; p <= 2 * layers + 1; ++p) {
+    if (p == 2 * layers) continue;  // w_out.
+    Matrix& b = params[p].mutable_value();
+    for (size_t i = 0; i < b.size(); ++i) b.data()[i] = 0.5 * rng.Normal();
+  }
+  model.SyncSamplerWeights();
+  const size_t n = f.schema.num_columns();
+  constexpr size_t kBatch = 5;
+  const auto codes = RandomCodes(f.schema, kBatch, 11);
+
+  // In order, every column against the softmax of the training sweep's
+  // logits.
+  MadeModel::SamplerState in_order = model.InitState(kBatch);
+  const std::vector<Matrix> probs = InOrderSweep(model, &in_order, codes);
+  {
+    ad::NoGradGuard guard;
+    const auto mw = model.BuildMaskedWeights();
+    MadeModel::Sweep sweep = model.StartSweep(kBatch);
+    for (size_t col = 0; col < n; ++col) {
+      const Matrix ref =
+          ad::Softmax(model.ColumnPass(mw, &sweep)).value();
+      EXPECT_LE(MaxRelativeError(probs[col], ref), 1e-10) << "column " << col;
+      const ModelColumn& mc = f.schema.columns()[col];
+      Matrix sample(kBatch, mc.domain_size);
+      for (size_t r = 0; r < kBatch; ++r) sample(r, codes[col][r]) = 1.0;
+      model.WriteSample(&sweep, ad::Tensor::Constant(std::move(sample)));
+    }
+  }
+
+  // The catch-up path: a fresh state fed the prefix, asked only for `col`.
+  for (size_t col = 0; col < n; ++col) {
+    MadeModel::SamplerState fresh = model.InitState(kBatch);
+    for (size_t c = 0; c < col; ++c) model.Observe(&fresh, c, codes[c]);
+    ExpectBitEqual(model.CondProbs(fresh, col), probs[col],
+                   "catch-up, column " + std::to_string(col));
+  }
+
+  // A later column asked first, then an earlier column observed: the
+  // observation lowers what the state has computed.
+  MadeModel::SamplerState ahead = model.InitState(kBatch);
+  for (size_t col = 0; col < n; ++col) {
+    model.CondProbs(ahead, n - 1);
+    ExpectBitEqual(model.CondProbs(ahead, col), probs[col],
+                   "out of order, column " + std::to_string(col));
+    model.CondProbs(ahead, n - 1);
+    model.Observe(&ahead, col, codes[col]);
+  }
+
+  // A state re-entered after a full sweep of a larger batch carries nothing
+  // over from it.
+  MadeModel::SamplerState reused = model.InitState(8);
+  InOrderSweep(model, &reused, RandomCodes(f.schema, 8, 12));
+  model.ResetState(&reused, 3);
+  MadeModel::SamplerState small = model.InitState(3);
+  const auto codes3 = RandomCodes(f.schema, 3, 13);
+  const std::vector<Matrix> reused_probs = InOrderSweep(model, &reused, codes3);
+  const std::vector<Matrix> small_probs = InOrderSweep(model, &small, codes3);
+  for (size_t col = 0; col < n; ++col) {
+    ExpectBitEqual(reused_probs[col], small_probs[col],
+                   "reset, column " + std::to_string(col));
+  }
+}
+
+TEST(CausalSamplerTest, MatchesTrainingSweepAndIsExactInAnyCallOrder) {
+  const GoldenFixture f = CensusGolden();
+  MadeModel::Options mopts = f.model;
+  mopts.hidden_sizes = {16, 16};
+  mopts.residual = false;
+  ExpectCausalSamplerExact(f, mopts);
+}
+
+TEST(CausalSamplerTest, ExactWithThreeResidualLayers) {
+  const GoldenFixture f = CensusGolden();
+  MadeModel::Options mopts = f.model;
+  mopts.hidden_sizes = {24, 24, 24};
+  mopts.residual = true;
+  ExpectCausalSamplerExact(f, mopts);
+}
+
+TEST(CausalSamplerTest, ExactWithEmptyDegreeGroups) {
+  // Widths below columns - 1 leave some degrees without units, and unequal
+  // widths give every layer different groups.
+  const GoldenFixture f = CensusGolden();
+  ASSERT_GT(f.schema.num_columns(), 13u);
+  MadeModel::Options mopts = f.model;
+  mopts.hidden_sizes = {5, 12, 7};
+  ExpectCausalSamplerExact(f, mopts);
 }
 
 TEST(DpsTrainerTest, GoldenParamsDigest) {

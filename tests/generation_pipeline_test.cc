@@ -461,6 +461,40 @@ TEST(ParallelPartitionTest, PrefetchIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
+// A root partition's lookahead entry reserves for the positively weighted
+// samples of that partition, not of the whole root relation: at fan-out 4
+// under the 4 MiB cap, a whole-relation estimate never fits and the root's
+// phase A would run inline at every thread count.
+TEST(ParallelPartitionTest, RootPartitionsPrefetchAtFanOutFour) {
+  const Database db = MakeChainDatabase();
+  SamOptions tight;
+  tight.foj_samples = 20480;
+  tight.memory_cap_bytes = 4ll << 20;  // Partition fan-out 4.
+  const auto sam = MakeChainModel(db, tight);
+  const std::string root = TempDir("sam_pipe_root_prefetch");
+  // The plan runs every sample step, then the root relation's partitions
+  // first: stopping after the root's first partition step counts only the
+  // entries that step dispatched for the root's next partitions.
+  const uint64_t batch = sam->options().generation_batch;
+  const uint64_t sample_steps = (tight.foj_samples + batch - 1) / batch;
+  obs::Counter* prefetched = obs::MetricsRegistry::Global().GetCounter(
+      "sam.generate.partitions_prefetched");
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    const std::string tag = std::to_string(threads);
+    obs::EnableMetrics(true);
+    const uint64_t before = prefetched->Value();
+    auto r = RunPipeline(*sam, root + "/out" + tag, root + "/w" + tag, false,
+                         /*stop_after_steps=*/sample_steps + 1, nullptr,
+                         threads);
+    const uint64_t root_entries = prefetched->Value() - before;
+    obs::EnableMetrics(false);
+    ASSERT_TRUE(r.ok()) << "threads=" << threads << ": "
+                        << r.status().ToString();
+    EXPECT_FALSE(r.ValueOrDie().completed);
+    EXPECT_GE(root_entries, 1u) << "threads=" << threads;
+  }
+}
+
 /// Multi-step chain fixture for the parallel-commit sweeps: enough FOJ
 /// samples for a partition fan-out of 2 under the cap, but a large batch so
 /// the whole plan stays below ~20 steps and a kill-at-every-step sweep is
