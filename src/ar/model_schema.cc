@@ -152,7 +152,67 @@ Result<ModelSchema> ModelSchema::Build(const Database& db, const Workload& train
     offset += col.domain_size;
   }
   schema.total_domain_ = offset;
+
+  // The fanout-scaling and NULL-relation rule, compiled once (RelationRule).
+  // Topological order puts parents before their children.
+  for (const auto& name : schema.graph_.TopologicalOrder()) {
+    RelationRule& rule = schema.relations_.emplace_back();
+    rule.name = name;
+    rule.parent = schema.RelationIndex(schema.graph_.Parent(name));
+  }
+  // A relation's indicator precedes the rest of its columns (see above).
+  for (size_t c = 0; c < schema.columns_.size(); ++c) {
+    ModelColumn& col = schema.columns_[c];
+    col.relation = static_cast<size_t>(schema.RelationIndex(col.table));
+    RelationRule& owner = schema.relations_[col.relation];
+    if (col.kind == ModelColumnKind::kIndicator) {
+      owner.indicator = static_cast<int>(c);
+    }
+    col.indicator = owner.indicator;
+  }
+  for (auto& rule : schema.relations_) {
+    rule.covered = schema.Covered({rule.name});
+    for (size_t c = 0; c < schema.columns_.size(); ++c) {
+      const ModelColumn& col = schema.columns_[c];
+      const bool in_set = rule.covered[col.relation] != 0;
+      // Only FK relations have a fanout column; each has a parent and an
+      // indicator.
+      const bool fanout = col.kind == ModelColumnKind::kFanout;
+      const int parent = schema.relations_[col.relation].parent;
+      if (fanout ? rule.covered[static_cast<size_t>(parent)] != 0 : in_set) {
+        rule.identifier_columns.push_back(c);
+      }
+      if (fanout && !in_set) {
+        rule.weight_terms.push_back({c, static_cast<size_t>(col.indicator)});
+      }
+    }
+  }
   return schema;
+}
+
+int ModelSchema::RelationIndex(const std::string& name) const {
+  for (size_t r = 0; r < relations_.size(); ++r) {
+    if (relations_[r].name == name) return static_cast<int>(r);
+  }
+  return -1;
+}
+
+const RelationRule& ModelSchema::relation(const std::string& name) const {
+  const int r = RelationIndex(name);
+  SAM_CHECK(r >= 0) << "unknown relation '" << name << "'";
+  return relations_[static_cast<size_t>(r)];
+}
+
+std::vector<uint8_t> ModelSchema::Covered(
+    const std::vector<std::string>& names) const {
+  std::vector<uint8_t> out(relations_.size(), 0);
+  for (const auto& name : names) {
+    for (int r = RelationIndex(name); r >= 0;
+         r = relations_[static_cast<size_t>(r)].parent) {
+      out[static_cast<size_t>(r)] = 1;
+    }
+  }
+  return out;
 }
 
 int ModelSchema::FindColumn(ModelColumnKind kind, const std::string& table,
@@ -212,30 +272,21 @@ Result<CompiledQuery> ModelSchema::Compile(const Query& q) const {
   out.scale_fanout.assign(columns_.size(), 0);
   out.log_card = std::log(static_cast<double>(std::max<int64_t>(q.cardinality, 1)));
 
-  // Relations "covered" by the query: J plus all ancestors of members (Eq. 4 /
-  // NeuroCard fanout scaling: only fanouts of relations outside this set
-  // multiply the tuple count).
-  std::set<std::string> covered(q.relations.begin(), q.relations.end());
-  for (const auto& rel : q.relations) {
-    for (const auto& anc : graph_.Ancestors(rel)) covered.insert(anc);
-  }
+  // Relations "covered" by the query: J ∪ Ancestors(J) (Eq. 4 / NeuroCard
+  // fanout scaling: only fanouts of relations outside this set multiply the
+  // tuple count).
+  const std::vector<uint8_t> covered = Covered(q.relations);
 
   for (size_t i = 0; i < columns_.size(); ++i) {
     const ModelColumn& col = columns_[i];
     switch (col.kind) {
-      case ModelColumnKind::kIndicator: {
-        if (covered.count(col.table) != 0 && q.InvolvesRelation(col.table)) {
-          // Inner-join semantics: the relation must be present.
-          out.allow[i] = {0, 1};  // code 1 = present.
-        }
+      case ModelColumnKind::kIndicator:
+        // Inner-join semantics: the relation must be present (code 1).
+        if (q.InvolvesRelation(col.table)) out.allow[i] = {0, 1};
         break;
-      }
-      case ModelColumnKind::kFanout: {
-        if (multi_relation_ && covered.count(col.table) == 0) {
-          out.scale_fanout[i] = 1;
-        }
+      case ModelColumnKind::kFanout:
+        if (covered[col.relation] == 0) out.scale_fanout[i] = 1;
         break;
-      }
       case ModelColumnKind::kContent: {
         const auto preds = q.PredicatesOn(col.table);
         std::vector<const Predicate*> mine;

@@ -46,6 +46,10 @@ struct ModelColumn {
   size_t domain_size = 0;  ///< Number of codes (incl. NULL token if any).
   size_t offset = 0;       ///< Offset of this column in the one-hot layout.
 
+  size_t relation = 0;  ///< Index of `table` in `ModelSchema::relations()`.
+  /// Column of `table`'s indicator I_T; -1 for the root or a single relation.
+  int indicator = -1;
+
   /// Decoded fanout value of a code (kFanout columns only): code j -> j+1.
   int64_t FanoutValueOf(int32_t code) const { return code + 1; }
 };
@@ -56,10 +60,35 @@ struct CompiledQuery {
   std::vector<std::vector<uint8_t>> allow;
   /// Per model column: true when this fanout column must be inverse-scaled
   /// for this query (its relation is outside J ∪ Ancestors(J); §4.1 fanout
-  /// scaling / Eq. 4).
+  /// scaling / Eq. 4). Ungated: see `RelationRule`.
   std::vector<uint8_t> scale_fanout;
   /// log(max(Card, 1)) training target.
   double log_card = 0;
+};
+
+/// \brief The fanout-scaling and NULL-relation rule of relation T (§4.1 Eq. 4,
+/// §4.3.1, Theorem 2), compiled once by `ModelSchema::Build`: the fanout
+/// columns of relations outside {T} ∪ Ancestors(T) divide T's count, each
+/// gated by its relation's indicator (a NULL relation contributes fanout 1).
+/// IPW reads it, and so does Group-and-Merge; `Compile` uses its covered-set
+/// walk. Known mismatch: DPS and `BatchedProgressiveEstimator` divide by every
+/// `scale_fanout` column without the gate; ROADMAP "Fidelity, step 1".
+struct RelationRule {
+  struct FanoutTerm {
+    size_t fanout = 0;  ///< Fanout column dividing the weight ...
+    size_t gate = 0;    ///< ... unless this indicator column reads absent.
+  };
+
+  std::string name;
+  int parent = -1;  ///< Index of T's parent relation; -1 for a root.
+  std::vector<uint8_t> covered;  ///< {T} ∪ Ancestors(T), per relation index.
+  int indicator = -1;  ///< I_T's column; -1 for the root or a single relation.
+  /// Eq. 4 terms: the fanout columns outside `covered`, in column order (the
+  /// order fixes the bits of the product).
+  std::vector<FanoutTerm> weight_terms;
+  /// Identifier(T.pk) of Theorem 2: content and indicator columns of
+  /// `covered` plus fanout columns of relations whose parent is in it.
+  std::vector<size_t> identifier_columns;
 };
 
 /// \brief Catalog-style metadata assumed known to the generator (the paper
@@ -104,6 +133,13 @@ class ModelSchema {
     return table_sizes_;
   }
 
+  /// One rule per relation, in join-graph topological order.
+  const std::vector<RelationRule>& relations() const { return relations_; }
+  /// Index of relation `name` in `relations()`, or -1.
+  int RelationIndex(const std::string& name) const;
+  /// The rule of relation `name`, which must exist.
+  const RelationRule& relation(const std::string& name) const;
+
   /// Index of the column with the given role, or -1.
   int FindColumn(ModelColumnKind kind, const std::string& table,
                  const std::string& name) const;
@@ -132,6 +168,12 @@ class ModelSchema {
   std::string root_;
   int64_t foj_size_ = 0;
   std::map<std::string, int64_t> table_sizes_;
+  std::vector<RelationRule> relations_;
+
+  /// {R} ∪ Ancestors(R) over every R in `names`, as a mask over relation
+  /// indices; unknown names cover nothing. The one covered-set walk behind
+  /// `Compile` and every `RelationRule`.
+  std::vector<uint8_t> Covered(const std::vector<std::string>& names) const;
 };
 
 }  // namespace sam

@@ -91,7 +91,7 @@ struct GenerationPipeline::Impl {
   struct Step {
     enum class Kind { kSample, kPartition, kPass2, kAssemble, kPublish };
     Kind kind = Kind::kSample;
-    size_t rel = 0;    ///< Index into `topo` (partition/pass2) or `layouts()`.
+    size_t rel = 0;    ///< Index into `rules()` (partition/pass2) or `layouts()`.
     size_t index = 0;  ///< Batch index / partition index.
   };
 
@@ -109,12 +109,10 @@ struct GenerationPipeline::Impl {
   MemoryBudget budget{0};
 
   bool multi = false;
-  std::vector<std::string> topo;  ///< Relation processing order.
   uint64_t k = 0;                 ///< Total sampled FOJ tuples.
   uint64_t sample_batches = 0;
   size_t partitions = 1;
   std::vector<Step> plan;
-  std::unordered_map<std::string, size_t> rel_index;  ///< name -> topo index.
 
   GenerationCheckpoint state;
   std::string resumed_from;
@@ -123,7 +121,7 @@ struct GenerationPipeline::Impl {
   // recomputation from the spilled FOJ chunks — no RNG involved — so it is
   // rebuilt on demand after a resume rather than checkpointed.
   bool preamble_ready = false;
-  std::unordered_map<std::string, std::vector<double>> w_base;
+  std::vector<std::vector<double>> w_base;  ///< Per relation, as `rules()`.
   int64_t preamble_reserved = 0;
 
   struct ColPlan {
@@ -148,7 +146,6 @@ struct GenerationPipeline::Impl {
     std::vector<ColPlan> col_plan;
     std::unordered_map<size_t, std::vector<int32_t>> resident;
     std::vector<double> w;  ///< Renormalised scaled weights.
-    int64_t positive = 0;   ///< Samples with positive weight (present).
     /// Root at fan-out > 1 only: each positively weighted sample's
     /// partition (its group key's hash), hashed once at activation.
     std::vector<uint32_t> root_part;
@@ -225,8 +222,14 @@ struct GenerationPipeline::Impl {
   }
   std::string StagingDir() const { return opts.work_dir + "/staging"; }
 
+  /// The relations in processing order: the join graph's topological
+  /// order (ModelSchema::Build), which the checkpoint's relations follow.
+  const std::vector<RelationRule>& rules() const { return schema().relations(); }
+  size_t RelIndex(const std::string& name) const {
+    return static_cast<size_t>(schema().RelationIndex(name));
+  }
   GenerationCheckpoint::RelationState& RelState(const std::string& name) {
-    return state.relations[rel_index.at(name)];
+    return state.relations[RelIndex(name)];
   }
 
   const SamModel::TableLayout* LayoutOf(const std::string& rel) const {
@@ -346,11 +349,11 @@ struct GenerationPipeline::Impl {
       plan.push_back(Step{Step::Kind::kSample, 0, static_cast<size_t>(b)});
     }
     if (multi) {
-      for (size_t r = 0; r < topo.size(); ++r) {
+      for (size_t r = 0; r < rules().size(); ++r) {
         for (size_t p = 0; p < partitions; ++p) {
           plan.push_back(Step{Step::Kind::kPartition, r, p});
         }
-        const SamModel::TableLayout* layout = LayoutOf(topo[r]);
+        const SamModel::TableLayout* layout = LayoutOf(rules()[r].name);
         if (layout != nullptr && !layout->pk.empty()) {
           plan.push_back(Step{Step::Kind::kPass2, r, 0});
         }
@@ -406,18 +409,13 @@ struct GenerationPipeline::Impl {
     budget = MemoryBudget(o.memory_cap_bytes);
 
     multi = schema().multi_relation();
-    if (multi) {
-      topo = schema().join_graph().TopologicalOrder();
-      k = o.foj_samples;
-    } else {
-      if (sam->layouts().size() != 1) {
-        return Status::Internal("single-relation schema with " +
-                                std::to_string(sam->layouts().size()) +
-                                " layouts");
-      }
-      topo = {sam->layouts()[0].name};
-      k = static_cast<uint64_t>(schema().table_size(topo[0]));
+    if (!multi && sam->layouts().size() != 1) {
+      return Status::Internal("single-relation schema with " +
+                              std::to_string(sam->layouts().size()) +
+                              " layouts");
     }
+    k = multi ? o.foj_samples
+              : static_cast<uint64_t>(schema().table_size(rules()[0].name));
     if (const SamModel::FojSample* foj = opts.injected_foj) {
       bool shaped = foj->codes.size() == schema().num_columns();
       for (const auto& col : foj->codes) shaped &= col.size() >= foj->count;
@@ -427,9 +425,8 @@ struct GenerationPipeline::Impl {
       }
       k = foj->count;
     }
-    rel_index.clear();
-    for (size_t i = 0; i < topo.size(); ++i) rel_index[topo[i]] = i;
-    for (const auto& rel : topo) {
+    for (const RelationRule& rule : rules()) {
+      const std::string& rel = rule.name;
       const SamModel::TableLayout* layout = LayoutOf(rel);
       if (layout == nullptr) {
         return Status::Internal("no table layout recorded for relation '" +
@@ -447,7 +444,7 @@ struct GenerationPipeline::Impl {
       // the floor of any multi-relation run. Refuse a k they cannot fit
       // before planning k / batch sample steps, not after sampling them all.
       uint64_t floor_bytes = 0;
-      if (__builtin_mul_overflow(k, uint64_t{8} * topo.size(), &floor_bytes)) {
+      if (__builtin_mul_overflow(k, uint64_t{8} * rules().size(), &floor_bytes)) {
         floor_bytes = INT64_MAX;
       }
       SAM_RETURN_NOT_OK(budget.CheckFits(
@@ -469,13 +466,13 @@ struct GenerationPipeline::Impl {
             "mismatch); refusing to resume");
       }
       if (state.next_step > plan.size() ||
-          state.relations.size() != topo.size()) {
+          state.relations.size() != rules().size()) {
         return Status::InvalidArgument("generation checkpoint '" +
                                        resumed_from +
                                        "' does not match the current plan");
       }
-      for (size_t i = 0; i < topo.size(); ++i) {
-        if (state.relations[i].name != topo[i] ||
+      for (size_t i = 0; i < rules().size(); ++i) {
+        if (state.relations[i].name != rules()[i].name ||
             state.relations[i].virt_chunk_seq.size() != partitions) {
           return Status::InvalidArgument(
               "generation checkpoint '" + resumed_from +
@@ -523,9 +520,9 @@ struct GenerationPipeline::Impl {
     state = GenerationCheckpoint{};
     state.fingerprint = fingerprint;
     state.base_seed = sam->GenerationBaseSeed();
-    for (const auto& rel : topo) {
+    for (const RelationRule& rule : rules()) {
       GenerationCheckpoint::RelationState rs;
-      rs.name = rel;
+      rs.name = rule.name;
       rs.virt_chunk_seq.assign(partitions, 0);
       state.relations.push_back(std::move(rs));
     }
@@ -533,10 +530,6 @@ struct GenerationPipeline::Impl {
   }
 
   // -- Preamble -------------------------------------------------------------
-
-  static int64_t PositiveCount(const std::vector<double>& w) {
-    return std::count_if(w.begin(), w.end(), [](double v) { return v > 0.0; });
-  }
 
   void ReleasePreamble() {
     if (preamble_reserved > 0) budget.Release(preamble_reserved);
@@ -549,10 +542,10 @@ struct GenerationPipeline::Impl {
     if (!multi || preamble_ready) return Status::OK();
     obs::TraceSpan span("generate/pipeline/preamble");
     const int64_t bytes =
-        static_cast<int64_t>(topo.size()) * static_cast<int64_t>(k) * 8;
+        static_cast<int64_t>(rules().size()) * static_cast<int64_t>(k) * 8;
     SAM_RETURN_NOT_OK(budget.Reserve(bytes, "per-relation weight arrays"));
     preamble_reserved = bytes;
-    for (const auto& rel : topo) w_base[rel].assign(k, 0.0);
+    w_base.assign(rules().size(), std::vector<double>(k, 0.0));
 
     const size_t batch = options().generation_batch;
     for (uint64_t b = 0; b < sample_batches; ++b) {
@@ -566,25 +559,15 @@ struct GenerationPipeline::Impl {
       view.count = chunk.rows;
       view.codes = std::move(chunk.codes);
       const uint64_t start = b * batch;
-      for (const auto& rel : topo) {
-        auto& w = w_base[rel];
+      for (size_t t = 0; t < rules().size(); ++t) {
         for (uint64_t r = 0; r < chunk.rows; ++r) {
-          w[start + r] = sam->InverseProbabilityWeight(view, rel, r);
+          w_base[t][start + r] =
+              sam->InverseProbabilityWeight(view, rules()[t], r);
         }
       }
     }
-    for (const auto& rel : topo) {
-      auto& w = w_base[rel];
-      double sum = 0.0;
-      for (double v : w) sum += v;
-      if (sum <= 0.0) {
-        return DegenerateSampleError(
-            "no usable samples for relation '" + rel + "': " +
-            std::to_string(PositiveCount(w)) + " of " + std::to_string(k) +
-            " FOJ samples have it present");
-      }
-      const double scale = static_cast<double>(schema().table_size(rel)) / sum;
-      for (double& v : w) v *= scale;
+    for (size_t t = 0; t < rules().size(); ++t) {
+      SAM_RETURN_NOT_OK(sam->ScaleToRelationSize(rules()[t], &w_base[t]));
     }
     preamble_ready = true;
     return Status::OK();
@@ -606,7 +589,7 @@ struct GenerationPipeline::Impl {
 
     ActiveRel rc;
     rc.topo_index = topo_index;
-    rc.name = topo[topo_index];
+    rc.name = rules()[topo_index].name;
     rc.layout = LayoutOf(rc.name);
     rc.keyed = !rc.layout->pk.empty();
     rc.children = schema().join_graph().Children(rc.name);
@@ -615,40 +598,28 @@ struct GenerationPipeline::Impl {
                                      "' has children but no primary key");
     }
     rc.group_cols =
-        rc.keyed ? sam->IdentifierColumns(rc.name)
+        rc.keyed ? schema().relation(rc.name).identifier_columns
                  : schema().ColumnsOf(ModelColumnKind::kContent, rc.name);
     for (const auto& child : rc.children) {
       const SamModel::TableLayout* cl = LayoutOf(child);
       const bool child_keyed = cl != nullptr && !cl->pk.empty();
       rc.child_group_cols[child] =
-          child_keyed ? sam->IdentifierColumns(child)
+          child_keyed ? schema().relation(child).identifier_columns
                       : schema().ColumnsOf(ModelColumnKind::kContent, child);
     }
 
     // Layout-column plan.
     std::unordered_set<size_t> needed;
-    for (const auto& cname : rc.layout->column_names) {
+    for (size_t ci = 0; ci < rc.layout->column_names.size(); ++ci) {
       ColPlan cp;
-      if (!rc.layout->pk.empty() && cname == rc.layout->pk) {
+      if (const int col = rc.layout->model_columns[ci]; col >= 0) {
+        cp.kind = ColPlan::Kind::kContent;
+        cp.model_col = static_cast<size_t>(col);
+        needed.insert(cp.model_col);
+      } else if (rc.layout->column_names[ci] == rc.layout->pk) {
         cp.kind = ColPlan::Kind::kPk;
       } else {
-        bool is_fk = false;
-        for (const auto& fk : rc.layout->fks) {
-          if (fk.column == cname) is_fk = true;
-        }
-        if (is_fk) {
-          cp.kind = ColPlan::Kind::kFk;
-        } else {
-          const int col =
-              schema().FindColumn(ModelColumnKind::kContent, rc.name, cname);
-          if (col < 0) {
-            return Status::Internal("content column missing from model: " +
-                                    rc.name + "." + cname);
-          }
-          cp.kind = ColPlan::Kind::kContent;
-          cp.model_col = static_cast<size_t>(col);
-          needed.insert(cp.model_col);
-        }
+        cp.kind = ColPlan::Kind::kFk;
       }
       rc.col_plan.push_back(cp);
     }
@@ -699,8 +670,7 @@ struct GenerationPipeline::Impl {
 
     // Re-apply the scaling step against the incoming virtual mass (Alg 2's
     // size guarantee under dropped sub-threshold parent groups).
-    rc.w = w_base.at(rc.name);
-    rc.positive = PositiveCount(rc.w);
+    rc.w = w_base[topo_index];
     double incoming = 0.0;
     if (rc.name == schema().root()) {
       for (double v : rc.w) incoming += v;
@@ -708,9 +678,11 @@ struct GenerationPipeline::Impl {
       incoming = RelState(rc.name).incoming_mass;
     }
     if (incoming <= 0.0) {
+      const auto present = std::count_if(rc.w.begin(), rc.w.end(),
+                                         [](double v) { return v > 0.0; });
       return fail(DegenerateSampleError(
           "no incoming mass for relation '" + rc.name + "': " +
-          std::to_string(rc.positive) + " of " + std::to_string(k) +
+          std::to_string(present) + " of " + std::to_string(k) +
           " FOJ samples have it present, but none of them reached a key of "
           "its parent '" + schema().join_graph().Parent(rc.name) + "'"));
     }
@@ -880,7 +852,8 @@ struct GenerationPipeline::Impl {
     const size_t part = HashKey(child_key) % partitions;
     VirtBuffer& buf = virt_bufs[{child, part}];
     buf.records.push_back(SpillVirtual{sample, fraction, fk});
-    RelState(child).incoming_mass += w_base.at(child)[sample] * fraction;
+    const size_t ci = RelIndex(child);
+    state.relations[ci].incoming_mass += w_base[ci][sample] * fraction;
     const int64_t slab = 16ll << 10;
     while (buf.reserved < static_cast<int64_t>(buf.records.size() *
                                                sizeof(SpillVirtual))) {
@@ -933,7 +906,7 @@ struct GenerationPipeline::Impl {
       return active.root_part_positive[s.index] *
              (static_cast<int64_t>(sizeof(SpillVirtual)) + 96 + 24);
     }
-    const auto& rs = state.relations[rel_index.at(active.name)];
+    const auto& rs = state.relations[active.topo_index];
     int64_t disk_bytes = 0;
     for (uint64_t seq = 0; seq < rs.virt_chunk_seq[s.index]; ++seq) {
       const int64_t bytes =
@@ -1149,7 +1122,7 @@ struct GenerationPipeline::Impl {
                                        "root virtual samples"));
       }
     } else {
-      const auto& rs = state.relations[rel_index.at(active.name)];
+      const auto& rs = state.relations[active.topo_index];
       for (uint64_t seq = 0; seq < rs.virt_chunk_seq[part]; ++seq) {
         const std::string name = VirtChunkName(active.name, part, seq);
         SAM_ASSIGN_OR_RETURN(VirtualChunk chunk,

@@ -59,6 +59,11 @@ Result<std::unique_ptr<SamModel>> SamModel::Create(const Database& db,
     for (const auto& c : t.columns()) {
       layout.column_names.push_back(c.name());
       layout.column_types.push_back(c.type());
+      layout.model_columns.push_back(
+          t.IsKeyColumn(c.name())
+              ? -1
+              : sam->schema_.FindColumn(ModelColumnKind::kContent, t.name(),
+                                        c.name()));
     }
     if (t.primary_key()) layout.pk = *t.primary_key();
     layout.fks = t.foreign_keys();
@@ -104,17 +109,13 @@ void SamModel::SampleFojBatchInto(uint64_t base_seed, size_t batch_index,
       codes[r] = static_cast<int32_t>(pick);
     }
     if (options_.enforce_null_consistency &&
-        mc.kind != ModelColumnKind::kIndicator) {
+        mc.kind != ModelColumnKind::kIndicator && mc.indicator >= 0) {
       // ModelSchema::Build orders a relation's indicator before its content
       // and fanout columns, so it is already sampled here.
-      const int ind =
-          schema_.FindColumn(ModelColumnKind::kIndicator, mc.table, mc.table);
-      if (ind >= 0) {
-        const int32_t* present = out->codes[static_cast<size_t>(ind)].data() +
-                                 start;
-        for (size_t r = 0; r < rows; ++r) {
-          if (present[r] == 0) codes[r] = 0;  // NULL token / fanout value 1.
-        }
+      const int32_t* present =
+          out->codes[static_cast<size_t>(mc.indicator)].data() + start;
+      for (size_t r = 0; r < rows; ++r) {
+        if (present[r] == 0) codes[r] = 0;  // NULL token / fanout value 1.
       }
     }
     model_->Observe(state, col, {codes, rows});
@@ -173,29 +174,38 @@ SamModel::FojSample SamModel::SampleFoj(size_t k, uint64_t base_seed) const {
 }
 
 double SamModel::InverseProbabilityWeight(const FojSample& foj,
-                                          const std::string& table,
+                                          const RelationRule& rule,
                                           size_t s) const {
-  const JoinGraph& graph = schema_.join_graph();
   // Absent relations produce no base-relation sample.
-  const int ind = schema_.FindColumn(ModelColumnKind::kIndicator, table, table);
-  if (ind >= 0 && foj.codes[static_cast<size_t>(ind)][s] == 0) return 0.0;
-
-  std::vector<std::string> excluded = graph.Ancestors(table);
-  excluded.push_back(table);
+  if (rule.indicator >= 0 &&
+      foj.codes[static_cast<size_t>(rule.indicator)][s] == 0) {
+    return 0.0;
+  }
   double denom = 1.0;
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    const ModelColumn& mc = schema_.columns()[c];
-    if (mc.kind != ModelColumnKind::kFanout) continue;
-    if (std::find(excluded.begin(), excluded.end(), mc.table) != excluded.end()) {
-      continue;
-    }
+  for (const RelationRule::FanoutTerm& term : rule.weight_terms) {
     // Per §4.3.1: NULL relations contribute fanout 1.
-    const int t_ind =
-        schema_.FindColumn(ModelColumnKind::kIndicator, mc.table, mc.table);
-    if (t_ind >= 0 && foj.codes[static_cast<size_t>(t_ind)][s] == 0) continue;
-    denom *= static_cast<double>(mc.FanoutValueOf(foj.codes[c][s]));
+    if (foj.codes[term.gate][s] == 0) continue;
+    denom *= static_cast<double>(
+        schema_.columns()[term.fanout].FanoutValueOf(foj.codes[term.fanout][s]));
   }
   return 1.0 / denom;
+}
+
+Status SamModel::ScaleToRelationSize(const RelationRule& rule,
+                                     std::vector<double>* w) const {
+  double sum = 0.0;
+  for (double v : *w) sum += v;
+  if (sum <= 0.0) {
+    const auto present =
+        std::count_if(w->begin(), w->end(), [](double v) { return v > 0.0; });
+    return DegenerateSampleError(
+        "no usable samples for relation '" + rule.name + "': " +
+        std::to_string(present) + " of " + std::to_string(w->size()) +
+        " FOJ samples have it present");
+  }
+  const double scale = static_cast<double>(schema_.table_size(rule.name)) / sum;
+  for (double& v : *w) v *= scale;
+  return Status::OK();
 }
 
 namespace {
@@ -248,11 +258,11 @@ Status SamModel::DecodeSingleRelationBatch(
   const TableLayout& layout = layouts_[0];
   std::vector<const ModelColumn*> cols;
   std::vector<const int32_t*> codes;
-  for (const auto& cname : layout.column_names) {
-    const int col =
-        schema_.FindColumn(ModelColumnKind::kContent, layout.name, cname);
+  for (size_t ci = 0; ci < layout.column_names.size(); ++ci) {
+    const int col = layout.model_columns[ci];
     if (col < 0) {
-      return Status::Internal("generated column missing from model: " + cname);
+      return Status::Internal("generated column missing from model: " +
+                              layout.column_names[ci]);
     }
     cols.push_back(&schema_.columns()[static_cast<size_t>(col)]);
     codes.push_back(foj.codes[static_cast<size_t>(col)].data() + start);
@@ -303,35 +313,6 @@ Result<Database> SamModel::Generate() const {
   Database db;
   SAM_RETURN_NOT_OK(db.AddTable(std::move(table)));
   return db;
-}
-
-std::vector<size_t> SamModel::IdentifierColumns(const std::string& table) const {
-  // Theorem 2: Identifier(T.pk) = indicator + content columns of
-  // {T} u Ancestors(T), plus fanout columns of FK relations joining that set
-  // (i.e. whose parent is in the set).
-  const JoinGraph& graph = schema_.join_graph();
-  std::vector<std::string> set = graph.Ancestors(table);
-  set.push_back(table);
-  std::vector<size_t> out;
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    const ModelColumn& mc = schema_.columns()[c];
-    const bool in_set =
-        std::find(set.begin(), set.end(), mc.table) != set.end();
-    switch (mc.kind) {
-      case ModelColumnKind::kContent:
-      case ModelColumnKind::kIndicator:
-        if (in_set) out.push_back(c);
-        break;
-      case ModelColumnKind::kFanout: {
-        const std::string parent = graph.Parent(mc.table);
-        if (std::find(set.begin(), set.end(), parent) != set.end()) {
-          out.push_back(c);
-        }
-        break;
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace sam

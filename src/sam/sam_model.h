@@ -111,13 +111,11 @@ class SamModel {
     std::vector<ColumnType> column_types;
     std::string pk;                 ///< Empty when none.
     std::vector<ForeignKey> fks;
+    /// Per column: its model content column; -1 for a key column.
+    std::vector<int> model_columns;
   };
   /// One layout per relation, in the source database's table order.
   const std::vector<TableLayout>& layouts() const { return layouts_; }
-
-  /// Model-column indices of Identifier(T.pk) per Theorem 2 (the grouping
-  /// key of Group-and-Merge in the generation pipeline).
-  std::vector<size_t> IdentifierColumns(const std::string& table) const;
 
   /// \brief One sampled FOJ tuple set as raw model codes (k x num_columns),
   /// exposed for tests and the ablation baseline.
@@ -167,10 +165,22 @@ class SamModel {
       size_t start, size_t rows,
       const std::function<Status(std::vector<Value>&&)>& sink) const;
 
-  /// Inverse-probability weight of relation `table` for sample `s` (Eq. 4);
-  /// 0 when the relation is absent (indicator 0).
-  double InverseProbabilityWeight(const FojSample& foj, const std::string& table,
+  /// Inverse-probability weight of relation `rule` for sample `s` (Eq. 4):
+  /// the reciprocal of the product of its `weight_terms`, where an absent
+  /// relation contributes fanout 1 (§4.3.1); 0 when `rule`'s own relation is
+  /// absent (indicator 0).
+  double InverseProbabilityWeight(const FojSample& foj, const RelationRule& rule,
                                   size_t s) const;
+  double InverseProbabilityWeight(const FojSample& foj, const std::string& table,
+                                  size_t s) const {
+    return InverseProbabilityWeight(foj, schema_.relation(table), s);
+  }
+
+  /// Scales relation `rule`'s weights over all of a run's FOJ samples to sum
+  /// to |T| (Alg 2 step 2); a `DegenerateSampleError` when none is positive.
+  /// The one scaling step of the generation pipeline and the view baseline.
+  Status ScaleToRelationSize(const RelationRule& rule,
+                             std::vector<double>* w) const;
 
   /// `Generate` through the pipeline with the given FOJ samples in place of
   /// model draws, so tests and benches can inject exact FOJ tuples. Decoding

@@ -34,46 +34,28 @@ Result<Database> GenerateViewBaseline(const SamModel& sam,
 
   // IPW (Eq. 4), then scaling to |T|.
   auto scaled_weights = [&](const std::string& rel) -> Result<std::vector<double>> {
+    const RelationRule& rule = schema.relation(rel);
     std::vector<double> w(foj.count);
-    double sum = 0.0;
-    size_t present = 0;
     for (size_t s = 0; s < foj.count; ++s) {
-      w[s] = sam.InverseProbabilityWeight(foj, rel, s);
-      sum += w[s];
-      present += w[s] > 0.0 ? 1 : 0;
+      w[s] = sam.InverseProbabilityWeight(foj, rule, s);
     }
-    if (sum <= 0.0) {
-      return DegenerateSampleError(
-          "no usable samples for relation '" + rel + "': " +
-          std::to_string(present) + " of " + std::to_string(foj.count) +
-          " FOJ samples have it present");
-    }
-    for (double& v : w) v *= static_cast<double>(schema.table_size(rel)) / sum;
+    SAM_RETURN_NOT_OK(sam.ScaleToRelationSize(rule, &w));
     return w;
   };
 
   auto emit_row = [&](const std::string& rel, size_t s, int64_t pk,
-                      int64_t fk) -> Status {
+                      int64_t fk) {
     const SamModel::TableLayout& layout = *layouts.at(rel);
     auto& cols = columns.at(rel);
-    for (size_t ci = 0; ci < layout.column_names.size(); ++ci) {
-      const std::string& cname = layout.column_names[ci];
-      if (cname == layout.pk) {
-        cols[ci].emplace_back(pk);
-      } else if (!layout.fks.empty() && cname == layout.fks.front().column) {
-        cols[ci].emplace_back(fk);
-      } else {
-        const int col = schema.FindColumn(ModelColumnKind::kContent, rel, cname);
-        if (col < 0) {
-          return Status::Internal("content column missing from model: " + rel +
-                                  "." + cname);
-        }
+    for (size_t ci = 0; ci < cols.size(); ++ci) {
+      if (const int col = layout.model_columns[ci]; col >= 0) {
         const auto c = static_cast<size_t>(col);
         cols[ci].push_back(
             schema.DecodeContent(schema.columns()[c], foj.codes[c][s], rng));
+      } else {
+        cols[ci].emplace_back(layout.column_names[ci] == layout.pk ? pk : fk);
       }
     }
-    return Status::OK();
   };
 
   // Root: one key per unit of scaled mass of each distinct root content.
@@ -97,7 +79,7 @@ Result<Database> GenerateViewBaseline(const SamModel& sam,
   int64_t counter = 0;
   for (const auto& [key, mass] : root_mass) {
     for (int64_t i = std::llround(mass); i > 0; --i, ++counter) {
-      SAM_RETURN_NOT_OK(emit_row(root, root_repr[key], counter, -1));
+      emit_row(root, root_repr[key], counter, -1);
       keys_by_content[key].push_back(counter);
     }
   }
@@ -115,7 +97,7 @@ Result<Database> GenerateViewBaseline(const SamModel& sam,
       for (carry += w[s]; carry >= 1.0; carry -= 1.0) {
         const int64_t fk = keys[static_cast<size_t>(
             rng->UniformInt(0, static_cast<int64_t>(keys.size()) - 1))];
-        SAM_RETURN_NOT_OK(emit_row(rel, s, -1, fk));
+        emit_row(rel, s, -1, fk);
       }
     }
   }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <span>
 
 #include "ar/batched_estimator.h"
@@ -201,6 +202,116 @@ TEST(ModelSchemaTest, FanoutScalingFlagsFollowEq4) {
   auto cb = schema.Compile(qb).MoveValue();
   EXPECT_FALSE(cb.scale_fanout[fb]);
   EXPECT_TRUE(cb.scale_fanout[fc]);
+}
+
+/// {R} ∪ Ancestors(R) over every R in `rels`, walked through parent names
+/// alone: the reference for ModelSchema's compiled rule.
+std::set<std::string> BruteForceCovered(const JoinGraph& g,
+                                        const std::vector<std::string>& rels) {
+  std::set<std::string> out;
+  for (const auto& r : rels) {
+    for (std::string cur = r; !cur.empty(); cur = g.Parent(cur)) out.insert(cur);
+  }
+  return out;
+}
+
+/// Checks every relation's compiled rule, every column's indicator, and
+/// `Compile(q).scale_fanout` of every query against the brute-force walk.
+void ExpectRuleMatchesBruteForce(const ModelSchema& schema,
+                                 const Workload& queries) {
+  const JoinGraph& g = schema.join_graph();
+  const std::vector<ModelColumn>& cols = schema.columns();
+  auto indicator_of = [&](const std::string& table) {
+    return schema.FindColumn(ModelColumnKind::kIndicator, table, table);
+  };
+  for (size_t c = 0; c < cols.size(); ++c) {
+    EXPECT_EQ(cols[c].indicator, indicator_of(cols[c].table)) << "column " << c;
+    EXPECT_EQ(schema.relations()[cols[c].relation].name, cols[c].table);
+  }
+
+  const std::vector<std::string> order = g.TopologicalOrder();
+  ASSERT_EQ(schema.relations().size(), order.size());
+  for (size_t t = 0; t < order.size(); ++t) {
+    const RelationRule& rule = schema.relations()[t];
+    ASSERT_EQ(rule.name, order[t]);
+    EXPECT_EQ(&schema.relation(rule.name), &rule);
+    EXPECT_EQ(rule.indicator, indicator_of(rule.name)) << rule.name;
+    const std::set<std::string> covered = BruteForceCovered(g, {rule.name});
+    std::vector<std::pair<size_t, int>> terms;
+    std::vector<size_t> identifier;
+    for (size_t c = 0; c < cols.size(); ++c) {
+      const bool in_set = covered.count(cols[c].table) != 0;
+      if (cols[c].kind != ModelColumnKind::kFanout) {
+        if (in_set) identifier.push_back(c);
+        continue;
+      }
+      if (covered.count(g.Parent(cols[c].table)) != 0) identifier.push_back(c);
+      if (!in_set) terms.emplace_back(c, indicator_of(cols[c].table));
+    }
+    std::vector<std::pair<size_t, int>> got;
+    for (const auto& term : rule.weight_terms) {
+      got.emplace_back(term.fanout, static_cast<int>(term.gate));
+    }
+    EXPECT_EQ(got, terms) << rule.name;
+    EXPECT_EQ(rule.identifier_columns, identifier) << rule.name;
+    std::vector<uint8_t> covered_mask;
+    for (const auto& rel : order) covered_mask.push_back(covered.count(rel));
+    EXPECT_EQ(rule.covered, covered_mask) << rule.name;
+  }
+
+  for (const Query& q : queries) {
+    const std::set<std::string> covered = BruteForceCovered(g, q.relations);
+    const CompiledQuery cq = schema.Compile(q).MoveValue();
+    for (size_t c = 0; c < cols.size(); ++c) {
+      const bool scaled = cols[c].kind == ModelColumnKind::kFanout &&
+                          covered.count(cols[c].table) == 0;
+      EXPECT_EQ(cq.scale_fanout[c] != 0, scaled)
+          << "column " << c << " of " << q.ToString();
+    }
+  }
+}
+
+TEST(ModelSchemaTest, ImdbRuleMatchesBruteForceAncestorWalk) {
+  const Database db = MakeImdbLike(200, 19);
+  auto exec = Executor::Create(&db).MoveValue();
+  MultiRelationWorkloadOptions wopts;
+  wopts.num_queries = 48;
+  Workload queries = GenerateMultiRelationWorkload(db, *exec, wopts).MoveValue();
+  const Workload job =
+      GenerateJobLightWorkload(db, *exec, JobLightWorkloadOptions{}).MoveValue();
+  queries.insert(queries.end(), job.begin(), job.end());
+  for (const auto& rel : exec->join_graph().relations()) {
+    Query q;
+    q.relations = {rel};
+    queries.push_back(q);
+  }
+  SchemaHints hints;
+  hints.fanout_cap = 25;
+  const ModelSchema schema =
+      ModelSchema::Build(db, queries, hints, exec->FullOuterJoinSize())
+          .MoveValue();
+  ASSERT_EQ(schema.relations().size(), 6u);
+  ExpectRuleMatchesBruteForce(schema, queries);
+}
+
+TEST(ModelSchemaTest, ChainRuleMatchesBruteForceAncestorWalk) {
+  const Database db = MakeChainDatabase();
+  // Every non-empty subset of {A, B, C}, disconnected {A, C} included.
+  Workload queries;
+  const std::vector<std::string> rels = {"A", "B", "C"};
+  for (unsigned mask = 1; mask < 8; ++mask) {
+    Query q;
+    for (size_t r = 0; r < rels.size(); ++r) {
+      if (mask & (1u << r)) q.relations.push_back(rels[r]);
+    }
+    queries.push_back(q);
+  }
+  const ModelSchema schema =
+      ModelSchema::Build(db, queries, SchemaHints{}, 4).MoveValue();
+  ASSERT_EQ(schema.relations().size(), 3u);
+  // C's weight divides by no fanout: its covered set is the whole chain.
+  EXPECT_TRUE(schema.relation("C").weight_terms.empty());
+  ExpectRuleMatchesBruteForce(schema, queries);
 }
 
 class MadeTest : public ::testing::Test {

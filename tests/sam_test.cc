@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "common/fnv1a.h"
 #include "datasets/datasets.h"
 #include "engine/executor.h"
 #include "metrics/metrics.h"
@@ -299,6 +300,38 @@ TEST(SamModelTest, GenerateMultiRelationEndToEnd) {
     EXPECT_GT(got, orig * 0.75) << t.name();
     EXPECT_LT(got, orig * 1.25) << t.name();
   }
+}
+
+TEST(InverseProbabilityWeightTest, ImdbWeightsArePinnedBitForBit) {
+  // An untrained imdb-like model, so the FOJ sample covers absent relations
+  // and fanouts of every size; the digest was recorded before the rule was
+  // compiled into ModelSchema, by walking ancestors per sample.
+  const Database db = MakeImdbLike(200, 19);
+  auto exec = Executor::Create(&db).MoveValue();
+  MultiRelationWorkloadOptions wopts;
+  wopts.num_queries = 48;
+  const Workload train =
+      GenerateMultiRelationWorkload(db, *exec, wopts).MoveValue();
+  SchemaHints hints;
+  hints.fanout_cap = 25;
+  SamOptions options;
+  options.model.hidden_sizes = {16, 16};
+  options.model.seed = 23;
+  options.generation_threads = 1;
+  auto sam = SamModel::Create(db, train, hints, exec->FullOuterJoinSize(),
+                              options)
+                 .MoveValue();
+  sam->model()->SyncSamplerWeights();
+  const SamModel::FojSample foj = sam->SampleFoj(4000, 77);
+  Fnv1a digest;
+  for (const RelationRule& rule : sam->schema().relations()) {
+    for (size_t s = 0; s < foj.count; ++s) {
+      const double w = sam->InverseProbabilityWeight(foj, rule, s);
+      ASSERT_EQ(w, sam->InverseProbabilityWeight(foj, rule.name, s));
+      digest.MixDouble(w);
+    }
+  }
+  EXPECT_EQ(digest.hash(), 0x42a5ce0310a1ed3eull);
 }
 
 }  // namespace
