@@ -117,8 +117,9 @@ constexpr uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// FNV-1a hash of the bytes of `s`: the generation pipeline's partition key
-/// hash and the tag hash of `DeriveSeed`.
+/// FNV-1a hash of the bytes of `s`: the tag hash of `DeriveSeed`. The
+/// generation pipeline's merge-group key hash streams its key text through
+/// the same `Fnv1a`.
 inline uint64_t HashKey(const std::string& s) {
   Fnv1a f;
   f.Mix(s.data(), s.size());

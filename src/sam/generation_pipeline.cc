@@ -1,6 +1,7 @@
 #include "sam/generation_pipeline.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -8,10 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
-#include <map>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -117,11 +115,20 @@ struct GenerationPipeline::Impl {
   GenerationCheckpoint state;
   std::string resumed_from;
 
-  // Preamble (multi-relation): per-relation IPW-scaled base weights. A pure
-  // recomputation from the spilled FOJ chunks — no RNG involved — so it is
-  // rebuilt on demand after a resume rather than checkpointed.
+  // Preamble (multi-relation): per-relation IPW-scaled base weights and the
+  // resident code store, both filled by the run's one pass over the spilled
+  // FOJ chunks. A pure recomputation — no RNG involved — so it is rebuilt on
+  // demand after a resume rather than checkpointed.
   bool preamble_ready = false;
   std::vector<std::vector<double>> w_base;  ///< Per relation, as `rules()`.
+  /// The model columns some partition or pass-2 step reads: every relation's
+  /// layout content columns and merge-group columns (which include its
+  /// children's). Fixed by `Init`.
+  std::vector<size_t> store_cols;
+  /// Per model column, the codes of all k samples: filled for `store_cols`,
+  /// empty for every other column. Read-only once the preamble is ready, so
+  /// lookahead workers share it.
+  std::vector<std::vector<int32_t>> codes;
   int64_t preamble_reserved = 0;
 
   struct ColPlan {
@@ -130,21 +137,25 @@ struct GenerationPipeline::Impl {
     size_t model_col = 0;
   };
 
-  /// Resident state of the relation whose partition steps are executing:
-  /// its needed code columns, renormalised weights and layout plan. Loaded
-  /// once per relation (spanning its partition + pass-2 steps), released
-  /// when the next relation activates.
+  /// State of the relation whose partition steps are executing: its
+  /// renormalised weights, layout plan and merge-group columns (its codes
+  /// live in the preamble's store). Built once per relation (spanning its
+  /// partition + pass-2 steps), released when the next relation activates.
   struct ActiveRel {
     bool valid = false;
     size_t topo_index = 0;
     std::string name;
     const SamModel::TableLayout* layout = nullptr;
     bool keyed = false;
-    std::vector<std::string> children;
+    /// Child relation indices in join-graph edge order (the order key
+    /// assignment emits virtuals in); a child's position here is its slot.
+    std::vector<size_t> children;
+    /// Slots in child-name order: the order buffered virtuals are flushed
+    /// in, which fixes the manifest order.
+    std::vector<size_t> flush_order;
     std::vector<size_t> group_cols;
-    std::map<std::string, std::vector<size_t>> child_group_cols;
+    std::vector<std::vector<size_t>> child_group_cols;  ///< Per slot.
     std::vector<ColPlan> col_plan;
-    std::unordered_map<size_t, std::vector<int32_t>> resident;
     std::vector<double> w;  ///< Renormalised scaled weights.
     /// Root at fan-out > 1 only: each positively weighted sample's
     /// partition (its group key's hash), hashed once at activation.
@@ -168,8 +179,8 @@ struct GenerationPipeline::Impl {
     int64_t reserved = 0;
   };
   RowBuffer row_buf;
-  /// Keyed by (child relation, partition); ordered for deterministic flushes.
-  std::map<std::pair<std::string, size_t>, VirtBuffer> virt_bufs;
+  /// The active relation's virtual buffers, at slot * partitions + partition.
+  std::vector<VirtBuffer> virt_bufs;
 
   std::unique_ptr<ThreadPool> pool;
 
@@ -239,6 +250,47 @@ struct GenerationPipeline::Impl {
     return nullptr;
   }
 
+  /// The columns whose codes key `rel`'s merge groups: Theorem 2's
+  /// identifier columns for a keyed relation, its content columns otherwise.
+  std::vector<size_t> GroupColumns(const std::string& rel) const {
+    const SamModel::TableLayout* layout = LayoutOf(rel);
+    return layout != nullptr && !layout->pk.empty()
+               ? schema().relation(rel).identifier_columns
+               : schema().ColumnsOf(ModelColumnKind::kContent, rel);
+  }
+
+  /// Fills `store_cols`: each relation's layout content columns and group
+  /// columns. A relation's children are relations too, so this also covers
+  /// the child group columns that partition its virtuals.
+  void ChooseStoreColumns() {
+    std::vector<uint8_t> used(schema().num_columns(), 0);
+    for (const RelationRule& rule : rules()) {
+      for (const int col : LayoutOf(rule.name)->model_columns) {
+        if (col >= 0) used[static_cast<size_t>(col)] = 1;
+      }
+      for (const size_t c : GroupColumns(rule.name)) used[c] = 1;
+    }
+    store_cols.clear();
+    for (size_t c = 0; c < used.size(); ++c) {
+      if (used[c] != 0) store_cols.push_back(c);
+    }
+  }
+
+  /// The preamble's reservation: 8 bytes per relation and sample for the
+  /// weights plus 4 per stored column and sample for the code store;
+  /// INT64_MAX when that overflows.
+  int64_t PreambleBytes() const {
+    uint64_t weights = 0;
+    uint64_t store = 0;
+    uint64_t total = 0;
+    if (__builtin_mul_overflow(k, uint64_t{8} * rules().size(), &weights) ||
+        __builtin_mul_overflow(k, uint64_t{4} * store_cols.size(), &store) ||
+        __builtin_add_overflow(weights, store, &total) || total > INT64_MAX) {
+      return INT64_MAX;
+    }
+    return static_cast<int64_t>(total);
+  }
+
   /// Row-buffer reservation granularity.
   static constexpr int64_t kRowSlab = 64ll << 10;
 
@@ -272,9 +324,9 @@ struct GenerationPipeline::Impl {
     const int64_t cap = budget.cap();
     if (cap <= 0) return 1;
     const int64_t per_partition = std::max<int64_t>(cap / 4, 1ll << 20);
-    // ~192 bytes of group-table state per virtual (key string + member
-    // slot). Init bounds k by cap / 16, so k * 192 overflows only under a
-    // cap near INT64_MAX.
+    // 192 bytes of group-table state per virtual: a loose bound, kept fixed
+    // because the fan-out fixes the plan and every chunk name. Init bounds
+    // k by cap / 16, so k * 192 overflows only under a cap near INT64_MAX.
     int64_t estimate = 0;
     if (__builtin_mul_overflow(static_cast<int64_t>(k), int64_t{192},
                                &estimate)) {
@@ -440,16 +492,12 @@ struct GenerationPipeline::Impl {
       }
     }
     if (multi) {
-      // The preamble's weight arrays (8 bytes per relation and sample) are
-      // the floor of any multi-relation run. Refuse a k they cannot fit
-      // before planning k / batch sample steps, not after sampling them all.
-      uint64_t floor_bytes = 0;
-      if (__builtin_mul_overflow(k, uint64_t{8} * rules().size(), &floor_bytes)) {
-        floor_bytes = INT64_MAX;
-      }
+      // The preamble's weight arrays and code store are the floor of any
+      // multi-relation run. Refuse a k they cannot fit before planning
+      // k / batch sample steps, not after sampling them all.
+      ChooseStoreColumns();
       SAM_RETURN_NOT_OK(budget.CheckFits(
-          static_cast<int64_t>(std::min<uint64_t>(floor_bytes, INT64_MAX)),
-          "per-relation weight arrays"));
+          PreambleBytes(), "per-relation weight arrays + resident code store"));
     }
     sample_batches = (k + o.generation_batch - 1) / o.generation_batch;
     partitions = ChoosePartitions();
@@ -536,21 +584,74 @@ struct GenerationPipeline::Impl {
     preamble_reserved = 0;
     preamble_ready = false;
     w_base.clear();
+    codes.clear();
   }
 
+  /// Error for a spill chunk whose contents do not fit the plan: CRC-valid
+  /// bytes of another shape, swapped in between runs.
+  Status ForeignChunkError(const std::string& name,
+                           const std::string& what) const {
+    return Status::IOError("spill chunk '" + Path(name) + "' " + what +
+                           "; the work directory was modified — delete it "
+                           "and restart without --resume");
+  }
+
+  /// A spilled FOJ chunk must be the batch the plan wrote: its index, row
+  /// count and width, and every code inside its column's domain (the
+  /// weights, the code store and row decoding index by them).
+  Status CheckFojChunk(const FojChunk& chunk, uint64_t b) const {
+    const std::string name = FojChunkName(b);
+    if (chunk.batch_index != b || chunk.rows != SampleRows(b) ||
+        chunk.codes.size() != schema().num_columns()) {
+      return ForeignChunkError(
+          name, "holds batch " + std::to_string(chunk.batch_index) + " of " +
+                    std::to_string(chunk.rows) + " rows x " +
+                    std::to_string(chunk.codes.size()) +
+                    " columns, but the plan wrote batch " + std::to_string(b) +
+                    " of " + std::to_string(SampleRows(b)) + " x " +
+                    std::to_string(schema().num_columns()));
+    }
+    for (size_t c = 0; c < chunk.codes.size(); ++c) {
+      const size_t domain = schema().columns()[c].domain_size;
+      for (const int32_t code : chunk.codes[c]) {
+        if (code < 0 || static_cast<size_t>(code) >= domain) {
+          return ForeignChunkError(
+              name, "holds code " + std::to_string(code) + " in column " +
+                        std::to_string(c) + ", whose domain has " +
+                        std::to_string(domain) + " codes");
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Spilled sample ids index the weights and the code store.
+  Status CheckSample(uint32_t sample, const std::string& name) const {
+    if (sample < k) return Status::OK();
+    return ForeignChunkError(name, "names FOJ sample " +
+                                       std::to_string(sample) + " of " +
+                                       std::to_string(k));
+  }
+
+  /// The run's one read of the FOJ spill: each chunk is loaded once, its
+  /// IPW weights computed for every relation and its `store_cols` codes
+  /// copied into the resident store.
   Status EnsurePreamble() {
     if (!multi || preamble_ready) return Status::OK();
     obs::TraceSpan span("generate/pipeline/preamble");
-    const int64_t bytes =
-        static_cast<int64_t>(rules().size()) * static_cast<int64_t>(k) * 8;
-    SAM_RETURN_NOT_OK(budget.Reserve(bytes, "per-relation weight arrays"));
+    const int64_t bytes = PreambleBytes();
+    SAM_RETURN_NOT_OK(budget.Reserve(
+        bytes, "per-relation weight arrays + resident code store"));
     preamble_reserved = bytes;
     w_base.assign(rules().size(), std::vector<double>(k, 0.0));
+    codes.assign(schema().num_columns(), {});
+    for (const size_t c : store_cols) codes[c].resize(k);
 
     const size_t batch = options().generation_batch;
     for (uint64_t b = 0; b < sample_batches; ++b) {
       SAM_ASSIGN_OR_RETURN(FojChunk chunk,
                            FojChunk::Load(Path(FojChunkName(b))));
+      SAM_RETURN_NOT_OK(CheckFojChunk(chunk, b));
       ScopedReservation res(&budget);
       SAM_RETURN_NOT_OK(res.Acquire(
           FojChunk::BytesFor(chunk.rows, chunk.codes.size()),
@@ -564,6 +665,10 @@ struct GenerationPipeline::Impl {
           w_base[t][start + r] =
               sam->InverseProbabilityWeight(view, rules()[t], r);
         }
+      }
+      for (const size_t c : store_cols) {
+        std::copy(view.codes[c].begin(), view.codes[c].end(),
+                  codes[c].begin() + static_cast<ptrdiff_t>(start));
       }
     }
     for (size_t t = 0; t < rules().size(); ++t) {
@@ -592,30 +697,29 @@ struct GenerationPipeline::Impl {
     rc.name = rules()[topo_index].name;
     rc.layout = LayoutOf(rc.name);
     rc.keyed = !rc.layout->pk.empty();
-    rc.children = schema().join_graph().Children(rc.name);
+    for (const auto& child : schema().join_graph().Children(rc.name)) {
+      rc.children.push_back(RelIndex(child));
+      rc.child_group_cols.push_back(GroupColumns(child));
+    }
     if (!rc.keyed && !rc.children.empty()) {
       return Status::InvalidArgument("relation '" + rc.name +
                                      "' has children but no primary key");
     }
-    rc.group_cols =
-        rc.keyed ? schema().relation(rc.name).identifier_columns
-                 : schema().ColumnsOf(ModelColumnKind::kContent, rc.name);
-    for (const auto& child : rc.children) {
-      const SamModel::TableLayout* cl = LayoutOf(child);
-      const bool child_keyed = cl != nullptr && !cl->pk.empty();
-      rc.child_group_cols[child] =
-          child_keyed ? schema().relation(child).identifier_columns
-                      : schema().ColumnsOf(ModelColumnKind::kContent, child);
-    }
+    rc.flush_order.resize(rc.children.size());
+    for (size_t i = 0; i < rc.flush_order.size(); ++i) rc.flush_order[i] = i;
+    std::sort(rc.flush_order.begin(), rc.flush_order.end(),
+              [&](size_t a, size_t b) {
+                return rules()[rc.children[a]].name <
+                       rules()[rc.children[b]].name;
+              });
+    rc.group_cols = GroupColumns(rc.name);
 
     // Layout-column plan.
-    std::unordered_set<size_t> needed;
     for (size_t ci = 0; ci < rc.layout->column_names.size(); ++ci) {
       ColPlan cp;
       if (const int col = rc.layout->model_columns[ci]; col >= 0) {
         cp.kind = ColPlan::Kind::kContent;
         cp.model_col = static_cast<size_t>(col);
-        needed.insert(cp.model_col);
       } else if (rc.layout->column_names[ci] == rc.layout->pk) {
         cp.kind = ColPlan::Kind::kPk;
       } else {
@@ -623,50 +727,20 @@ struct GenerationPipeline::Impl {
       }
       rc.col_plan.push_back(cp);
     }
-    for (size_t c : rc.group_cols) needed.insert(c);
-    for (const auto& [child, cols] : rc.child_group_cols) {
-      for (size_t c : cols) needed.insert(c);
-    }
 
-    // The relation's resident working set — its needed code columns plus the
-    // weight array (and the root's partition ids) — is the irreducible
-    // per-relation memory floor.
+    // The relation's own working set — its renormalised weights (and the
+    // root's partition ids) — on top of the preamble's store.
     const bool root_parts = rc.name == schema().root() && partitions > 1;
     const int64_t bytes =
-        static_cast<int64_t>(needed.size() + (root_parts ? 1 : 0)) *
-            static_cast<int64_t>(k) * 4 +
-        static_cast<int64_t>(k) * 8;
+        static_cast<int64_t>(k) * (8 + (root_parts ? 4 : 0));
     SAM_RETURN_NOT_OK(budget.Reserve(
-        bytes, "resident code columns + weight array for relation '" +
-                   rc.name + "' (the per-relation floor)"));
+        bytes, "weight array for relation '" + rc.name +
+                   "' (the per-relation floor)"));
     rc.reserved = bytes;
     auto fail = [&](Status st) {
       budget.Release(rc.reserved);
       return st;
     };
-
-    for (size_t c : needed) rc.resident[c].resize(k);
-    const size_t batch = options().generation_batch;
-    for (uint64_t b = 0; b < sample_batches; ++b) {
-      auto loaded = FojChunk::Load(Path(FojChunkName(b)));
-      if (!loaded.ok()) return fail(loaded.status());
-      FojChunk chunk = loaded.MoveValue();
-      ScopedReservation res(&budget);
-      Status st = res.Acquire(
-          FojChunk::BytesFor(chunk.rows, chunk.codes.size()),
-          "FOJ chunk buffer");
-      if (!st.ok()) return fail(st);
-      const uint64_t start = b * batch;
-      for (size_t c : needed) {
-        if (c >= chunk.codes.size()) {
-          return fail(Status::Internal("FOJ chunk " + FojChunkName(b) +
-                                       " is missing column " +
-                                       std::to_string(c)));
-        }
-        std::copy(chunk.codes[c].begin(), chunk.codes[c].end(),
-                  rc.resident[c].begin() + start);
-      }
-    }
 
     // Re-apply the scaling step against the incoming virtual mass (Alg 2's
     // size guarantee under dropped sub-threshold parent groups).
@@ -692,12 +766,13 @@ struct GenerationPipeline::Impl {
 
     rc.valid = true;
     active = std::move(rc);
+    ClearVirtBuffers();
+    virt_bufs.resize(active.children.size() * partitions);
     if (active.name == schema().root()) CountRootPartitions();
     return Status::OK();
   }
 
-  /// Fills `active.root_part` and `active.root_part_positive` (GroupKey
-  /// reads `active`, so this runs once it is set).
+  /// Fills `active.root_part` and `active.root_part_positive`.
   void CountRootPartitions() {
     active.root_part_positive.assign(partitions, 0);
     if (partitions > 1) active.root_part.assign(k, 0);
@@ -705,9 +780,9 @@ struct GenerationPipeline::Impl {
       if (active.w[s] <= 0.0) continue;
       uint32_t part = 0;
       if (partitions > 1) {
-        const std::string key =
-            GroupKey(-1, static_cast<uint32_t>(s), active.group_cols);
-        part = static_cast<uint32_t>(HashKey(key) % partitions);
+        part = static_cast<uint32_t>(
+            KeyHash(-1, static_cast<uint32_t>(s), active.group_cols) %
+            partitions);
         active.root_part[s] = part;
       }
       ++active.root_part_positive[part];
@@ -716,16 +791,33 @@ struct GenerationPipeline::Impl {
 
   // -- Group keys -----------------------------------------------------------
 
-  /// Key format "<fk>|<code>,<code>,...,".
-  std::string GroupKey(int64_t fk, uint32_t sample,
-                       const std::vector<size_t>& cols) const {
-    std::string key = std::to_string(fk);
-    key += '|';
-    for (size_t c : cols) {
-      key += std::to_string(active.resident.at(c)[sample]);
-      key += ',';
+  /// Hash of sample `sample`'s merge-group key under parent key `fk`: FNV-1a
+  /// (`HashKey`) of the decimal text "<fk>|<code>,<code>,...,", streamed
+  /// without building the string. Partition ids and the spilled group
+  /// summaries derive from these values.
+  uint64_t KeyHash(int64_t fk, uint32_t sample,
+                   const std::vector<size_t>& cols) const {
+    Fnv1a f;
+    char buf[24];  // An int64 in decimal plus the separator.
+    auto mix = [&](auto value, char sep) {
+      char* end = std::to_chars(buf, buf + sizeof(buf) - 1, value).ptr;
+      *end++ = sep;
+      f.Mix(buf, static_cast<size_t>(end - buf));
+    };
+    mix(fk, '|');
+    for (const size_t c : cols) mix(codes[c][sample], ',');
+    return f.hash();
+  }
+
+  /// True when sample `sample` under parent key `fk` has the key of group
+  /// `g`, whose first member stands for its codes.
+  bool SameKey(const Group& g, int64_t fk, uint32_t sample) const {
+    if (g.fk != fk) return false;
+    const uint32_t rep = g.members.front().first;
+    for (const size_t c : active.group_cols) {
+      if (codes[c][rep] != codes[c][sample]) return false;
     }
-    return key;
+    return true;
   }
 
   // -- Row emission ---------------------------------------------------------
@@ -794,8 +886,8 @@ struct GenerationPipeline::Impl {
           break;
         case ColPlan::Kind::kContent: {
           const ModelColumn& mc = schema().columns()[cp.model_col];
-          const Value v = schema().DecodeContent(
-              mc, active.resident.at(cp.model_col)[sample], rng);
+          const Value v =
+              schema().DecodeContent(mc, codes[cp.model_col][sample], rng);
           if (!v.is_null()) AppendCsvField(v, &csv);
           break;
         }
@@ -808,62 +900,68 @@ struct GenerationPipeline::Impl {
   // -- Child virtuals -------------------------------------------------------
 
   void ClearVirtBuffers() {
-    for (auto& [key, buf] : virt_bufs) {
+    for (VirtBuffer& buf : virt_bufs) {
       if (buf.reserved > 0) budget.Release(buf.reserved);
     }
     virt_bufs.clear();
   }
 
-  Status FlushVirtBuffer(const std::string& child, size_t part) {
-    auto it = virt_bufs.find({child, part});
-    if (it == virt_bufs.end()) return Status::OK();
-    VirtBuffer& buf = it->second;
+  /// Spills the buffer of the active relation's child `slot` for partition
+  /// `part` as its next virtual chunk, if it holds any records.
+  Status FlushVirtBuffer(size_t slot, size_t part) {
+    VirtBuffer& buf = virt_bufs[slot * partitions + part];
     if (!buf.records.empty()) {
-      auto& cs = RelState(child);
+      const size_t ci = active.children[slot];
+      auto& cs = state.relations[ci];
       const std::string name =
-          VirtChunkName(child, part, cs.virt_chunk_seq[part]);
+          VirtChunkName(rules()[ci].name, part, cs.virt_chunk_seq[part]);
       VirtualChunk chunk;
       chunk.records = std::move(buf.records);
+      buf.records = {};
       SAM_RETURN_NOT_OK(chunk.Save(Path(name)));
       SAM_RETURN_NOT_OK(RecordChunk(name));
       cs.virt_chunk_seq[part]++;
     }
     if (buf.reserved > 0) budget.Release(buf.reserved);
-    virt_bufs.erase(it);
+    buf.reserved = 0;
     return Status::OK();
   }
 
+  /// Flushes every buffer in (child name, partition) order.
   Status FlushAllVirtBuffers() {
-    while (!virt_bufs.empty()) {
-      const auto key = virt_bufs.begin()->first;
-      SAM_RETURN_NOT_OK(FlushVirtBuffer(key.first, key.second));
+    for (const size_t slot : active.flush_order) {
+      for (size_t p = 0; p < partitions; ++p) {
+        SAM_RETURN_NOT_OK(FlushVirtBuffer(slot, p));
+      }
     }
     return Status::OK();
   }
 
-  Status EmitChildVirtual(const std::string& child, uint32_t sample,
-                          double fraction, int64_t fk) {
+  Status EmitChildVirtual(size_t slot, uint32_t sample, double fraction,
+                          int64_t fk) {
     // Zero-mass virtuals (top-up keys, zero-weight samples) are no-ops for
     // every downstream consumer; never spilling them keeps chunks smaller
     // without changing any output.
     if (fraction <= 0.0) return Status::OK();
-    const std::string child_key =
-        GroupKey(fk, sample, active.child_group_cols.at(child));
-    const size_t part = HashKey(child_key) % partitions;
-    VirtBuffer& buf = virt_bufs[{child, part}];
+    const size_t part =
+        partitions > 1
+            ? KeyHash(fk, sample, active.child_group_cols[slot]) % partitions
+            : 0;
+    VirtBuffer& buf = virt_bufs[slot * partitions + part];
     buf.records.push_back(SpillVirtual{sample, fraction, fk});
-    const size_t ci = RelIndex(child);
+    const size_t ci = active.children[slot];
     state.relations[ci].incoming_mass += w_base[ci][sample] * fraction;
     const int64_t slab = 16ll << 10;
     while (buf.reserved < static_cast<int64_t>(buf.records.size() *
                                                sizeof(SpillVirtual))) {
       SAM_RETURN_NOT_OK(budget.Reserve(
-          slab, "virtual-sample buffer for relation '" + child + "'"));
+          slab, "virtual-sample buffer for relation '" + rules()[ci].name +
+                    "'"));
       buf.reserved += slab;
     }
     if (buf.records.size() >=
         VirtFlushRecords(active.children.size() * partitions)) {
-      SAM_RETURN_NOT_OK(FlushVirtBuffer(child, part));
+      SAM_RETURN_NOT_OK(FlushVirtBuffer(slot, part));
     }
     return Status::OK();
   }
@@ -1127,6 +1225,9 @@ struct GenerationPipeline::Impl {
         const std::string name = VirtChunkName(active.name, part, seq);
         SAM_ASSIGN_OR_RETURN(VirtualChunk chunk,
                              VirtualChunk::Load(Path(name)));
+        for (const SpillVirtual& v : chunk.records) {
+          SAM_RETURN_NOT_OK(CheckSample(v.sample, name));
+        }
         if (res != nullptr) {
           SAM_RETURN_NOT_OK(res->Acquire(
               VirtualChunk::BytesFor(chunk.records.size()),
@@ -1145,18 +1246,28 @@ struct GenerationPipeline::Impl {
   std::vector<Group> BuildGroups(
       const std::vector<SpillVirtual>& virtuals) const {
     std::vector<Group> groups;
-    std::unordered_map<std::string, size_t> group_index;
+    // Open addressing on the key hash, at most half full; a slot holds its
+    // group's index + 1 (0 = empty). Equal hashes are told apart by the key.
+    size_t mask = 15;
+    while (mask < 2 * virtuals.size()) mask = mask * 2 + 1;
+    std::vector<uint32_t> slots(mask + 1, 0);
     for (const auto& v : virtuals) {
       const double wv = active.w[v.sample] * v.fraction;
       if (wv <= 0.0) continue;
-      const std::string key = GroupKey(v.fk_value, v.sample, active.group_cols);
-      auto [it, inserted] = group_index.try_emplace(key, groups.size());
-      if (inserted) {
+      const uint64_t hash = KeyHash(v.fk_value, v.sample, active.group_cols);
+      size_t i = hash & mask;
+      while (slots[i] != 0 && (groups[slots[i] - 1].key_hash != hash ||
+                               !SameKey(groups[slots[i] - 1], v.fk_value,
+                                        v.sample))) {
+        i = (i + 1) & mask;
+      }
+      if (slots[i] == 0) {
         groups.emplace_back();
         groups.back().fk = v.fk_value;
-        groups.back().key_hash = HashKey(key);
+        groups.back().key_hash = hash;
+        slots[i] = static_cast<uint32_t>(groups.size());
       }
-      Group& g = groups[it->second];
+      Group& g = groups[slots[i] - 1];
       g.members.emplace_back(v.sample, v.fraction);
       g.mass += wv;
     }
@@ -1181,9 +1292,9 @@ struct GenerationPipeline::Impl {
       // Phase A inline, under incremental accounting.
       SAM_ASSIGN_OR_RETURN(std::vector<SpillVirtual> virtuals,
                            GatherVirtuals(part, &virt_res));
-      // ~96 bytes of group state per virtual (key strings + member slots),
-      // reserved up front so a pathological partition fails cleanly instead
-      // of OOMing.
+      // 96 bytes of group state per virtual (member slot, group record,
+      // index slots), reserved up front so a pathological partition fails
+      // cleanly instead of OOMing.
       SAM_RETURN_NOT_OK(group_res.Acquire(
           static_cast<int64_t>(virtuals.size()) * 96,
           "merge-group table for relation '" + active.name + "' partition " +
@@ -1274,9 +1385,9 @@ struct GenerationPipeline::Impl {
       const double sample_total = active.w[m.sample];
       const double child_fraction =
           sample_total > 0.0 ? m.take / sample_total : 0.0;
-      for (const auto& child : active.children) {
+      for (size_t slot = 0; slot < active.children.size(); ++slot) {
         SAM_RETURN_NOT_OK(
-            EmitChildVirtual(child, m.sample, child_fraction, rs->pk_counter));
+            EmitChildVirtual(slot, m.sample, child_fraction, rs->pk_counter));
       }
     }
     rs->pk_counter++;
@@ -1347,6 +1458,9 @@ struct GenerationPipeline::Impl {
                            LeftoverChunk::Load(Path(name)));
       int64_t bytes = 0;
       for (const auto& s : chunk.sets) {
+        for (const LeftoverMember& m : s.members) {
+          SAM_RETURN_NOT_OK(CheckSample(m.sample, name));
+        }
         bytes += 48 + static_cast<int64_t>(s.members.size()) * 16;
       }
       SAM_RETURN_NOT_OK(res.Acquire(
@@ -1391,6 +1505,9 @@ struct GenerationPipeline::Impl {
         if (ManifestBytes(name) < 0) continue;
         SAM_ASSIGN_OR_RETURN(GroupSummaryChunk chunk,
                              GroupSummaryChunk::Load(Path(name)));
+        for (const GroupSummary& g : chunk.groups) {
+          SAM_RETURN_NOT_OK(CheckSample(g.sample, name));
+        }
         SAM_RETURN_NOT_OK(heavy_res.Acquire(
             static_cast<int64_t>(chunk.groups.size()) * 48,
             "group summaries for relation '" + active.name + "'"));

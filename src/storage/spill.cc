@@ -33,6 +33,18 @@ void CountSpillWrite(size_t bytes) {
   total->Add(bytes);
 }
 
+/// Counts one spill chunk opened for reading and its payload bytes (the
+/// CRC-checked bytes behind the header).
+void CountSpillRead(uint64_t payload_bytes) {
+  if (!obs::MetricsEnabled()) return;
+  static obs::Counter* files = obs::MetricsRegistry::Global().GetCounter(
+      "sam.generate.spill_read_files");
+  static obs::Counter* total = obs::MetricsRegistry::Global().GetCounter(
+      "sam.generate.spill_read_bytes");
+  files->Add(1);
+  total->Add(payload_bytes);
+}
+
 Status CommitChunk(const ArtifactWriter& w, const std::string& path) {
   SAM_RETURN_NOT_OK(w.Commit(path));
   CountSpillWrite(w.committed_size());
@@ -43,6 +55,7 @@ Result<ArtifactReader> OpenChunk(const std::string& path,
                                  SpillChunkType expect) {
   SAM_ASSIGN_OR_RETURN(ArtifactReader r,
                        ArtifactReader::Open(path, kSpillKind));
+  CountSpillRead(r.remaining());
   if (r.version() != kSpillVersion) {
     return Status::InvalidArgument("spill chunk '" + path +
                                    "' has unsupported version " +
@@ -193,6 +206,7 @@ Result<RowChunk> RowChunk::Load(const std::string& path) {
 Result<RowChunkReader> RowChunkReader::Open(const std::string& path) {
   SAM_ASSIGN_OR_RETURN(StreamingArtifactReader r,
                        StreamingArtifactReader::Open(path, kSpillKind));
+  CountSpillRead(r.payload_size());
   if (r.version() != kSpillVersion) {
     return Status::InvalidArgument("spill chunk '" + path +
                                    "' has unsupported version " +

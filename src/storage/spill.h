@@ -76,7 +76,8 @@ class ScopedReservation {
 // checksummed artifact (kind "SAMSPILL") committed through the crash-safe
 // artifact layer, so a torn write or bit rot surfaces as a clean IOError on
 // read, never as silently wrong data. Chunk writes feed the
-// `sam.generate.spill_files` / `sam.generate.spill_bytes` counters.
+// `sam.generate.spill_files` / `sam.generate.spill_bytes` counters, chunk
+// reads `sam.generate.spill_read_files` / `sam.generate.spill_read_bytes`.
 // ---------------------------------------------------------------------------
 
 /// One batch of sampled FOJ tuples as raw model codes, column-major.

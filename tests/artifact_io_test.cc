@@ -6,7 +6,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
+#include "common/random.h"
 #include "obs/metrics_registry.h"
 #include "storage/artifact_io.h"
 
@@ -556,6 +558,38 @@ TEST_F(ArtifactIoTest, Crc32MatchesKnownVector) {
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
   // Chained blocks equal one-shot.
   EXPECT_EQ(Crc32(s + 4, 5, Crc32(s, 4)), 0xcbf43926u);
+}
+
+/// One table lookup per byte: the definition `Crc32`'s sliced loop must
+/// reproduce bit for bit.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t len, uint32_t seed) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST_F(ArtifactIoTest, Crc32MatchesBytewiseReference) {
+  std::vector<unsigned char> buf(1024 + 16);
+  Rng rng(7);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  for (size_t start = 0; start < 8; ++start) {  // Every alignment mod 8.
+    const unsigned char* p = buf.data() + start;
+    for (size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(Crc32(p, len), BytewiseCrc32(p, len, 0))
+          << "start=" << start << " len=" << len;
+    }
+    // Chained seeds: any split of a block gives the one-shot value.
+    const uint32_t whole = BytewiseCrc32(p, 1024, 0);
+    for (size_t cut = 0; cut <= 1024; cut += 37) {
+      ASSERT_EQ(Crc32(p + cut, 1024 - cut, Crc32(p, cut)), whole)
+          << "start=" << start << " cut=" << cut;
+    }
+    const uint32_t seed = 0x9e3779b9u;
+    ASSERT_EQ(Crc32(p, 999, seed), BytewiseCrc32(p, 999, seed));
+  }
 }
 
 }  // namespace

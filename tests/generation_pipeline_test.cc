@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -25,6 +26,7 @@
 #include "storage/artifact_io.h"
 #include "storage/csv.h"
 #include "storage/schema_io.h"
+#include "storage/spill.h"
 #include "workload/generator.h"
 
 namespace sam {
@@ -583,6 +585,158 @@ TEST(ParallelCommitTest, MemoryCapHoldsForEveryThreadCount) {
     ASSERT_TRUE(r.ValueOrDie().completed) << "threads=" << threads;
     EXPECT_GT(r.ValueOrDie().peak_reserved, 0) << "threads=" << threads;
     EXPECT_LE(r.ValueOrDie().peak_reserved, cap) << "threads=" << threads;
+  }
+}
+
+// The FOJ spill is read once per run: the preamble loads every chunk, fills
+// the weights and the resident code store, and no relation loads it again.
+TEST(GenerationPipelineTest, FreshRunReadsTheFojSpillOnce) {
+  const Database db = MakeChainDatabase();
+  const auto sam = MakeParallelCommitModel(db);  // Fan-out 2, 4 batches.
+  const std::string root = TempDir("sam_pipe_one_read");
+  const uint64_t batch = sam->options().generation_batch;
+  const uint64_t sample_batches =
+      (sam->options().foj_samples + batch - 1) / batch;
+  ASSERT_GE(sample_batches, 2u);
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Counter* files = reg.GetCounter("sam.generate.spill_read_files");
+  obs::Counter* bytes = reg.GetCounter("sam.generate.spill_read_bytes");
+
+  // Through the root's first partition step the run has read the FOJ
+  // chunks and nothing else (root virtuals are implicit): one load each.
+  obs::EnableMetrics(true);
+  uint64_t before = files->Value();
+  auto part = RunPipeline(*sam, root + "/out", root + "/w_part", false,
+                          /*stop_after_steps=*/sample_batches + 1);
+  const uint64_t foj_reads = files->Value() - before;
+  obs::EnableMetrics(false);
+  ASSERT_TRUE(part.ok()) << part.status().ToString();
+  ASSERT_FALSE(part.ValueOrDie().completed);
+  EXPECT_EQ(foj_reads, sample_batches);
+
+  // A whole run reads each spill file at most once: virtual chunks in phase
+  // A, leftover sets and summaries in pass 2, row chunks in assembly.
+  GenerationPipelineOptions o;
+  o.out_dir = root + "/out";
+  o.work_dir = root + "/w_full";
+  o.keep_work_dir = true;
+  obs::EnableMetrics(true);
+  before = files->Value();
+  const uint64_t bytes_before = bytes->Value();
+  auto full = GenerationPipeline(sam.get(), o).Run();
+  const uint64_t reads = files->Value() - before;
+  const uint64_t read_bytes = bytes->Value() - bytes_before;
+  obs::EnableMetrics(false);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_TRUE(full.ValueOrDie().completed);
+  std::string path;
+  auto ckpt = LoadLatestValidGenerationCheckpoint(root + "/w_full", &path);
+  ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
+  const auto& manifest = ckpt.ValueOrDie().manifest;
+  EXPECT_GE(reads, sample_batches);
+  EXPECT_LE(reads, manifest.size());
+  EXPECT_GT(read_bytes, 0u);
+  EXPECT_LE(read_bytes, ckpt.ValueOrDie().spill_bytes);
+}
+
+/// Rewrites spill chunk `path` through `edit` into a CRC-valid chunk that
+/// must keep the file's size, so only a content check can refuse it.
+template <typename Chunk, typename Edit>
+void SwapChunk(const std::string& path, Edit edit) {
+  const auto size = std::filesystem::file_size(path);
+  auto chunk = Chunk::Load(path);
+  ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+  Chunk swapped = chunk.MoveValue();
+  edit(&swapped);
+  ASSERT_TRUE(swapped.Save(path).ok());
+  ASSERT_EQ(std::filesystem::file_size(path), size);
+}
+
+// A resumed run checks the shape of what it reads back: CRC-valid spill
+// chunks of the right size but another shape fail cleanly instead of
+// indexing past the weights and the code store.
+TEST(GenerationPipelineTest, ResumeRefusesSpillChunksOfAnotherShape) {
+  const Database db = MakeChainDatabase();
+  const auto sam = MakeChainModel(db, SamOptions{});
+  const std::string root = TempDir("sam_pipe_foreign_chunk");
+  const uint64_t batch = sam->options().generation_batch;
+  const uint64_t k = sam->options().foj_samples;
+  const uint64_t sample_batches = (k + batch - 1) / batch;
+  const std::string last_foj =
+      "foj_" + std::string(6 - std::to_string(sample_batches - 1).size(), '0') +
+      std::to_string(sample_batches - 1) + ".spill";
+  const size_t domain = sam->schema().columns()[0].domain_size;
+
+  // Each case stops a fresh run after `stop` steps, swaps one chunk and
+  // resumes. The plan runs the sample steps, then A's partition and pass
+  // 2 (writing B's virtuals), then B's partition (writing B's leftovers).
+  struct Case {
+    const char* what;
+    uint64_t stop;
+    std::string chunk;
+    std::function<void(const std::string&)> swap;
+  };
+  const std::vector<Case> cases = {
+      {"FOJ chunk of another batch", sample_batches, "foj_000000.spill",
+       [](const std::string& p) {
+         SwapChunk<FojChunk>(p, [](FojChunk* c) { c->batch_index += 1; });
+       }},
+      {"FOJ chunk of one long column", sample_batches, last_foj,
+       [](const std::string& p) {
+         SwapChunk<FojChunk>(p, [](FojChunk* c) {
+           std::vector<int32_t> flat;
+           for (const auto& col : c->codes) {
+             flat.insert(flat.end(), col.begin(), col.end());
+           }
+           c->rows = flat.size();
+           c->codes = {flat};
+         });
+       }},
+      {"FOJ code outside its domain", sample_batches, last_foj,
+       [domain](const std::string& p) {
+         SwapChunk<FojChunk>(p, [domain](FojChunk* c) {
+           c->codes[0].back() = static_cast<int32_t>(domain);
+         });
+       }},
+      {"virtual of an unknown sample", sample_batches + 2,
+       "virt_B_p000_000000.spill",
+       [k](const std::string& p) {
+         SwapChunk<VirtualChunk>(p, [k](VirtualChunk* c) {
+           c->records.back().sample = static_cast<uint32_t>(k + 5);
+         });
+       }},
+      {"leftover of an unknown sample", sample_batches + 3,
+       "left_B_p000.spill",
+       [k](const std::string& p) {
+         SwapChunk<LeftoverChunk>(p, [k](LeftoverChunk* c) {
+           c->sets.front().members.front().sample = static_cast<uint32_t>(k);
+         });
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const std::string work = root + "/work";
+    std::filesystem::remove_all(work);
+    auto part = RunPipeline(*sam, root + "/out", work, false, c.stop);
+    ASSERT_TRUE(part.ok()) << part.status().ToString();
+    ASSERT_FALSE(part.ValueOrDie().completed);
+    ASSERT_TRUE(std::filesystem::exists(work + "/" + c.chunk)) << c.chunk;
+    c.swap(work + "/" + c.chunk);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    auto r = RunPipeline(*sam, root + "/out", work, /*resume=*/true);
+    if (r.ok()) {  // Keep going: every case must be refused.
+      ADD_FAILURE() << "the resumed run accepted the swapped chunk";
+      std::filesystem::remove_all(root + "/out");
+      continue;
+    }
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError) << r.status().ToString();
+    EXPECT_NE(r.status().ToString().find(c.chunk), std::string::npos)
+        << r.status().ToString();
+    EXPECT_NE(r.status().ToString().find("work directory was modified"),
+              std::string::npos)
+        << r.status().ToString();
+    EXPECT_FALSE(std::filesystem::exists(root + "/out"));
   }
 }
 
