@@ -4,15 +4,14 @@
 #include <cmath>
 #include <filesystem>
 #include <span>
-#include <thread>
 
 #include "ar/training_checkpoint.h"
 #include "autodiff/adam.h"
 #include "autodiff/ops.h"
 #include "common/fnv1a.h"
 #include "common/logging.h"
-#include "common/spin_team.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 
@@ -312,8 +311,8 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
   // Each shard tape's private leaves, in shard order.
   std::vector<MadeModel::MaskedWeights> leaves(kDpsShards);
   // The step's tail (gradient reduction and Adam update) runs over these
-  // fixed ranges on the team; the gradient buffers they write live as
-  // long as the optimiser.
+  // fixed ranges on the step's workers; the gradient buffers they write
+  // live as long as the optimiser.
   const std::vector<RowRange> tail = SplitRows(model->params());
   adam.ZeroGrad();
   // A step waits for its slowest shard. With a shard on every hardware
@@ -322,10 +321,22 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
   // default leaves half of them free (docs/PERFORMANCE.md).
   size_t workers = options.threads;
   if (workers == 0) {
-    workers = std::max<size_t>(1, std::thread::hardware_concurrency() / 2);
+    workers = std::max<size_t>(1, SharedThreadPool().num_threads() / 2);
   }
   workers = std::min(workers, kDpsShards);
-  SpinTeam team(workers);
+  // Runs fn(i) for i in [0, n) as a loop of width = min(workers, n) on the
+  // shared set, the caller included: loop index w runs i = w, w + width, ...
+  auto run = [&](size_t n, const std::function<void(size_t)>& fn) {
+    const size_t width = std::min(workers, n);
+    auto strided = [&](size_t w) {
+      for (size_t i = w; i < n; i += width) fn(i);
+    };
+    if (width <= 1) {
+      strided(0);
+    } else {
+      SharedThreadPool().ParallelFor(width, strided);
+    }
+  };
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry::Global()
         .GetGauge("sam.train.shard_parallelism")
@@ -526,7 +537,7 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
         ++live;
       }
       const size_t batch_rows = q_in_batch * options.sample_paths;
-      team.Run(live, [&](size_t s) {
+      run(live, [&](size_t s) {
         Shard& shard = shards[s];
         shard.loss = RunDpsShardTape(
             *model,
@@ -536,11 +547,11 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
 
       // Shard-ordered reduction, then one clipped Adam step. Each element
       // sums the shards in shard order and updates on its own, so running
-      // both over fixed ranges on the team moves no bit; the clip norm in
+      // both over fixed ranges on the workers moves no bit; the clip norm in
       // between is one serial sum.
       const std::span<const MadeModel::MaskedWeights> live_leaves(
           leaves.data(), live);
-      team.Run(tail.size(), [&](size_t i) {
+      run(tail.size(), [&](size_t i) {
         const RowRange& r = tail[i];
         model->ReduceGrads(live_leaves, r.param, r.begin, r.end);
       });
@@ -551,7 +562,7 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
         leaves[s] = MadeModel::MaskedWeights();
       }
       adam.BeginStep();
-      team.Run(tail.size(), [&](size_t i) {
+      run(tail.size(), [&](size_t i) {
         const RowRange& r = tail[i];
         adam.UpdateRange(r.param, r.begin * r.cols, r.end * r.cols);
       });

@@ -38,11 +38,11 @@ struct DpsOptions {
   /// paper's fixed-time-frame protocol (§5.1): training stops mid-epoch when
   /// the budget is exhausted. Budget accounting survives checkpoint/resume.
   double time_budget_seconds = 0;
-  /// Threads running the shard tapes of a step, the caller included (a
-  /// `SpinTeam`): min(threads, kDpsShards), 0 = half the hardware threads
-  /// (at least 1). 1 runs the same shard loop inline, with no helper
-  /// threads. Trained parameters are bit-identical for every value, so it
-  /// is not part of the training fingerprint.
+  /// Width a step asks of the shared worker set (`SharedThreadPool()`) for
+  /// its shard tapes and its tail, the caller included: min(threads,
+  /// kDpsShards), 0 = half the set (at least 1). 1 runs the same loops
+  /// inline on the caller. Trained parameters are bit-identical for every
+  /// value, so it is not part of the training fingerprint.
   size_t threads = 0;
 
   // --- Fault tolerance (docs/CHECKPOINTING.md) -------------------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <future>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -15,37 +14,31 @@ namespace sam {
 
 namespace {
 
-/// Runs `eval_range` over contiguous static shards of [0, n), one per
-/// `pool` thread (inline when `pool` is null or one shard suffices), bumps
+/// Runs `eval_range` over min(n, `shards`) contiguous static shards of
+/// [0, n) on the shared worker set (inline for one shard), bumps
 /// `sam.exec.queries` per finished shard, and returns the first error in
 /// shard order.
-Status RunShards(size_t n, ThreadPool* pool,
+Status RunShards(size_t n, size_t shards,
                  const std::function<Status(size_t, size_t)>& eval_range) {
   // Instrumentation stays per-shard, not per-query: the per-query loop is
   // the hot path the <1% disabled-overhead budget protects.
   static obs::Counter* queries =
       obs::MetricsRegistry::Global().GetCounter("sam.exec.queries");
-  auto run = [&](size_t begin, size_t end) {
-    Status st = eval_range(begin, end);
-    if (st.ok()) queries->Add(end - begin);
-    return st;
-  };
-  const size_t shards =
-      pool == nullptr ? 1 : std::min(n, pool->num_threads());
-  if (shards <= 1) return run(0, n);
-
-  // Contiguous static shards: each worker owns one scratch and one slice of
-  // the output, so no synchronisation is needed beyond the joins.
+  shards = std::max<size_t>(1, std::min(n, shards));
+  // Each shard owns one scratch and one slice of the output, so no
+  // synchronisation is needed beyond the loop's join.
   std::vector<Status> shard_status(shards, Status::OK());
-  std::vector<std::future<void>> futs;
-  futs.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
+  auto run = [&](size_t s) {
     const size_t begin = n * s / shards;
     const size_t end = n * (s + 1) / shards;
-    futs.push_back(pool->Submit(
-        [&, s, begin, end] { shard_status[s] = run(begin, end); }));
+    shard_status[s] = eval_range(begin, end);
+    if (shard_status[s].ok()) queries->Add(end - begin);
+  };
+  if (shards <= 1) {
+    run(0);
+  } else {
+    SharedThreadPool().ParallelFor(shards, run);
   }
-  for (auto& f : futs) f.get();
   for (const Status& st : shard_status) {
     SAM_RETURN_NOT_OK(st);
   }
@@ -189,9 +182,9 @@ Result<std::vector<int64_t>> Executor::ParallelCardinality(
   obs::TraceSpan span("exec/parallel_cardinality");
   std::vector<int64_t> out(workload.size(), 0);
   if (workload.empty()) return out;
-  ThreadPool pool(num_threads);
   SAM_RETURN_NOT_OK(RunShards(
-      workload.size(), &pool, [&](size_t begin, size_t end) -> Status {
+      workload.size(), ThreadsOrDefault(num_threads),
+      [&](size_t begin, size_t end) -> Status {
         obs::TraceSpan shard_span("exec/shard");
         engine::EvalScratch scratch;
         for (size_t i = begin; i < end; ++i) {
@@ -206,8 +199,7 @@ Result<std::vector<int64_t>> Executor::ParallelCardinality(
 }
 
 Result<std::vector<int64_t>> Executor::ParallelCardinalityCompiled(
-    const std::vector<const engine::CompiledQuery*>& queries,
-    ThreadPool* pool) const {
+    const std::vector<const engine::CompiledQuery*>& queries) const {
   obs::TraceSpan span("exec/parallel_cardinality_compiled");
   std::vector<int64_t> out(queries.size(), 0);
   if (queries.empty()) return out;
@@ -218,7 +210,8 @@ Result<std::vector<int64_t>> Executor::ParallelCardinalityCompiled(
     }
   }
   SAM_RETURN_NOT_OK(RunShards(
-      queries.size(), pool, [&](size_t begin, size_t end) -> Status {
+      queries.size(), SharedThreadPool().num_threads(),
+      [&](size_t begin, size_t end) -> Status {
         engine::EvalScratch scratch;
         for (size_t i = begin; i < end; ++i) {
           SAM_ASSIGN_OR_RETURN(out[i], Cardinality(*queries[i], &scratch));

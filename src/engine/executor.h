@@ -12,8 +12,6 @@
 
 namespace sam {
 
-class ThreadPool;
-
 /// \brief Cardinality and latency evaluation over a database.
 ///
 /// The evaluator serves three roles in the reproduction:
@@ -45,25 +43,26 @@ class Executor {
   Result<int64_t> Cardinality(const engine::CompiledQuery& cq,
                               engine::EvalScratch* scratch) const;
 
-  /// \brief Cardinalities of a whole workload, sharded across a thread pool.
+  /// \brief Cardinalities of a whole workload, sharded across the shared
+  /// worker set (`SharedThreadPool()`).
   ///
-  /// `num_threads` = 0 uses hardware concurrency. Each shard compiles and
+  /// `num_threads` is the number of shards the call asks of that set: 0 =
+  /// its width, 1 = inline on the caller. Each shard compiles and
   /// evaluates its queries with its own scratch buffers, so the result is
   /// bit-identical to calling Cardinality(q) per query, for every thread
   /// count. Fails with the first per-query error encountered.
   Result<std::vector<int64_t>> ParallelCardinality(const Workload& workload,
                                                    size_t num_threads = 0) const;
 
-  /// \brief Cardinalities of pre-compiled queries, sharded across a
-  /// caller-owned persistent pool (`pool == nullptr` evaluates sequentially).
+  /// \brief Cardinalities of pre-compiled queries, one shard per worker of
+  /// the shared worker set (`SharedThreadPool()`).
   ///
-  /// This is the serve-daemon hot path: plans come from a cache, so neither
-  /// compilation nor pool construction is paid per call. Bit-identical to
-  /// calling Cardinality(*queries[i], &scratch) per query, for every thread
-  /// count. Null plan pointers are rejected with InvalidArgument.
+  /// This is the serve-daemon hot path: plans come from a cache, so no
+  /// compilation is paid per call. Bit-identical to calling
+  /// Cardinality(*queries[i], &scratch) per query. Null plan pointers are
+  /// rejected with InvalidArgument.
   Result<std::vector<int64_t>> ParallelCardinalityCompiled(
-      const std::vector<const engine::CompiledQuery*>& queries,
-      ThreadPool* pool) const;
+      const std::vector<const engine::CompiledQuery*>& queries) const;
 
   /// Executes `q` with per-query compilation (no cached plan, as a planner
   /// would) and returns wall-clock seconds; used for the

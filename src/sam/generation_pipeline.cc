@@ -182,11 +182,9 @@ struct GenerationPipeline::Impl {
   /// The active relation's virtual buffers, at slot * partitions + partition.
   std::vector<VirtBuffer> virt_bufs;
 
-  std::unique_ptr<ThreadPool> pool;
-
   /// \brief One entry of the lookahead: the pure phase of an upcoming plan
-  /// step, run on `pool` ahead of its turn. A sample step's pure phase
-  /// samples its batch; a partition step's is phase A (gather the
+  /// step, run on the shared worker set ahead of its turn. A sample step's
+  /// pure phase samples its batch; a partition step's is phase A (gather the
   /// partition's virtual samples, build its merge groups). Everything else
   /// a step does (chunk writes, key assignment, row emission, which thread
   /// pk counters, leaf carry and chunk sequence numbers through the plan)
@@ -308,11 +306,6 @@ struct GenerationPipeline::Impl {
         pool / static_cast<int64_t>(std::max<size_t>(buffer_count, 1));
     return static_cast<size_t>(std::max<int64_t>(
         per / static_cast<int64_t>(sizeof(SpillVirtual)), 256));
-  }
-
-  ThreadPool* Pool() {
-    if (pool == nullptr) pool = std::make_unique<ThreadPool>(opts.threads);
-    return pool.get();
   }
 
   /// Partition fan-out, derived only from (k, cap) so the plan — and with it
@@ -827,13 +820,14 @@ struct GenerationPipeline::Impl {
     row_buf = RowBuffer{};
   }
 
-  Status FlushRowChunk(const std::string& rel) {
+  /// Row-path relations are indices into `rules()` and `state.relations`.
+  Status FlushRowChunk(size_t rel) {
     if (row_buf.rows == 0) {
       ClearRowBuffer();
       return Status::OK();
     }
-    auto& rs = RelState(rel);
-    const std::string name = RowChunkName(rel, rs.row_chunk_seq);
+    auto& rs = state.relations[rel];
+    const std::string name = RowChunkName(rules()[rel].name, rs.row_chunk_seq);
     RowChunk chunk;
     chunk.rows = row_buf.rows;
     chunk.csv = std::move(row_buf.csv);
@@ -848,14 +842,14 @@ struct GenerationPipeline::Impl {
   /// just appended exactly one rendered row to `row_buf.csv`. Slab
   /// reservations and the flush check follow the byte count only, so chunk
   /// boundaries are a pure function of the rows.
-  Status AccountAppendedRow(const std::string& rel) {
+  Status AccountAppendedRow(size_t rel) {
     row_buf.rows++;
-    RelState(rel).rows_emitted++;
+    state.relations[rel].rows_emitted++;
     // Reserve buffer growth in slabs (per-byte reservations would dominate
     // the profile).
     while (row_buf.reserved < static_cast<int64_t>(row_buf.csv.size())) {
-      SAM_RETURN_NOT_OK(
-          budget.Reserve(kRowSlab, "row buffer for relation '" + rel + "'"));
+      SAM_RETURN_NOT_OK(budget.Reserve(
+          kRowSlab, "row buffer for relation '" + rules()[rel].name + "'"));
       row_buf.reserved += kRowSlab;
     }
     if (static_cast<int64_t>(row_buf.csv.size()) >= RowFlushBytes()) {
@@ -864,7 +858,7 @@ struct GenerationPipeline::Impl {
     return Status::OK();
   }
 
-  Status AppendRow(const std::string& rel, const std::vector<Value>& row) {
+  Status AppendRow(size_t rel, const std::vector<Value>& row) {
     AppendCsvRow(row, &row_buf.csv);
     return AccountAppendedRow(rel);
   }
@@ -894,7 +888,7 @@ struct GenerationPipeline::Impl {
       }
     }
     csv.push_back('\n');
-    return AccountAppendedRow(active.name);
+    return AccountAppendedRow(active.topo_index);
   }
 
   // -- Child virtuals -------------------------------------------------------
@@ -968,12 +962,12 @@ struct GenerationPipeline::Impl {
 
   // -- Lookahead ------------------------------------------------------------
 
-  /// Entries the lookahead may hold: one per pool thread, none when
-  /// `threads == 1`, the fully serial reference that every thread count
-  /// must stay byte-identical to (deliberately excluded from the
-  /// fingerprint: resuming under another thread count is supported).
-  size_t LookaheadWidth() {
-    return opts.threads == 1 ? 0 : Pool()->num_threads();
+  /// Entries the lookahead may hold: `threads` (0 = the shared set's
+  /// width), none when `threads == 1`, the fully serial reference that every
+  /// thread count must stay byte-identical to (deliberately excluded from
+  /// the fingerprint: resuming under another thread count is supported).
+  size_t LookaheadWidth() const {
+    return opts.threads == 1 ? 0 : ThreadsOrDefault(opts.threads);
   }
 
   /// Budget the lookahead leaves free for the executing step's own
@@ -1040,16 +1034,16 @@ struct GenerationPipeline::Impl {
                             e->foj.count, &e->sampler);
   }
 
-  /// Runs step `s`'s pure phase on `pool`. Partition workers read only
-  /// `active`, the active relation's chunk sequence numbers and its spill
-  /// files, none of which the executing step's phase B writes.
+  /// Runs step `s`'s pure phase on the shared worker set. Partition workers
+  /// read only `active`, the active relation's chunk sequence numbers and
+  /// its spill files, none of which the executing step's phase B writes.
   void Dispatch(Ahead* e, const Step& s) {
     if (s.kind == Step::Kind::kSample) {
       PrepareSample(e, s.index);
-      e->done = Pool()->Submit(
+      e->done = SharedThreadPool().Submit(
           [this, e, batch = s.index] { SampleBatch(e, batch); });
     } else {
-      e->done = Pool()->Submit([this, e, part = s.index] {
+      e->done = SharedThreadPool().Submit([this, e, part = s.index] {
         auto virtuals = GatherVirtuals(part);
         if (!virtuals.ok()) {
           e->status = virtuals.status();
@@ -1189,7 +1183,7 @@ struct GenerationPipeline::Impl {
     }
     // Single relation (Alg 1): decode the batch straight to one CSV row
     // chunk; no weighting or key assignment applies.
-    const std::string& rel = sam->layouts()[0].name;
+    const size_t rel = RelIndex(sam->layouts()[0].name);
     SAM_RETURN_NOT_OK(sam->DecodeSingleRelationBatch(
         state.base_seed, batch_index, foj, 0, rows,
         [&](std::vector<Value>&& row) { return AppendRow(rel, row); }));
@@ -1309,7 +1303,7 @@ struct GenerationPipeline::Impl {
     } else {
       SAM_RETURN_NOT_OK(ExecLeafPartition(part, groups, &rng));
     }
-    SAM_RETURN_NOT_OK(FlushRowChunk(active.name));
+    SAM_RETURN_NOT_OK(FlushRowChunk(active.topo_index));
     return FlushAllVirtBuffers();
   }
 
@@ -1547,7 +1541,7 @@ struct GenerationPipeline::Impl {
           .GetGauge("sam.generate.leftover_mass_dropped")
           ->Add(dropped_mass);
     }
-    SAM_RETURN_NOT_OK(FlushRowChunk(active.name));
+    SAM_RETURN_NOT_OK(FlushRowChunk(active.topo_index));
     return FlushAllVirtBuffers();
   }
 

@@ -34,9 +34,10 @@ struct GenerationPipelineOptions {
   uint64_t stop_after_steps = 0;
   /// Checkpoints retained in `work_dir` (0 keeps all).
   size_t checkpoint_keep = 3;
-  /// Worker threads (0 = hardware concurrency, 1 = the fully serial
-  /// reference, with no lookahead). When parallel, an in-order lookahead
-  /// of up to one entry per pool thread runs the pure phase of the steps
+  /// Width the run asks of the shared worker set (`SharedThreadPool()`): 0 =
+  /// the set's width, 1 = the fully serial reference, with no lookahead.
+  /// When parallel, an in-order lookahead of up to `threads` entries, each
+  /// a task on that set, runs the pure phase of the steps
   /// after the executing one, while they are of its kind: a sample step's
   /// batch, or phase A (gather the partition's virtual samples, build its
   /// merge groups) of the next partitions of the same relation. The

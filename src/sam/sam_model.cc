@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -139,11 +138,8 @@ SamModel::FojSample SamModel::SampleFoj(size_t k, uint64_t base_seed) const {
   // read.
   const size_t batches = (k + gb - 1) / gb;
   if (batches == 0) return out;
-  const size_t threads =
-      options_.generation_threads > 0
-          ? options_.generation_threads
-          : std::max<size_t>(1, std::thread::hardware_concurrency());
-  const size_t workers = std::min(threads, batches);
+  const size_t workers =
+      std::min(ThreadsOrDefault(options_.generation_threads), batches);
   static obs::Gauge* parallelism = obs::MetricsRegistry::Global().GetGauge(
       "sam.gen.sample_parallelism");
   parallelism->Set(static_cast<double>(workers));
@@ -167,8 +163,7 @@ SamModel::FojSample SamModel::SampleFoj(size_t k, uint64_t base_seed) const {
   if (workers == 1) {
     run_worker(0);
   } else {
-    ThreadPool pool(workers);
-    pool.ParallelFor(workers, run_worker);
+    SharedThreadPool().ParallelFor(workers, run_worker);
   }
   return out;
 }

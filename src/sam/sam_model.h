@@ -32,14 +32,15 @@ struct SamOptions {
   /// imperfectly trained models, so the default trusts the model (a
   /// well-trained model emits NULL/1 for absent relations on its own).
   bool enforce_null_consistency = false;
-  /// Worker threads for all of `Generate`; 0 = hardware concurrency, 1 =
-  /// fully serial. `SampleFoj` (Alg 1 is "embarrassingly parallel", §4.2)
-  /// runs W workers, worker w sampling batches w, w+W, ... with one reused
-  /// sampler state; multi-relation `Generate` passes it to the generation
-  /// pipeline as `GenerationPipelineOptions::threads`. Every sample batch
-  /// derives its RNG from `generation_seed` and its batch index — in the
-  /// sequential path too — so generation is bit-identical for every thread
-  /// count.
+  /// Width all of `Generate` asks of the shared worker set
+  /// (`SharedThreadPool()`); 0 = the set's width, 1 = fully serial.
+  /// `SampleFoj` (Alg 1 is "embarrassingly parallel", §4.2) runs a
+  /// `ParallelFor` of W workers, worker w sampling batches w, w+W, ... with
+  /// one reused sampler state; multi-relation `Generate` passes it to the
+  /// generation pipeline as `GenerationPipelineOptions::threads`. Every
+  /// sample batch derives its RNG from `generation_seed` and its batch
+  /// index — in the sequential path too — so generation is bit-identical
+  /// for every thread count.
   size_t generation_threads = 0;
   uint64_t generation_seed = 999;
   /// Budget for the generation pipeline's data-proportional structures

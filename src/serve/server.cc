@@ -147,7 +147,6 @@ Status SamServer::Start() {
   }
   port_ = ntohs(bound.sin_port);
 
-  pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   dispatch_thread_ = std::thread([this] { DispatchLoop(); });
   if (!options_.model_path.empty() && options_.watch_interval_ms > 0 &&
@@ -543,7 +542,7 @@ void SamServer::DispatchBatch(std::vector<Pending>* batch) {
   if (!plans.empty()) {
     std::vector<const engine::CompiledQuery*> raw(plans.size());
     for (size_t i = 0; i < plans.size(); ++i) raw[i] = plans[i].get();
-    auto result = exec_->ParallelCardinalityCompiled(raw, pool_.get());
+    auto result = exec_->ParallelCardinalityCompiled(raw);
     if (!result.ok()) {
       for (Pending* p : live) {
         if (p->conn == nullptr || p->request.use_model) continue;
@@ -574,7 +573,7 @@ void SamServer::DispatchBatch(std::vector<Pending>* batch) {
   }
 
   // Model estimates are coalesced across clients as well — one batched
-  // progressive-sampling call per round on the persistent pool.
+  // progressive-sampling call per round on the shared worker set.
   DispatchModelEstimates(&sink, live);
 
   // One write per connection for everything this round produced.
@@ -666,7 +665,8 @@ void SamServer::EstimateModelGroup(ResponseSink* sink, const SamModel& model,
   if (!items.empty()) {
     model_batches_total_.fetch_add(1, std::memory_order_relaxed);
     model_batch_size_hist_->Observe(static_cast<double>(items.size()));
-    auto result = model_estimator_->EstimateCompiledBatch(items, pool_.get());
+    auto result =
+        model_estimator_->EstimateCompiledBatch(items, &SharedThreadPool());
     if (!result.ok()) {
       for (const Slot& slot : slots) {
         RespondBatched(sink, slot.p,

@@ -20,7 +20,6 @@
 
 namespace sam {
 class BatchedProgressiveEstimator;
-class ThreadPool;
 namespace obs {
 class Counter;
 class Gauge;
@@ -40,13 +39,11 @@ struct ServeOptions {
   /// stalling the connection.
   size_t queue_capacity = 256;
   /// Max requests the dispatcher coalesces into one executor call. 1 turns
-  /// cross-client batching off; the persistent pool and plan cache still
+  /// cross-client batching off; the shared worker set and plan cache still
   /// apply, so this is not `bench_serve`'s baseline (that is one in-process
-  /// `Executor::ParallelCardinality` call per request).
+  /// `Executor::ParallelCardinality` call per request). Coalesced batches
+  /// run on `SharedThreadPool()`, as wide as it is.
   size_t batch_max = 64;
-  /// Executor worker threads for coalesced cardinality batches (0 =
-  /// hardware concurrency).
-  size_t worker_threads = 0;
   /// Compiled-plan LRU capacity (0 disables plan caching).
   size_t plan_cache_capacity = 256;
   /// Max time a request may wait in the queue before it is answered with a
@@ -170,7 +167,7 @@ class SamServer {
   void HandleLine(const std::shared_ptr<Conn>& conn, const std::string& line);
   void DispatchBatch(std::vector<Pending>* batch);
   /// Coalesces every still-unanswered model-estimate request in `live` into
-  /// `BatchedProgressiveEstimator` calls on the persistent pool, each over
+  /// `BatchedProgressiveEstimator` calls on the shared worker set, each over
   /// consecutive requests totalling at most `kMaxPathsPerRequest` paths.
   void DispatchModelEstimates(ResponseSink* sink,
                               const std::vector<Pending*>& live);
@@ -189,11 +186,10 @@ class SamServer {
   std::shared_ptr<const SamModel> model_;
 
   PlanCache plan_cache_;
-  std::unique_ptr<ThreadPool> pool_;
 
   /// Cached cross-query batched estimator, dispatcher-thread only. Rebuilt
   /// when a hot-swap changes the model snapshot; otherwise its block scratch
-  /// (one SamplerState per pool worker) persists across dispatch rounds, so
+  /// (one SamplerState per shared worker) persists across dispatch rounds, so
   /// serving model estimates allocates no sampler state per request.
   /// `model_estimator_for_` keeps the snapshot the estimator points into
   /// alive.

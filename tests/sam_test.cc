@@ -3,9 +3,11 @@
 #include <map>
 
 #include "common/fnv1a.h"
+#include "common/thread_pool.h"
 #include "datasets/datasets.h"
 #include "engine/executor.h"
 #include "metrics/metrics.h"
+#include "obs/metrics_registry.h"
 #include "sam/sam_model.h"
 #include "sam/view_baseline.h"
 #include "workload/generator.h"
@@ -300,6 +302,56 @@ TEST(SamModelTest, GenerateMultiRelationEndToEnd) {
     EXPECT_GT(got, orig * 0.75) << t.name();
     EXPECT_LT(got, orig * 1.25) << t.name();
   }
+}
+
+TEST(SamModelTest, SecondTrainGenerateEvaluateRoundStartsNoThreads) {
+  // Every stage borrows the process's one worker set, so once a first round
+  // has built it, a second Train -> Generate -> QErrorOnDatabase round
+  // starts no thread of any pool.
+  const bool metrics_were_on = obs::MetricsEnabled();
+  obs::EnableMetrics(true);
+  obs::Counter* started = obs::MetricsRegistry::Global().GetCounter(
+      "sam.threadpool.threads_started");
+  {
+    // The counter sees every pool's workers.
+    const uint64_t before = started->Value();
+    ThreadPool pool(2);
+    EXPECT_EQ(started->Value(), before + 2);
+  }
+
+  Database db = MakeImdbLike(200, 31);
+  auto exec = Executor::Create(&db).MoveValue();
+  MultiRelationWorkloadOptions wopts;
+  wopts.num_queries = 60;
+  Workload train = GenerateMultiRelationWorkload(db, *exec, wopts).MoveValue();
+  SchemaHints hints;
+  hints.numeric_columns = {"title.production_year"};
+  hints.numeric_bounds["title.production_year"] = {1900, 2025};
+  SamOptions options;
+  options.model.hidden_sizes = {16, 16};
+  options.training.epochs = 1;
+  options.training.batch_size = 16;
+  options.foj_samples = 1000;
+  options.generation_batch = 250;
+
+  auto round = [&] {
+    auto sam = SamModel::Train(db, train, hints, exec->FullOuterJoinSize(),
+                               options);
+    ASSERT_TRUE(sam.ok()) << sam.status().ToString();
+    auto gen = sam.ValueOrDie()->Generate();
+    ASSERT_TRUE(gen.ok()) << gen.status().ToString();
+    // Multi-relation Generate samples in the pipeline; Alg 1's in-RAM
+    // sampler is its own stage.
+    EXPECT_EQ(sam.ValueOrDie()->SampleFoj(1000, 7).count, 1000u);
+    auto gen_exec = Executor::Create(&gen.ValueOrDie()).MoveValue();
+    ASSERT_TRUE(QErrorOnDatabase(*gen_exec, train).ok());
+  };
+  round();
+  const uint64_t after_first = started->Value();
+  round();
+  EXPECT_EQ(started->Value(), after_first)
+      << "the second round started threads";
+  obs::EnableMetrics(metrics_were_on);
 }
 
 TEST(InverseProbabilityWeightTest, ImdbWeightsArePinnedBitForBit) {

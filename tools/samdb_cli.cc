@@ -573,14 +573,13 @@ int CmdEstimate(const Flags& flags) {
   SAM_CLI_ASSIGN(paths, flags.GetSize("paths", 400, 1));
   SAM_CLI_ASSIGN(limit, flags.GetSize("limit", in.workload.size()));
   // The whole workload sweeps through the batched estimator as one call
-  // sharded over the pool (each estimate equals its own K = 1 call; see
-  // BatchedProgressiveEstimator's determinism contract).
+  // sharded over the shared worker set (each estimate equals its own K = 1
+  // call; see BatchedProgressiveEstimator's determinism contract).
   limit = std::min(limit, in.workload.size());
   const Workload subset(in.workload.begin(),
                         in.workload.begin() + static_cast<ptrdiff_t>(limit));
   BatchedProgressiveEstimator estimator(sam.ValueOrDie()->model());
-  ThreadPool pool;
-  auto ests = estimator.EstimateBatch(subset, paths, &pool);
+  auto ests = estimator.EstimateBatch(subset, paths, &SharedThreadPool());
   if (!ests.ok()) return FailStatus(ests.status());
   std::vector<double> qerrors;
   for (size_t i = 0; i < limit; ++i) {
@@ -638,7 +637,6 @@ int CmdServe(const Flags& flags) {
   sopts.port = static_cast<int>(v);
   SAM_CLI_ASSIGN(sopts.queue_capacity, flags.GetSize("queue-cap", 256, 1));
   SAM_CLI_ASSIGN(sopts.batch_max, flags.GetSize("batch-max", 64, 1));
-  SAM_CLI_ASSIGN(sopts.worker_threads, flags.GetSize("threads", 0));
   SAM_CLI_ASSIGN(sopts.plan_cache_capacity, flags.GetSize("plan-cache", 256));
   SAM_CLI_ASSIGN(v, flags.GetInt("timeout-ms", 30000));
   if (v < 0) return Fail("serve: --timeout-ms must be >= 0");
@@ -666,11 +664,10 @@ int CmdServe(const Flags& flags) {
   if (!st.ok()) return FailStatus(st);
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
-  std::printf("serving %s on %s:%d (batch-max=%zu queue-cap=%zu threads=%zu "
+  std::printf("serving %s on %s:%d (batch-max=%zu queue-cap=%zu "
               "plan-cache=%zu watch-ms=%lld)\n",
               flags.Get("db").c_str(), sopts.host.c_str(), server.port(),
-              sopts.batch_max, sopts.queue_capacity, sopts.worker_threads,
-              sopts.plan_cache_capacity,
+              sopts.batch_max, sopts.queue_capacity, sopts.plan_cache_capacity,
               static_cast<long long>(sopts.watch_interval_ms));
   std::fflush(stdout);
 
@@ -809,8 +806,9 @@ int Usage() {
       "             [--checkpoint-keep=N] [--resume] [--stop-after-epochs=N]]\n"
       "            [--threads=N]\n"
       "            --threads runs the DPS shard tapes of a step in parallel\n"
-      "            (0 = half the hardware threads, 1 = inline); the trained\n"
-      "            model is bit-identical for every thread count.\n"
+      "            on the process's one worker set (0 = half of it, 1 =\n"
+      "            inline); the trained model is bit-identical for every\n"
+      "            thread count.\n"
       "            Checkpoints are atomic + checksummed; SIGINT/SIGTERM finish\n"
       "            the current step, write a final checkpoint and exit 0.\n"
       "            --resume continues from the latest valid checkpoint and is\n"
@@ -833,10 +831,11 @@ int Usage() {
       "  estimate  --db=DIR --workload=FILE --hints=... --model=FILE [--verbose]\n"
       "  serve     --db=DIR --workload=FILE --hints=... --model=FILE\n"
       "            [--host=ADDR] [--port=N (0 = ephemeral)] [--batch-max=N]\n"
-      "            [--queue-cap=N] [--threads=N] [--plan-cache=N]\n"
+      "            [--queue-cap=N] [--plan-cache=N]\n"
       "            [--timeout-ms=N] [--paths=N] [--watch-ms=N]\n"
       "            Line-delimited JSON over TCP; requests: ping, estimate,\n"
       "            estimate_batch, generate, generate_status, stats.\n"
+      "            Batches run on the process's one worker set.\n"
       "            --watch-ms polls --model for changes and hot-swaps the\n"
       "            reloaded model with zero downtime. SIGINT/SIGTERM drain\n"
       "            gracefully (in-flight requests are answered) and exit 0\n"
@@ -887,8 +886,8 @@ const Command* FindCommand(const std::string& name) {
        {"original", "generated", "workload", "latency"}},
       {"estimate", CmdEstimate, true, {"model", "limit", "verbose"}},
       {"serve", CmdServe, true,
-       {"model", "host", "port", "queue-cap", "batch-max", "threads",
-        "plan-cache", "timeout-ms", "watch-ms"}},
+       {"model", "host", "port", "queue-cap", "batch-max", "plan-cache",
+        "timeout-ms", "watch-ms"}},
       {"stats", CmdStats, false, {"metrics", "trace"}},
   };
   for (const Command& c : commands) {
