@@ -7,6 +7,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 
 namespace sam {
 namespace {
@@ -200,6 +201,20 @@ TEST(StringUtilTest, FormatMetricSwitchesNotation) {
   EXPECT_EQ(FormatMetric(1.274), "1.27");
   EXPECT_EQ(FormatMetric(149.53), "149.5");
   EXPECT_EQ(FormatMetric(2e6), "2.0e+06");
+}
+
+TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(100);
+  pool.ParallelFor(100, [&](size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, SubmitRunsTask) {
+  ThreadPool pool(2);
+  std::atomic<bool> ran{false};
+  pool.Submit([&] { ran = true; }).get();
+  EXPECT_TRUE(ran.load());
 }
 
 }  // namespace

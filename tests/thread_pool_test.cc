@@ -21,6 +21,20 @@ namespace sam {
 namespace {
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexOnce) {
+  ThreadPool pool(4);
+  constexpr size_t kN = 10000;
+  std::vector<std::atomic<int>> visits(kN);
+  pool.ParallelFor(kN, [&](size_t i) { visits[i].fetch_add(1); });
+  for (size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(visits[i].load(), 1) << "index " << i;
+  }
+}
+
+// The spin team of a loop is its caller plus the workers still spinning
+// (`ThreadPool::kSpin`) from the loop before: these run loops back to back,
+// so every loop after the first is joined by spinning workers.
+
+TEST(SpinTeamTest, RunVisitsEveryIndexOnce) {
   for (size_t threads : {1, 2, 4}) {
     ThreadPool pool(threads);
     for (size_t n : {1, 3, 4, 7, 1000, 10000}) {
@@ -31,6 +45,18 @@ TEST(ThreadPoolTest, ParallelForVisitsEveryIndexOnce) {
             << "threads " << threads << ", n " << n << ", index " << i;
       }
     }
+  }
+}
+
+TEST(SpinTeamTest, ZeroIsANoop) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> visits(64);
+  pool.ParallelFor(64, [&](size_t i) { visits[i].fetch_add(1); });
+  // Workers are spinning now; an empty loop must give them nothing to run.
+  pool.ParallelFor(0, [](size_t) { FAIL() << "fn called for n == 0"; });
+  pool.ParallelFor(64, [&](size_t i) { visits[i].fetch_add(1); });
+  for (size_t i = 0; i < visits.size(); ++i) {
+    ASSERT_EQ(visits[i].load(), 2) << "index " << i;
   }
 }
 
