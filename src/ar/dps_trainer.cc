@@ -324,19 +324,6 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
     workers = std::max<size_t>(1, SharedThreadPool().num_threads() / 2);
   }
   workers = std::min(workers, kDpsShards);
-  // Runs fn(i) for i in [0, n) as a loop of width = min(workers, n) on the
-  // shared set, the caller included: loop index w runs i = w, w + width, ...
-  auto run = [&](size_t n, const std::function<void(size_t)>& fn) {
-    const size_t width = std::min(workers, n);
-    auto strided = [&](size_t w) {
-      for (size_t i = w; i < n; i += width) fn(i);
-    };
-    if (width <= 1) {
-      strided(0);
-    } else {
-      SharedThreadPool().ParallelFor(width, strided);
-    }
-  };
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry::Global()
         .GetGauge("sam.train.shard_parallelism")
@@ -537,7 +524,7 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
         ++live;
       }
       const size_t batch_rows = q_in_batch * options.sample_paths;
-      run(live, [&](size_t s) {
+      StridedFor(live, workers, [&](size_t, size_t s) {
         Shard& shard = shards[s];
         shard.loss = RunDpsShardTape(
             *model,
@@ -551,7 +538,7 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
       // between is one serial sum.
       const std::span<const MadeModel::MaskedWeights> live_leaves(
           leaves.data(), live);
-      run(tail.size(), [&](size_t i) {
+      StridedFor(tail.size(), workers, [&](size_t, size_t i) {
         const RowRange& r = tail[i];
         model->ReduceGrads(live_leaves, r.param, r.begin, r.end);
       });
@@ -562,7 +549,7 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
         leaves[s] = MadeModel::MaskedWeights();
       }
       adam.BeginStep();
-      run(tail.size(), [&](size_t i) {
+      StridedFor(tail.size(), workers, [&](size_t, size_t i) {
         const RowRange& r = tail[i];
         adam.UpdateRange(r.param, r.begin * r.cols, r.end * r.cols);
       });

@@ -150,11 +150,16 @@ void ThreadPool::SpinForWork() {
 }
 
 void ThreadPool::WorkerLoop() {
-  // A worker that ran a loop index spins for the next loop before it sleeps;
-  // one that ran a task (or joined a loop too late) goes straight to sleep.
+  // A worker that ran a loop index spins for the next loop before it sleeps,
+  // unless the last loop it joined came more than `kSpin` after its index
+  // before: loops that far apart (a lightly loaded server's batches, say)
+  // would only burn a core. One that ran a task (or joined a loop too late)
+  // goes straight to sleep.
   bool spin = false;
+  bool spin_pays = true;
+  std::chrono::steady_clock::time_point ran_index;
   while (true) {
-    if (spin) SpinForWork();
+    if (spin && spin_pays) SpinForWork();
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] {
       return stop_.load() || !loops_.empty() || !tasks_.empty();
@@ -167,7 +172,11 @@ void ThreadPool::WorkerLoop() {
       }
       loop->active.fetch_add(1);
       lock.unlock();
+      if (spin) {
+        spin_pays = std::chrono::steady_clock::now() - ran_index <= kSpin;
+      }
       spin = loop->Work();
+      if (spin) ran_index = std::chrono::steady_clock::now();
       loop->Leave();
       continue;
     }
@@ -198,6 +207,19 @@ ThreadPool& SharedThreadPool() {
   static ThreadPool* const pool = new ThreadPool(
       std::max<size_t>(1, std::thread::hardware_concurrency()));
   return *pool;
+}
+
+void StridedFor(size_t n, size_t width,
+                const std::function<void(size_t, size_t)>& fn) {
+  width = std::min(width, n);
+  auto stride = [&](size_t w) {
+    for (size_t i = w; i < n; i += width) fn(w, i);
+  };
+  if (width <= 1) {
+    stride(0);
+  } else {
+    SharedThreadPool().ParallelFor(width, stride);
+  }
 }
 
 size_t ThreadsOrDefault(size_t threads) {

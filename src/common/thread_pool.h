@@ -28,7 +28,8 @@ class ThreadPool {
   /// loops of a DPS step, well under 1 ms for census_inram. Back-to-back
   /// loops therefore never wait for a sleeping worker to be woken; on a
   /// virtual machine, whose idle vCPUs go back to the hypervisor, that
-  /// wake-up is both slow and unsteady.
+  /// wake-up is both slow and unsteady. A worker whose last loop came later
+  /// than that after its index before does not spin until loops come closer.
   static constexpr std::chrono::milliseconds kSpin{10};
 
   /// Creates `num_threads` >= 1 workers. Stages do not build their own:
@@ -78,6 +79,13 @@ class ThreadPool {
 /// first use and never torn down, so a stage may call it until exit. The
 /// workers it starts count in `sam.threadpool.threads_started`.
 ThreadPool& SharedThreadPool();
+
+/// Runs `fn(w, i)` for i in [0, n) as a `SharedThreadPool()` loop of
+/// `width'` = min(width, n) strides, the caller included: stride w runs
+/// i = w, w + width', ... in order, so `w` may index per-stride state.
+/// Inline on the caller when width' <= 1.
+void StridedFor(size_t n, size_t width,
+                const std::function<void(size_t w, size_t i)>& fn);
 
 /// The one place "0 = default" becomes a thread count: `threads`, or the
 /// shared set's width when it is 0.

@@ -153,18 +153,11 @@ SamModel::FojSample SamModel::SampleFoj(size_t k, uint64_t base_seed) const {
   for (size_t w = 0; w < workers; ++w) {
     states.push_back(model_->InitState(std::min(gb, k)));
   }
-  auto run_worker = [&](size_t w) {
-    for (size_t i = w; i < batches; i += workers) {
-      const size_t start = i * gb;
-      SampleFojBatchInto(base_seed, i, &out, start, std::min(gb, k - start),
-                         &states[w]);
-    }
-  };
-  if (workers == 1) {
-    run_worker(0);
-  } else {
-    SharedThreadPool().ParallelFor(workers, run_worker);
-  }
+  StridedFor(batches, workers, [&](size_t w, size_t i) {
+    const size_t start = i * gb;
+    SampleFojBatchInto(base_seed, i, &out, start, std::min(gb, k - start),
+                       &states[w]);
+  });
   return out;
 }
 

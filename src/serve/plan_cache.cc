@@ -2,30 +2,24 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
 #include "workload/io.h"
 
 namespace sam::serve {
 
 std::string CanonicalQueryKey(const Query& q) {
-  Query canon = q;
-  canon.cardinality = -1;
-  std::sort(canon.relations.begin(), canon.relations.end());
-  for (Predicate& p : canon.predicates) {
+  std::vector<std::string> relations = q.relations;
+  std::sort(relations.begin(), relations.end());
+  // Predicates in the order of their encoded text: the encoding escapes the
+  // separator characters, so it is injective and the order is total.
+  std::vector<std::string> predicates;
+  predicates.reserve(q.predicates.size());
+  for (Predicate p : q.predicates) {
     std::sort(p.in_list.begin(), p.in_list.end());
+    predicates.push_back(EncodeWorkloadPredicate(p));
   }
-  // Sort predicates by their encoded text: EncodeWorkloadQuery escapes the
-  // separator characters, so the encoding is injective and the order is total.
-  auto encode = [](const Predicate& p) {
-    Query one;
-    one.relations = {p.table};
-    one.predicates = {p};
-    return EncodeWorkloadQuery(one);
-  };
-  std::sort(canon.predicates.begin(), canon.predicates.end(),
-            [&](const Predicate& a, const Predicate& b) {
-              return encode(a) < encode(b);
-            });
-  return EncodeWorkloadQuery(canon);
+  std::sort(predicates.begin(), predicates.end());
+  return Join(relations, ",") + '\t' + Join(predicates, ";");
 }
 
 std::shared_ptr<const engine::CompiledQuery> PlanCache::Get(

@@ -39,10 +39,10 @@ struct ServeOptions {
   /// stalling the connection.
   size_t queue_capacity = 256;
   /// Max requests the dispatcher coalesces into one executor call. 1 turns
-  /// cross-client batching off; the shared worker set and plan cache still
-  /// apply, so this is not `bench_serve`'s baseline (that is one in-process
-  /// `Executor::ParallelCardinality` call per request). Coalesced batches
-  /// run on `SharedThreadPool()`, as wide as it is.
+  /// cross-client batching off: with `plan_cache_capacity` = 0 too, every
+  /// request line is compiled and answered by an executor call of its own,
+  /// `bench_serve`'s per-request baseline. Coalesced batches run on
+  /// `SharedThreadPool()`, as wide as it is.
   size_t batch_max = 64;
   /// Compiled-plan LRU capacity (0 disables plan caching).
   size_t plan_cache_capacity = 256;

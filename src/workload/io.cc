@@ -97,24 +97,34 @@ Result<PredOp> ParseOpTag(const std::string& tag) {
 
 }  // namespace
 
-std::string EncodeWorkloadQuery(const Query& q) {
-  std::ostringstream out;
-  out << Join(q.relations, ",") << '\t';
-  for (size_t i = 0; i < q.predicates.size(); ++i) {
-    const Predicate& p = q.predicates[i];
-    if (i > 0) out << ';';
-    out << p.table << '|' << p.column << '|' << OpTag(p.op) << '|';
-    if (p.op == PredOp::kIn) {
-      for (size_t j = 0; j < p.in_list.size(); ++j) {
-        if (j > 0) out << ',';
-        out << EncodeValue(p.in_list[j]);
-      }
-    } else {
-      out << EncodeValue(p.literal);
+std::string EncodeWorkloadPredicate(const Predicate& p) {
+  std::string out = p.table;
+  out += '|';
+  out += p.column;
+  out += '|';
+  out += OpTag(p.op);
+  out += '|';
+  if (p.op == PredOp::kIn) {
+    for (size_t j = 0; j < p.in_list.size(); ++j) {
+      if (j > 0) out += ',';
+      out += EncodeValue(p.in_list[j]);
     }
+  } else {
+    out += EncodeValue(p.literal);
   }
-  out << '\t' << q.cardinality;
-  return out.str();
+  return out;
+}
+
+std::string EncodeWorkloadQuery(const Query& q) {
+  std::string out = Join(q.relations, ",");
+  out += '\t';
+  for (size_t i = 0; i < q.predicates.size(); ++i) {
+    if (i > 0) out += ';';
+    out += EncodeWorkloadPredicate(q.predicates[i]);
+  }
+  out += '\t';
+  out += std::to_string(q.cardinality);
+  return out;
 }
 
 Result<Query> ParseWorkloadQuery(const std::string& line, bool require_card) {

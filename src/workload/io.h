@@ -22,6 +22,10 @@ Result<Workload> LoadWorkload(const std::string& path);
 /// and workload files are interchangeable byte-for-byte.
 std::string EncodeWorkloadQuery(const Query& q);
 
+/// \brief One predicate as `EncodeWorkloadQuery` writes it (the text between
+/// its ';' separators).
+std::string EncodeWorkloadPredicate(const Predicate& p);
+
 /// \brief Parses one SaveWorkload-format line. With `require_card` (the
 /// workload-file contract) the trailing cardinality section is mandatory;
 /// without it (protocol requests) a missing section parses as -1, i.e.

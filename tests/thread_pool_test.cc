@@ -1,11 +1,13 @@
 // ThreadPool correctness: every index of every loop runs exactly once, the
 // caller works too, loops separated by more than the spin window (every
 // worker asleep) still complete, a loop started while every worker is busy
-// completes on its caller, concurrent callers share one pool, and a throwing
+// completes on its caller, concurrent callers share one pool, workers stop
+// spinning when loops come further apart than the spin window, and a throwing
 // index must not unwind past the call while sibling indices still reference
 // the call's stack frame (the function object and what it captures).
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
@@ -19,6 +21,13 @@
 
 namespace sam {
 namespace {
+
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const timeval& t) { return t.tv_sec + t.tv_usec * 1e-6; };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexOnce) {
   ThreadPool pool(4);
@@ -126,6 +135,24 @@ TEST(ThreadPoolTest, LoopsAfterTheSpinWindowWakeSleepingWorkers) {
     EXPECT_EQ(count.load(), 3);
   }
   EXPECT_TRUE(worker_ran.load());
+}
+
+TEST(ThreadPoolTest, WorkersStopSpinningWhenLoopsComeFarApart) {
+  // Once a worker has waited longer than kSpin for a loop, it sleeps right
+  // after its next index, so loops that far apart burn no core between them.
+  // Spinning out every window would cost 3 workers x kSpin of CPU per loop.
+  ThreadPool pool(3);
+  auto loop = [&] {
+    pool.ParallelFor(4, [](size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    std::this_thread::sleep_for(ThreadPool::kSpin * 3);
+  };
+  loop();  // Workers spin out one window, then learn the gap.
+  loop();
+  const double before = ProcessCpuSeconds();
+  for (int round = 0; round < 10; ++round) loop();
+  EXPECT_LT(ProcessCpuSeconds() - before, 0.05);
 }
 
 TEST(ThreadPoolTest, ParallelForFromAPoolTaskCompletesWhileEveryWorkerIsBusy) {
