@@ -98,6 +98,10 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   auto loop = std::make_shared<Loop>();
   loop->fn = &fn;
   loop->n = n;
+  using Clock = std::chrono::steady_clock;
+  spin_pays_.store(Clock::now().time_since_epoch() -
+                       Clock::duration(last_loop_done_.load()) <=
+                   kSpin);
   size_t wake;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -131,6 +135,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     }
     std::this_thread::yield();
   }
+  last_loop_done_.store(Clock::now().time_since_epoch().count());
   std::exception_ptr error;
   {
     std::lock_guard<std::mutex> lock(loop->mu);
@@ -151,15 +156,13 @@ void ThreadPool::SpinForWork() {
 
 void ThreadPool::WorkerLoop() {
   // A worker that ran a loop index spins for the next loop before it sleeps,
-  // unless the last loop it joined came more than `kSpin` after its index
-  // before: loops that far apart (a lightly loaded server's batches, say)
-  // would only burn a core. One that ran a task (or joined a loop too late)
-  // goes straight to sleep.
+  // unless that loop came more than `kSpin` after the one before it: loops
+  // that far apart (a lightly loaded server's batches, say) would only burn
+  // a core. One that ran a task (or joined a loop too late) goes straight to
+  // sleep.
   bool spin = false;
-  bool spin_pays = true;
-  std::chrono::steady_clock::time_point ran_index;
   while (true) {
-    if (spin && spin_pays) SpinForWork();
+    if (spin && spin_pays_.load()) SpinForWork();
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] {
       return stop_.load() || !loops_.empty() || !tasks_.empty();
@@ -172,11 +175,7 @@ void ThreadPool::WorkerLoop() {
       }
       loop->active.fetch_add(1);
       lock.unlock();
-      if (spin) {
-        spin_pays = std::chrono::steady_clock::now() - ran_index <= kSpin;
-      }
       spin = loop->Work();
-      if (spin) ran_index = std::chrono::steady_clock::now();
       loop->Leave();
       continue;
     }

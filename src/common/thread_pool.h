@@ -28,8 +28,9 @@ class ThreadPool {
   /// loops of a DPS step, well under 1 ms for census_inram. Back-to-back
   /// loops therefore never wait for a sleeping worker to be woken; on a
   /// virtual machine, whose idle vCPUs go back to the hypervisor, that
-  /// wake-up is both slow and unsteady. A worker whose last loop came later
-  /// than that after its index before does not spin until loops come closer.
+  /// wake-up is both slow and unsteady. After a loop that came more than
+  /// `kSpin` after the one before it, workers sleep at once: loops that far
+  /// apart would find every spinning worker asleep anyway.
   static constexpr std::chrono::milliseconds kSpin{10};
 
   /// Creates `num_threads` >= 1 workers. Stages do not build their own:
@@ -73,6 +74,11 @@ class ThreadPool {
   std::atomic<bool> stop_{false};
   /// Workers in `SpinForWork`; a new loop wakes only the seats they leave.
   std::atomic<size_t> spinning_{0};
+  /// When a `ParallelFor` last returned (steady-clock ticks), and whether
+  /// the loop posted last came within `kSpin` of that: only then do the
+  /// workers that ran its indices spin for the next one.
+  std::atomic<std::chrono::steady_clock::rep> last_loop_done_{0};
+  std::atomic<bool> spin_pays_{false};
 };
 
 /// The process's one worker set: hardware-concurrency workers, built on

@@ -138,9 +138,10 @@ TEST(ThreadPoolTest, LoopsAfterTheSpinWindowWakeSleepingWorkers) {
 }
 
 TEST(ThreadPoolTest, WorkersStopSpinningWhenLoopsComeFarApart) {
-  // Once a worker has waited longer than kSpin for a loop, it sleeps right
-  // after its next index, so loops that far apart burn no core between them.
-  // Spinning out every window would cost 3 workers x kSpin of CPU per loop.
+  // After a loop that came more than kSpin after the one before it, the
+  // workers sleep right after their index, so loops that far apart burn no
+  // core between them. Spinning out every window would cost 3 workers x kSpin
+  // of CPU per loop.
   ThreadPool pool(3);
   auto loop = [&] {
     pool.ParallelFor(4, [](size_t) {
@@ -148,8 +149,6 @@ TEST(ThreadPoolTest, WorkersStopSpinningWhenLoopsComeFarApart) {
     });
     std::this_thread::sleep_for(ThreadPool::kSpin * 3);
   };
-  loop();  // Workers spin out one window, then learn the gap.
-  loop();
   const double before = ProcessCpuSeconds();
   for (int round = 0; round < 10; ++round) loop();
   EXPECT_LT(ProcessCpuSeconds() - before, 0.05);
